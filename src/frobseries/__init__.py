@@ -6,6 +6,7 @@ from .series import (
     MOD2,
     CoefficientRing,
     TruncatedSeries,
+    TruncationError,
     add,
     coefficient,
     invert,
@@ -22,6 +23,7 @@ from .frobenius import (
     cg_product,
     cphi_parity_witness,
     cphi_series,
+    expand,
     partition_series,
     phi_parity_series,
     phi_series_double_sum,

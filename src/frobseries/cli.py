@@ -1,9 +1,10 @@
 """Command-line surface: series expansion, oracle counts, residue tables,
 and the theorem verification suites.
 
-Exit codes are a contract: 0 success/verified, 1 refuted, 2 usage error,
-3 guard or truncation error.  stdout carries the payload, stderr the
-diagnostics; --out writes the payload to a file instead.
+Exit codes are a contract: 0 success/verified, 1 refuted or oracle
+disagreement, 2 usage error, 3 guard or truncation error.  stdout carries
+the payload, stderr the diagnostics; --out writes the payload to a file
+instead.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
 from . import congruences, frobenius, oracle
-from .series import EXACT, CoefficientRing
+from .series import TruncationError
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -46,20 +46,6 @@ def _emit(payload: str, out_path: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def _expand_series(family: str, k: int, truncation: int, modulus: int | None):
-    """Pick the route the flags imply; returns (series, route name)."""
-    if family == "phi":
-        if modulus == 2:
-            return frobenius.phi_parity_series(k, truncation), "phi-parity-series"
-        ring = EXACT if modulus is None else CoefficientRing(modulus)
-        return (
-            frobenius.phi_series_double_sum(k, truncation, ring),
-            "phi-double-sum",
-        )
-    ring = EXACT if modulus is None else CoefficientRing(modulus)
-    return frobenius.cphi_series(k, truncation, ring), "cphi-constant-term"
-
-
 def cmd_expand(args) -> int:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
@@ -67,7 +53,7 @@ def cmd_expand(args) -> int:
         raise UsageError("--n must be >= 0")
     if args.mod is not None and args.mod < 2:
         raise UsageError("--mod must be >= 2")
-    series, route = _expand_series(args.family, args.k, args.n, args.mod)
+    series, route = frobenius.expand(args.family, args.k, args.n, args.mod)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -95,23 +81,22 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    jobs = args.jobs or os.cpu_count() or 1
+    if args.nmax < 0:
+        raise UsageError("--nmax must be >= 0")
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
     if args.suite == "main":
         if not args.primes or not args.ells:
             raise UsageError("verify main needs --primes and --ells")
-        reports = congruences.main_theorem_suite(
-            args.primes, args.ells, args.nmax, jobs=jobs
-        )
+        reports = congruences.main_theorem_suite(args.primes, args.ells, args.nmax)
     elif args.suite == "cphi-even":
         if not args.ks:
             raise UsageError("verify cphi-even needs --ks")
-        reports = congruences.cphi_even_suite(args.ks, args.nmax, jobs=jobs)
+        reports = congruences.cphi_even_suite(args.ks, args.nmax)
     elif args.suite == "p-squared":
         if args.p is None:
             raise UsageError("verify p-squared needs --p")
-        reports = congruences.andrews_p_squared_suite(
-            args.p, args.nmax, jobs=jobs
-        )
+        reports = congruences.andrews_p_squared_suite(args.p, args.nmax)
     else:  # gs-lift
         if None in (args.k, args.p, args.r):
             raise UsageError("verify gs-lift needs --k, --p and --r")
@@ -130,12 +115,9 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     if args.k < 1 or args.weight < 0:
         raise UsageError("--k must be >= 1 and --weight >= 0")
-    if args.family == "phi":
-        count = oracle.count_phi(args.k, args.weight)
-        series, _ = _expand_series("phi", args.k, args.weight, None)
-    else:
-        count = oracle.count_cphi(args.k, args.weight)
-        series, _ = _expand_series("cphi", args.k, args.weight, None)
+    count_fn = oracle.count_phi if args.family == "phi" else oracle.count_cphi
+    count = count_fn(args.k, args.weight)
+    series, _ = frobenius.expand(args.family, args.k, args.weight)
     coeff = series.coefficient(args.weight)
     marker = "agrees" if coeff == count else "DISAGREES"
     _emit(
@@ -143,7 +125,7 @@ def cmd_oracle(args) -> int:
         f"count={count} series={coeff} {marker}\n",
         args.out,
     )
-    return EXIT_OK
+    return EXIT_OK if coeff == count else EXIT_REFUTED
 
 
 def cmd_residues(args) -> int:
@@ -208,7 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--lifts", type=int, default=1)
     p_verify.add_argument("--nmax", type=int, default=10)
     p_verify.add_argument(
-        "--jobs", type=int, default=None, help="parallel claim verification"
+        "--jobs",
+        type=int,
+        default=None,
+        help="accepted (must be >= 1) but unused: claims run in one thread",
     )
     p_verify.set_defaults(func=cmd_verify)
 
@@ -240,17 +225,10 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except oracle.GuardError as exc:
+    except (oracle.GuardError, TruncationError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
-        msg = str(exc)
-        if "truncation" in msg or "shortfall" in msg:
-            print(f"guard: {exc}", file=sys.stderr)
-            return EXIT_GUARD
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

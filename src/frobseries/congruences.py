@@ -3,17 +3,17 @@
 A claim is a statement "f_k(a*n + b) == 0 (mod m) for all n"; verification
 here is always over an explicit finite window [0, n_max], recorded in the
 report.  A Verified report means "no counterexample in the window", never
-an unbounded assertion.
+an unbounded assertion.  Claims run one after another in the calling
+thread; the suites still accept ``jobs`` but ignore it.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import frobenius
-from .series import CoefficientRing, TruncatedSeries, reduce_mod
+from .series import TruncatedSeries, TruncationError, reduce_mod
 
 PRIMALITY_CAP = 10_000
 
@@ -149,20 +149,8 @@ class VerificationReport:
 def default_series_provider(
     claim: CongruenceClaim, truncation: int
 ) -> tuple[TruncatedSeries, str]:
-    """Series for the claim's family in Z/m, with the route that built it.
-
-    phi mod 2 takes the cheap eta-quotient parity route; other phi moduli
-    use the double sum; cphi always uses constant-term extraction.
-    """
-    ring = CoefficientRing(claim.m)
-    if claim.family == PHI:
-        if claim.m == 2:
-            return frobenius.phi_parity_series(claim.k, truncation), "phi-parity-series"
-        return (
-            frobenius.phi_series_double_sum(claim.k, truncation, ring),
-            "phi-double-sum",
-        )
-    return frobenius.cphi_series(claim.k, truncation, ring), "cphi-constant-term"
+    """Series for the claim's family in Z/m, with the route that built it."""
+    return frobenius.expand(claim.family, claim.k, truncation, claim.m)
 
 
 def verify_claim(
@@ -175,7 +163,7 @@ def verify_claim(
     needed = claim.a * n_max + claim.b
     series, route = provider(claim, needed)
     if series.truncation < needed:
-        raise ValueError(
+        raise TruncationError(
             f"truncation shortfall: have {series.truncation}, need {needed}"
         )
     if series.ring.modulus != claim.m:
@@ -200,28 +188,10 @@ def verify_claim(
     )
 
 
-def _run_claims(claims, n_max, series_provider, jobs):
-    if jobs and jobs > 1 and len(claims) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(
-                pool.map(
-                    lambda c: verify_claim(c, n_max, series_provider), claims
-                )
-            )
-    else:
-        reports = [verify_claim(c, n_max, series_provider) for c in claims]
+def _run_claims(claims, n_max, series_provider):
+    reports = [verify_claim(c, n_max, series_provider) for c in claims]
     reports.sort(key=lambda r: r.claim.sort_key())
     return reports
-
-
-def _shared_provider(series: TruncatedSeries, route: str):
-    """Provider returning one precomputed series for every claim it serves."""
-
-    def provider(claim, truncation):
-        return series, route
-
-    provider.route = route
-    return provider
 
 
 def main_theorem_suite(
@@ -235,7 +205,7 @@ def main_theorem_suite(
                 raise ValueError("ell must be >= 1")
             for r in sorted(eligible_residues(p)):
                 claims.append(CongruenceClaim(PHI, p * ell - 1, p, r, 2))
-    return _run_claims(claims, n_max, series_provider, jobs)
+    return _run_claims(claims, n_max, series_provider)
 
 
 def cphi_even_suite(
@@ -247,7 +217,7 @@ def cphi_even_suite(
         if k < 1:
             raise ValueError("k must be >= 1")
         claims.append(CongruenceClaim(CPHI, 2 * k, 2, 1, 2))
-    return _run_claims(claims, n_max, series_provider, jobs)
+    return _run_claims(claims, n_max, series_provider)
 
 
 def andrews_p_squared_suite(
@@ -258,11 +228,10 @@ def andrews_p_squared_suite(
         raise ValueError(f"{p} is not prime")
     claims = [CongruenceClaim(CPHI, p, p, r, p * p) for r in range(1, p)]
     if series_provider is None:
-        # one constant-term expansion serves all p-1 progressions
-        truncation = p * n_max + p - 1
-        series = frobenius.cphi_series(p, truncation, CoefficientRing(p * p))
-        series_provider = _shared_provider(series, "cphi-constant-term")
-    return _run_claims(claims, n_max, series_provider, jobs)
+        # one expansion, to the largest truncation, serves all p-1 progressions
+        shared = default_series_provider(claims[-1], p * n_max + p - 1)
+        series_provider = lambda claim, truncation: shared
+    return _run_claims(claims, n_max, series_provider)
 
 
 def garvan_sellers_lift_check(

@@ -13,6 +13,7 @@ Three independent routes are implemented:
 
 The two-variable intermediate lives in :class:`LaurentPolyOverSeries`, a
 finite window of z-exponents each carrying a truncated q-series.
+:func:`expand` is the one place that picks a route for (family, modulus).
 """
 
 from __future__ import annotations
@@ -245,6 +246,25 @@ def phi_parity_series(k: int, truncation: int) -> TruncatedSeries:
         pentagonal_series(MOD2, n),
         invert(pochhammer(MOD2, n, k + 1, k + 1)),
     )
+
+
+def expand(
+    family: str, k: int, truncation: int, modulus: int | None = None
+) -> tuple[TruncatedSeries, str]:
+    """The route table: family's series over Z or Z/modulus, and its route.
+
+    phi mod 2 takes the eta-quotient parity route, phi in any other ring the
+    double sum; cphi always uses constant-term extraction.  Routes are looked
+    up as module globals at call time, so rebinding one is seen here.
+    """
+    if family not in ("phi", "cphi"):
+        raise ValueError(f"unknown family {family!r}")
+    if family == "phi" and modulus == 2:
+        return phi_parity_series(k, truncation), "phi-parity-series"
+    ring = EXACT if modulus is None else CoefficientRing(modulus)
+    if family == "phi":
+        return phi_series_double_sum(k, truncation, ring), "phi-double-sum"
+    return cphi_series(k, truncation, ring), "cphi-constant-term"
 
 
 def partition_series(

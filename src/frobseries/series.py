@@ -17,6 +17,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
+class TruncationError(ValueError):
+    """A series stops short of the coefficients a computation needs."""
+
+
 @dataclass(frozen=True)
 class CoefficientRing:
     """Coefficient ring tag: exact integers (``modulus=None``) or Z/mZ."""

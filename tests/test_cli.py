@@ -3,7 +3,7 @@ import json
 import pytest
 from jsonschema import validate
 
-from frobseries import cli, congruences
+from frobseries import cli, congruences, frobenius
 from frobseries.congruences import VerificationReport
 from frobseries.series import CoefficientRing, make_series
 
@@ -167,6 +167,40 @@ def test_verify_missing_flags(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["main", "--primes", "5", "--ells", "1", "--jobs", "0"],
+        ["main", "--primes", "5", "--ells", "1", "--jobs", "-4"],
+        ["main", "--primes", "5", "--ells", "1", "--nmax", "-1"],
+        ["cphi-even", "--ks", "1", "--nmax", "-1"],
+        ["p-squared", "--p", "3", "--nmax", "-1"],
+        ["gs-lift", "--k", "2", "--p", "5", "--r", "3", "--nmax", "-1"],
+    ],
+)
+def test_verify_bad_jobs_or_nmax_exit_two(argv, capsys):
+    code, out = run(["verify"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+
+
+def test_verify_short_provider_exits_three(capsys, monkeypatch):
+    real = congruences.default_series_provider
+
+    def short(claim, truncation):
+        series, route = real(claim, truncation)
+        coeffs = series.coeffs[:-1]
+        return make_series(series.ring, truncation - 1, coeffs), route
+
+    monkeypatch.setattr(congruences, "default_series_provider", short)
+    code, out = run(
+        ["verify", "main", "--primes", "5", "--ells", "1", "--nmax", "5"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+
+
 def test_verify_json_round_trip(tmp_path, capsys):
     path = tmp_path / "reports.json"
     code, _ = run(
@@ -207,6 +241,23 @@ def test_oracle_agreement(capsys):
     )
     assert code == 0
     assert "count=1" in out
+
+
+def test_oracle_disagreement_exits_one(capsys, monkeypatch):
+    real = frobenius.phi_series_double_sum
+
+    def off_by_one(k, truncation, ring):
+        series = real(k, truncation, ring)
+        coeffs = list(series.coeffs)
+        coeffs[truncation] += 1
+        return make_series(series.ring, series.truncation, coeffs)
+
+    monkeypatch.setattr(frobenius, "phi_series_double_sum", off_by_one)
+    code, out = run(
+        ["oracle", "--family", "phi", "--k", "2", "--weight", "3"], capsys
+    )
+    assert code == 1
+    assert "count=5 series=6 DISAGREES" in out
 
 
 def test_oracle_guard_exit_three(capsys):

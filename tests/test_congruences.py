@@ -1,5 +1,6 @@
 import pytest
 
+from frobseries import congruences
 from frobseries.congruences import (
     PHI,
     CPHI,
@@ -191,6 +192,22 @@ def test_andrews_p_squared_suite():
     assert all(r.status == VERIFIED for r in reports)
     reports = andrews_p_squared_suite(2, 5)
     assert all(r.status == VERIFIED for r in reports)
+
+
+def test_andrews_p_squared_suite_builds_one_series(monkeypatch):
+    builds = []
+    real = congruences.default_series_provider
+
+    def counting(claim, truncation):
+        builds.append(truncation)
+        return real(claim, truncation)
+
+    monkeypatch.setattr(congruences, "default_series_provider", counting)
+    reports = andrews_p_squared_suite(5, 3)
+    assert builds == [5 * 3 + 4]
+    assert [r.claim.b for r in reports] == [1, 2, 3, 4]
+    assert all(r.status == VERIFIED for r in reports)
+    assert {r.route for r in reports} == {"cphi-constant-term"}
 
 
 def test_garvan_sellers_lift():

@@ -5,6 +5,7 @@ from frobseries.frobenius import (
     cg_product,
     cphi_parity_witness,
     cphi_series,
+    expand,
     partition_series,
     phi_parity_series,
     phi_series_double_sum,
@@ -136,3 +137,8 @@ def test_double_sum_in_modular_ring_matches_exact():
         exact = reduce_mod(phi_series_double_sum(k, 30), m)
         modular = phi_series_double_sum(k, 30, CoefficientRing(m))
         assert exact == modular, (k, m)
+
+
+def test_expand_rejects_unknown_family():
+    with pytest.raises(ValueError, match="unknown family"):
+        expand("psi", 2, 10)
