@@ -2,9 +2,9 @@
 and the theorem verification suites.
 
 Exit codes are a contract: 0 success/verified, 1 refuted or oracle
-disagreement, 2 usage error, 3 guard or truncation error.  stdout carries
-the payload, stderr the diagnostics; --out writes the payload to a file
-instead.
+disagreement, 2 usage error or an --out file that cannot be written, 3
+guard or truncation error.  stdout carries the payload, stderr the
+diagnostics; --out writes the payload to a file instead.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     if args.k < 1 or args.weight < 0:
         raise UsageError("--k must be >= 1 and --weight >= 0")
-    count_fn = oracle.count_phi if args.family == "phi" else oracle.count_cphi
+    count_fn = oracle.count_phi if args.family == frobenius.PHI else oracle.count_cphi
     count = count_fn(args.k, args.weight)
     series, _ = frobenius.expand(args.family, args.k, args.weight)
     coeff = series.coefficient(args.weight)
@@ -129,14 +129,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_residues(args) -> int:
-    try:
-        rows = sorted(
-            (r, congruences.residue_class(24 * r + 1, args.p))
-            for r in range(1, args.p)
-        )
-        eligible = congruences.eligible_residues(args.p)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    rows = sorted(
+        (r, congruences.residue_class(24 * r + 1, args.p))
+        for r in range(1, args.p)
+    )
+    eligible = congruences.eligible_residues(args.p)
     lines = [f"# p={args.p}  (class of 24r+1 mod p)"]
     for r, cls in rows:
         flag = "eligible" if r in eligible else "-"
@@ -168,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser(
         "expand", parents=[common], help="expand a generating function"
     )
-    p_expand.add_argument("--family", choices=("phi", "cphi"), required=True)
+    p_expand.add_argument("--family", choices=frobenius.FAMILIES, required=True)
     p_expand.add_argument("--k", type=int, required=True)
     p_expand.add_argument("--n", type=int, required=True, help="truncation")
     p_expand.add_argument("--mod", type=int, default=None)
@@ -202,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="brute-force count with series cross-check",
     )
-    p_oracle.add_argument("--family", choices=("phi", "cphi"), required=True)
+    p_oracle.add_argument("--family", choices=frobenius.FAMILIES, required=True)
     p_oracle.add_argument("--k", type=int, required=True)
     p_oracle.add_argument("--weight", type=int, required=True)
     p_oracle.set_defaults(func=cmd_oracle)
@@ -228,7 +225,7 @@ def main(argv=None) -> int:
     except (oracle.GuardError, TruncationError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,7 +4,7 @@ A claim is a statement "f_k(a*n + b) == 0 (mod m) for all n"; verification
 here is always over an explicit finite window [0, n_max], recorded in the
 report.  A Verified report means "no counterexample in the window", never
 an unbounded assertion.  Claims run one after another in the calling
-thread; the suites still accept ``jobs`` but ignore it.
+thread.
 """
 
 from __future__ import annotations
@@ -13,13 +13,10 @@ import enum
 from dataclasses import dataclass
 
 from . import frobenius
+from .frobenius import CPHI, FAMILIES, PHI
 from .series import TruncatedSeries, TruncationError, reduce_mod
 
 PRIMALITY_CAP = 10_000
-
-PHI = "phi"
-CPHI = "cphi"
-FAMILIES = (PHI, CPHI)
 
 
 class ResidueClass(enum.Enum):
@@ -166,17 +163,12 @@ def verify_claim(
         raise TruncationError(
             f"truncation shortfall: have {series.truncation}, need {needed}"
         )
+    if not series.ring.is_modular:
+        series = reduce_mod(series, claim.m)
     if series.ring.modulus != claim.m:
-        series_mod = (
-            series
-            if series.ring.is_modular
-            else reduce_mod(series, claim.m)
+        raise ValueError(
+            f"provider ring {series.ring} does not match modulus {claim.m}"
         )
-        if series_mod.ring.modulus != claim.m:
-            raise ValueError(
-                f"provider ring {series.ring} does not match modulus {claim.m}"
-            )
-        series = series_mod
     counterexamples = []
     for n in range(n_max + 1):
         v = series.coefficient(claim.a * n + claim.b)
@@ -195,7 +187,7 @@ def _run_claims(claims, n_max, series_provider):
 
 
 def main_theorem_suite(
-    primes, ells, n_max: int, series_provider=None, jobs: int | None = None
+    primes, ells, n_max: int, series_provider=None
 ) -> list[VerificationReport]:
     """phi_{p*ell - 1}(p*n + r) == 0 (mod 2) for every eligible residue r."""
     claims = []
@@ -209,7 +201,7 @@ def main_theorem_suite(
 
 
 def cphi_even_suite(
-    ks, n_max: int, series_provider=None, jobs: int | None = None
+    ks, n_max: int, series_provider=None
 ) -> list[VerificationReport]:
     """cphi_{2k}(2n + 1) == 0 (mod 2) for each k."""
     claims = []
@@ -221,7 +213,7 @@ def cphi_even_suite(
 
 
 def andrews_p_squared_suite(
-    p: int, n_max: int, series_provider=None, jobs: int | None = None
+    p: int, n_max: int, series_provider=None
 ) -> list[VerificationReport]:
     """cphi_p(p*n + r) == 0 (mod p^2) for every 0 < r < p."""
     if not is_prime(p):

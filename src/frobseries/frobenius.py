@@ -9,11 +9,17 @@ Three independent routes are implemented:
   eta quotient (q;q)_inf / (q^{k+1};q^{k+1})_inf.
 * ``cphi_series`` -- constant-term extraction: cphi_k(n) is the z^0
   coefficient of the two-variable product
-  prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k.
+  prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k, built by
+  ``cg_product``, the only code that expands that product.
+
+``cphi_parity_witness`` is the image of ``cg_product`` over Z/2 under
+z -> z^2, q -> q^2, which is the mod-2 form of the product with subscript
+2k.  It is a cross-check only and never a route.
 
 The two-variable intermediate lives in :class:`LaurentPolyOverSeries`, a
 finite window of z-exponents each carrying a truncated q-series.
-:func:`expand` is the one place that picks a route for (family, modulus).
+:func:`expand` is the one place that picks a route for (family, modulus),
+and ``FAMILIES`` is the one place the family names are written.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ from .series import (
     pochhammer,
     zero_series,
 )
+
+FAMILIES = ("phi", "cphi")
+PHI, CPHI = FAMILIES
 
 
 @dataclass(frozen=True)
@@ -95,16 +104,10 @@ def _laurent_product(factors, ring, truncation, window):
                 if target is None:
                     target = [0] * (n + 1)
                     new_rows[nz] = target
-                if c == 1:
-                    for i in range(n + 1 - dq):
-                        ri = row[i]
-                        if ri:
-                            target[i + dq] += ri
-                else:
-                    for i in range(n + 1 - dq):
-                        ri = row[i]
-                        if ri:
-                            target[i + dq] += c * ri
+                for i in range(n + 1 - dq):
+                    ri = row[i]
+                    if ri:
+                        target[i + dq] += c * ri
         if modulus is not None:
             for row in new_rows.values():
                 for i, v in enumerate(row):
@@ -128,25 +131,21 @@ def _wrap_rows(rows, ring, truncation) -> LaurentPolyOverSeries:
 
 
 def cg_product(
-    exponent: int,
-    truncation: int,
-    ring: CoefficientRing = EXACT,
-    window_margin: int = 0,
+    exponent: int, truncation: int, ring: CoefficientRing = EXACT
 ) -> LaurentPolyOverSeries:
     """Expand prod_{n=0}^{N} (1 + z q^{n+1})^e (1 + z^{-1} q^n)^e.
 
-    z-exponents are clipped to [-(N+e), N+e] (plus an optional margin for
-    window-soundness checks): a unit of positive z-exponent costs at least
-    one q-degree, and only the n=0 factor hands out negative z-exponent
-    for free, so states outside the window cannot reach z^0 within the
-    q-budget.
+    z-exponents are clipped to [-(N+e), N+e]: a unit of positive
+    z-exponent costs at least one q-degree, and only the n=0 factor hands
+    out negative z-exponent for free, so states outside the window cannot
+    reach z^0 within the q-budget.
     """
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     n, e = truncation, exponent
-    window = n + e + window_margin
+    window = n + e
     factors = []
     for m in range(n + 1):
         up = [(i, (m + 1) * i, comb(e, i)) for i in range(e + 1) if (m + 1) * i <= n]
@@ -171,33 +170,19 @@ def cphi_series(
 def cphi_parity_witness(k: int, truncation: int) -> LaurentPolyOverSeries:
     """Mod-2 form of the colored product with subscript 2k.
 
-    Over Z/2 the product collapses to
-    prod_{n>=0} (1 + z^2 q^{2n+2})^k (1 + z^{-2} q^{2n})^k, whose every
-    z row involves only even q-exponents; that structural fact forces
-    cphi_{2k}(odd) to be even.
+    Over Z/2, (1 + x)^{2k} = (1 + x^2)^k, so the product collapses to
+    prod_{n>=0} (1 + z^2 q^{2n+2})^k (1 + z^{-2} q^{2n})^k: the image of
+    cg_product(k, N // 2, Z/2) under z -> z^2, q -> q^2.  Every z row
+    then involves only even q-exponents; that structural fact forces
+    cphi_{2k}(odd) to be even.  A cross-check only, never a route.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = truncation
-    window = n + 2 * k
-    factors = []
-    for m in range(n // 2 + 1):
-        up = [
-            (2 * i, (2 * m + 2) * i, comb(k, i))
-            for i in range(k + 1)
-            if (2 * m + 2) * i <= n
-        ]
-        if len(up) > 1:
-            factors.append(up)
-        down = [
-            (-2 * i, 2 * m * i, comb(k, i))
-            for i in range(k + 1)
-            if 2 * m * i <= n
-        ]
-        if len(down) > 1:
-            factors.append(down)
-    rows = _laurent_product(factors, MOD2, n, window)
-    return _wrap_rows(rows, MOD2, n)
+    half = cg_product(k, truncation // 2, MOD2)
+    rows = {}
+    for j, series in enumerate(half.entries, half.z_min):
+        row = [0] * (truncation + 1)
+        row[::2] = series.coeffs
+        rows[2 * j] = row
+    return _wrap_rows(rows, MOD2, truncation)
 
 
 def phi_series_double_sum(
@@ -257,12 +242,12 @@ def expand(
     double sum; cphi always uses constant-term extraction.  Routes are looked
     up as module globals at call time, so rebinding one is seen here.
     """
-    if family not in ("phi", "cphi"):
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if family == "phi" and modulus == 2:
+    if family == PHI and modulus == 2:
         return phi_parity_series(k, truncation), "phi-parity-series"
     ring = EXACT if modulus is None else CoefficientRing(modulus)
-    if family == "phi":
+    if family == PHI:
         return phi_series_double_sum(k, truncation, ring), "phi-double-sum"
     return cphi_series(k, truncation, ring), "cphi-constant-term"
 

@@ -80,18 +80,6 @@ class TruncatedSeries:
             )
         return self.coeffs[n]
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return add(self, other)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return mul(self, other)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return negate(self)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return add(self, negate(other))
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -124,10 +112,6 @@ def make_series(
 
 def zero_series(ring: CoefficientRing, truncation: int) -> TruncatedSeries:
     return make_series(ring, truncation)
-
-
-def one_series(ring: CoefficientRing, truncation: int) -> TruncatedSeries:
-    return make_series(ring, truncation, [1])
 
 
 def _check_compatible(a: TruncatedSeries, b: TruncatedSeries) -> None:

@@ -201,6 +201,23 @@ def test_verify_short_provider_exits_three(capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--family", "phi", "--k", "1", "--n", "3"],
+        ["verify", "main", "--primes", "5", "--ells", "1", "--nmax", "5"],
+    ],
+)
+def test_unwritable_out_exits_two(argv, tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "x"
+    code = cli.main(argv + ["--out", str(missing)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_verify_json_round_trip(tmp_path, capsys):
     path = tmp_path / "reports.json"
     code, _ = run(

@@ -143,6 +143,29 @@ def test_verify_claim_alternate_route_agrees():
     assert a.counterexamples == b.counterexamples
 
 
+def test_verify_claim_reduces_exact_provider():
+    # 24*1+1 == 0 mod 5, so phi_4(5n + 1) has odd values to report mod 2
+    claim = CongruenceClaim(PHI, 4, 5, 1, 2)
+
+    def exact_provider(c, truncation):
+        return phi_series_double_sum(c.k, truncation), "phi-double-sum"
+
+    default = verify_claim(claim, 8)
+    exact = verify_claim(claim, 8, exact_provider)
+    assert default.status == exact.status == REFUTED
+    assert default.counterexamples == exact.counterexamples
+    assert {v for _, v in exact.counterexamples} == {1}
+
+
+def test_verify_claim_rejects_provider_in_other_modulus():
+    def mod3_provider(c, truncation):
+        series = phi_series_double_sum(c.k, truncation, CoefficientRing(3))
+        return series, "phi-double-sum"
+
+    with pytest.raises(ValueError, match="does not match modulus 2"):
+        verify_claim(CongruenceClaim(PHI, 4, 5, 3, 2), 5, mod3_provider)
+
+
 def test_main_theorem_suite_p5():
     reports = main_theorem_suite([5], [1], 20)
     assert len(reports) == 2
@@ -162,10 +185,8 @@ def test_main_theorem_suite_nmax_zero():
     assert all(r.status == VERIFIED for r in reports)
 
 
-def test_suite_determinism_and_parallel_order():
-    serial = main_theorem_suite([5, 7], [1], 6)
-    parallel = main_theorem_suite([5, 7], [1], 6, jobs=4)
-    assert serial == parallel
+def test_suite_determinism():
+    assert main_theorem_suite([5, 7], [1], 6) == main_theorem_suite([5, 7], [1], 6)
 
 
 def test_parity_series_vanishes_on_eligible_classes():

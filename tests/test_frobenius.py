@@ -76,10 +76,11 @@ def test_cg_product_constant_row():
 
 
 def test_cg_window_soundness():
+    # truncation n + 5 widens the z-window by 5 and adds only q^{>n} terms
     for e, n in ((2, 8), (3, 6), (5, 5)):
         base = cg_product(e, n).constant_term()
-        widened = cg_product(e, n, window_margin=5).constant_term()
-        assert base == widened, (e, n)
+        widened = cg_product(e, n + 5).constant_term()
+        assert base.coeffs == widened.coeffs[: n + 1], (e, n)
 
 
 def test_cphi_series_examples():
@@ -113,12 +114,13 @@ def test_cphi_parity_witness_structure():
 
 
 def test_cphi_parity_witness_matches_cg_mod2():
-    for k in (1, 2):
-        n = 10
-        witness = cphi_parity_witness(k, n)
-        direct = cg_product(2 * k, n, CoefficientRing(2))
-        for j in range(-(n + 2 * k), n + 2 * k + 1):
-            assert witness.z_coefficient(j) == direct.z_coefficient(j), (k, j)
+    for k in (1, 2, 3):
+        for n in (9, 10, 11):
+            witness = cphi_parity_witness(k, n)
+            direct = cg_product(2 * k, n, CoefficientRing(2))
+            for j in range(-(n + 2 * k), n + 2 * k + 1):
+                got, want = witness.z_coefficient(j), direct.z_coefficient(j)
+                assert got == want, (k, n, j)
 
 
 def test_laurent_poly_invariants():
