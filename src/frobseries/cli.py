@@ -5,6 +5,11 @@ Exit codes are a contract: 0 success/verified, 1 refuted or oracle
 disagreement, 2 usage error or an --out file that cannot be written, 3
 guard or truncation error.  stdout carries the payload, stderr the
 diagnostics; --out writes the payload to a file instead.
+
+The --out path is opened for append (never truncated) before any
+computation, so a directory, a missing parent or a permission error
+exits 2 at once.  A path that opens but fails on write, such as
+/dev/full, still exits 2, but only after the computation.
 """
 
 from __future__ import annotations
@@ -221,6 +226,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, 0 on --help; keep its code
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
+        if args.out:
+            open(args.out, "a").close()
         return args.func(args)
     except (oracle.GuardError, TruncationError) as exc:
         print(f"guard: {exc}", file=sys.stderr)

@@ -12,6 +12,10 @@ Three independent routes are implemented:
   prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k, built by
   ``cg_product``, the only code that expands that product.
 
+Both phi routes take each Pochhammer factor as a sparse pentagonal series
+and divide by it with ``series.divide``, O(N^1.5) per factor; neither
+expands a dense product or inverse.
+
 ``cphi_parity_witness`` is the image of ``cg_product`` over Z/2 under
 z -> z^2, q -> q^2, which is the mod-2 form of the product with subscript
 2k.  It is a cross-check only and never a route.
@@ -32,8 +36,9 @@ from .series import (
     MOD2,
     CoefficientRing,
     TruncatedSeries,
+    divide,
     invert,
-    mul,
+    mul,  # unused here; perfbench/layers.py wraps frobenius.mul
     pentagonal_series,
     pochhammer,
     zero_series,
@@ -192,8 +197,8 @@ def phi_series_double_sum(
 
     Numerator: sum over integers j and r >= (k+1)|j| of
     (-1)^{r+kj} q^{binom(r+1,2) - binom(k+1,2) j^2}, assembled sparsely.
-    Denominator: (q;q)_inf^2 (q^{k+1};q^{k+1})_inf, applied by inversion
-    in the requested ring.
+    Denominator: (q;q)_inf^2 (q^{k+1};q^{k+1})_inf, applied in the
+    requested ring as three sparse divisions by pentagonal series.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -217,19 +222,18 @@ def phi_series_double_sum(
     numerator = TruncatedSeries(
         ring, n, tuple(ring.normalize(c) for c in num)
     )
-    euler = pochhammer(ring, n, 1, 1)
-    den = mul(mul(euler, euler), pochhammer(ring, n, k + 1, k + 1))
-    return mul(numerator, invert(den))
+    euler = pentagonal_series(ring, n)
+    quotient = divide(divide(numerator, euler), euler)
+    return divide(quotient, pentagonal_series(ring, n, k + 1))
 
 
 def phi_parity_series(k: int, truncation: int) -> TruncatedSeries:
     """Sum of phi_k(n) q^n over Z/2: (q;q)_inf / (q^{k+1};q^{k+1})_inf mod 2."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = truncation
-    return mul(
-        pentagonal_series(MOD2, n),
-        invert(pochhammer(MOD2, n, k + 1, k + 1)),
+    return divide(
+        pentagonal_series(MOD2, truncation),
+        pentagonal_series(MOD2, truncation, k + 1),
     )
 
 
@@ -255,5 +259,9 @@ def expand(
 def partition_series(
     truncation: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
-    """1 / (q;q)_inf: the ordinary partition numbers p(n)."""
+    """1 / (q;q)_inf: the ordinary partition numbers p(n).
+
+    Built from the dense product expansion, not the pentagonal series, so
+    it stays a reference for phi_1 = p(n) apart from the double sum.
+    """
     return invert(pochhammer(ring, truncation, 1, 1))

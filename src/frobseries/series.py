@@ -9,6 +9,12 @@ error.
 Coefficients live either in the arbitrary-precision integers or in the
 integers mod m, selected by a :class:`CoefficientRing` tag fixed per
 series.
+
+Production routes build eta quotients from sparse pentagonal series
+(:func:`pentagonal_series`) and :func:`divide`, which costs O(N * nnz) for
+a divisor with nnz nonzero terms.  The dense O(N^2) :func:`mul` and
+:func:`pochhammer` stay as the schoolbook and product-expansion references
+that the tests compare the sparse forms against.
 """
 
 from __future__ import annotations
@@ -141,7 +147,7 @@ def negate(a: TruncatedSeries) -> TruncatedSeries:
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Truncated Cauchy product (schoolbook convolution)."""
+    """Truncated Cauchy product (schoolbook convolution, the dense reference)."""
     _check_compatible(a, b)
     n = a.truncation
     out = [0] * (n + 1)
@@ -160,26 +166,33 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(ring, n, tuple(out))
 
 
-def invert(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse at the shared truncation.
+def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Quotient a / b at the shared truncation.
 
-    Standard recurrence b_n = -a_0^{-1} * sum_{i=1..n} a_i b_{n-i};
-    requires the constant coefficient to be a unit of the ring.
+    Recurrence c_n = b_0^{-1} (a_n - sum_{i>=1, b_i != 0} b_i c_{n-i}),
+    looping over b's nonzero terms only: O(N * nnz(b)), one reduction per
+    coefficient.  Requires the constant coefficient of b to be a unit.
     """
+    _check_compatible(a, b)
     ring = a.ring
-    inv0 = ring.unit_inverse(a.coeffs[0])
+    inv0 = ring.unit_inverse(b.coeffs[0])
+    terms = [(i, c) for i, c in enumerate(b.coeffs) if c and i]
     n = a.truncation
     out = [0] * (n + 1)
-    out[0] = ring.normalize(inv0)
     ac = a.coeffs
-    for m in range(1, n + 1):
-        acc = 0
-        for i in range(1, m + 1):
-            ai = ac[i]
-            if ai:
-                acc += ai * out[m - i]
-        out[m] = ring.normalize(-inv0 * acc)
+    for m in range(n + 1):
+        acc = ac[m]
+        for i, c in terms:
+            if i > m:
+                break
+            acc -= c * out[m - i]
+        out[m] = ring.normalize(inv0 * acc)
     return TruncatedSeries(ring, n, tuple(out))
+
+
+def invert(a: TruncatedSeries) -> TruncatedSeries:
+    """Multiplicative inverse at the shared truncation: 1 / a by :func:`divide`."""
+    return divide(make_series(a.ring, a.truncation, [1]), a)
 
 
 def pochhammer(
@@ -187,8 +200,10 @@ def pochhammer(
 ) -> TruncatedSeries:
     """Truncated (q^start; q^step)_inf = prod_{j>=0} (1 - q^{start + j*step}).
 
-    Factors whose exponent exceeds the truncation contribute nothing and
-    are skipped.
+    Dense O(N^2 / step) product expansion, kept as the reference for
+    :func:`pentagonal_series` and for the partition numbers.  Factors
+    whose exponent exceeds the truncation contribute nothing and are
+    skipped.
     """
     if start < 1 or step < 1:
         raise ValueError("start and step must be >= 1")
@@ -204,25 +219,26 @@ def pochhammer(
     return TruncatedSeries(ring, n, tuple(out))
 
 
-def pentagonal_series(ring: CoefficientRing, truncation: int) -> TruncatedSeries:
-    """Sparse signed sum over generalized pentagonal exponents (3k^2-k)/2.
+def pentagonal_series(
+    ring: CoefficientRing, truncation: int, step: int = 1
+) -> TruncatedSeries:
+    """Sparse form of (q^step; q^step)_inf by Euler's pentagonal theorem.
 
-    The coefficient of q^{(3k^2-k)/2} is (-1)^k for every integer k; this
-    is the sparse form of (q;q)_inf, built term by term rather than by
-    expanding the product.
+    The coefficient of q^{step * (3k^2-k)/2} is (-1)^k for every integer k;
+    the series is placed term by term rather than by expanding the product
+    (:func:`pochhammer` is that dense reference).
     """
+    if step < 1:
+        raise ValueError(f"step must be >= 1, got {step}")
     n = truncation
     out = [0] * (n + 1)
-    k = 0
-    while True:
-        placed = False
-        for kk in ((k,) if k == 0 else (k, -k)):
-            e = (3 * kk * kk - kk) // 2
+    out[0] = 1
+    k = 1
+    while step * (3 * k * k - k) // 2 <= n:
+        sign = ring.normalize(-1 if k % 2 else 1)
+        for e in (step * (3 * k * k - k) // 2, step * (3 * k * k + k) // 2):
             if e <= n:
-                out[e] = ring.normalize(out[e] + (-1 if k % 2 else 1))
-                placed = True
-        if not placed:
-            break
+                out[e] = sign
         k += 1
     return TruncatedSeries(ring, n, tuple(out))
 

@@ -218,6 +218,34 @@ def test_unwritable_out_exits_two(argv, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_unopenable_out_exits_two_before_computing(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(frobenius, "expand", never)
+    monkeypatch.setattr(congruences, "main_theorem_suite", never)
+    for argv in (
+        ["expand", "--family", "phi", "--k", "1", "--n", "3", "--out", str(tmp_path)],
+        ["verify", "main", "--primes", "5", "--ells", "1", "--nmax", "5",
+         "--out", str(tmp_path / "missing" / "x.json")],
+    ):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+def test_out_check_keeps_an_existing_file(tmp_path, capsys):
+    path = tmp_path / "keep.txt"
+    path.write_text("earlier payload\n")
+    code = cli.main(["expand", "--family", "phi", "--k", "0", "--n", "3",
+                     "--out", str(path)])
+    capsys.readouterr()
+    assert code == 2
+    assert path.read_text() == "earlier payload\n"
+
+
 def test_verify_json_round_trip(tmp_path, capsys):
     path = tmp_path / "reports.json"
     code, _ = run(

@@ -8,6 +8,7 @@ from frobseries.series import (
     TruncatedSeries,
     add,
     coefficient,
+    divide,
     invert,
     make_series,
     mul,
@@ -92,6 +93,19 @@ def test_invert_pentagonal_gives_partition_numbers():
     )
 
 
+def test_divide_rejects_mismatch_and_non_unit():
+    one = make_series(EXACT, 3, [1])
+    with pytest.raises(ValueError, match="ring mismatch"):
+        divide(one, make_series(CoefficientRing(3), 3, [1]))
+    with pytest.raises(ValueError, match="truncation mismatch"):
+        divide(one, make_series(EXACT, 4, [1]))
+    with pytest.raises(ValueError, match="not a unit"):
+        divide(one, make_series(EXACT, 3, [2, 1]))
+    with pytest.raises(ValueError, match="not a unit"):
+        divide(make_series(CoefficientRing(6), 3, [1]),
+               make_series(CoefficientRing(6), 3, [3, 1]))
+
+
 def test_invert_rejects_non_unit():
     with pytest.raises(ValueError):
         invert(make_series(EXACT, 2, [2]))
@@ -137,6 +151,18 @@ def test_pentagonal_series_k_three_terms():
 
 def test_pentagonal_series_trivial():
     assert pentagonal_series(EXACT, 0).coeffs == (1,)
+
+
+@pytest.mark.parametrize("ring", [EXACT, CoefficientRing(2), CoefficientRing(3)])
+def test_pentagonal_series_matches_pochhammer(ring):
+    for step in range(1, 8):
+        for n in (0, 1, 300):
+            assert pentagonal_series(ring, n, step) == pochhammer(ring, n, step, step)
+
+
+def test_pentagonal_series_rejects_zero_step():
+    with pytest.raises(ValueError):
+        pentagonal_series(EXACT, 5, step=0)
 
 
 def test_pentagonal_support_is_signed_units():
@@ -246,6 +272,23 @@ def test_ring_axioms(triple):
     assert add(add(a, b), c) == add(a, add(b, c))
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
     assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+
+
+@st.composite
+def dividend_divisor(draw):
+    """(a, b) in one ring and truncation; only b's constant must be a unit."""
+    a, b = draw(series_pair(count=2, unit_constant=True))
+    a0 = draw(st.integers(min_value=-1000, max_value=1000))
+    return make_series(a.ring, a.truncation, (a0,) + a.coeffs[1:]), b
+
+
+@settings(max_examples=60)
+@given(dividend_divisor())
+def test_divide_undoes_mul(pair):
+    a, b = pair
+    q = divide(a, b)
+    assert mul(q, b) == a
+    assert q == mul(a, invert(b))
 
 
 @settings(max_examples=60)
