@@ -8,8 +8,8 @@ diagnostics; --out writes the payload to a file instead.
 
 The --out path is opened for append (never truncated) before any
 computation, so a directory, a missing parent or a permission error
-exits 2 at once.  A path that opens but fails on write, such as
-/dev/full, still exits 2, but only after the computation.
+exits 2 at once, and a run that exits 2 or 3 removes the file if it made
+it.  A path that fails only on write, such as /dev/full, exits 2 last.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -225,16 +226,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; keep its code
         return exc.code if exc.code is not None else EXIT_USAGE
+    created = bool(args.out) and not os.path.lexists(args.out)
     try:
         if args.out:
             open(args.out, "a").close()
         return args.func(args)
     except (oracle.GuardError, TruncationError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+        code = EXIT_GUARD
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
+    if created and os.path.isfile(args.out):
+        os.remove(args.out)
+    return code
 
 
 def entrypoint() -> None:

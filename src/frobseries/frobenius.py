@@ -9,11 +9,11 @@ Three independent routes are implemented:
   eta quotient (q;q)_inf / (q^{k+1};q^{k+1})_inf.
 * ``cphi_series`` -- constant-term extraction: cphi_k(n) is the z^0
   coefficient of the two-variable product
-  prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k, built by
-  ``cg_product``, the only code that expands that product.
+  prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k = theta(z)^k / (q;q)_inf^k
+  (Jacobi triple product), built by ``cg_product``.
 
-Both phi routes take each Pochhammer factor as a sparse pentagonal series
-and divide by it with ``series.divide``, O(N^1.5) per factor; neither
+Every route takes each Pochhammer factor as a sparse pentagonal series
+and divides by it with ``series.divide``, O(N^1.5) per factor; none
 expands a dense product or inverse.
 
 ``cphi_parity_witness`` is the image of ``cg_product`` over Z/2 under
@@ -29,7 +29,6 @@ and ``FAMILIES`` is the one place the family names are written.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .series import (
     EXACT,
@@ -87,12 +86,12 @@ class LaurentPolyOverSeries:
         return self.z_coefficient(0)
 
 
-def _laurent_product(factors, ring, truncation, window):
+def _laurent_product(factors, ring, truncation):
     """Left-to-right product of sparse two-variable factors.
 
     Each factor is a list of (dz, dq, coefficient) terms.  State is a dict
-    z-exponent -> mutable q-coefficient list; z-exponents are clipped to
-    [-window, window], q-exponents to [0, truncation].
+    z-exponent -> q-coefficient list up to q^truncation; a z row is made
+    only when some product term reaches it within the truncation.
     """
     n = truncation
     rows = {0: [0] * (n + 1)}
@@ -101,23 +100,21 @@ def _laurent_product(factors, ring, truncation, window):
     for terms in factors:
         new_rows: dict[int, list[int]] = {}
         for z, row in rows.items():
+            low = next((i for i, v in enumerate(row) if v), n + 1)
             for dz, dq, c in terms:
-                nz = z + dz
-                if nz > window or nz < -window:
+                if low + dq > n:
                     continue
-                target = new_rows.get(nz)
+                target = new_rows.get(z + dz)
                 if target is None:
                     target = [0] * (n + 1)
-                    new_rows[nz] = target
-                for i in range(n + 1 - dq):
+                    new_rows[z + dz] = target
+                for i in range(low, n + 1 - dq):
                     ri = row[i]
                     if ri:
                         target[i + dq] += c * ri
         if modulus is not None:
             for row in new_rows.values():
-                for i, v in enumerate(row):
-                    if v:
-                        row[i] = v % modulus
+                row[:] = [v % modulus for v in row]
         rows = new_rows
     return rows
 
@@ -138,28 +135,26 @@ def _wrap_rows(rows, ring, truncation) -> LaurentPolyOverSeries:
 def cg_product(
     exponent: int, truncation: int, ring: CoefficientRing = EXACT
 ) -> LaurentPolyOverSeries:
-    """Expand prod_{n=0}^{N} (1 + z q^{n+1})^e (1 + z^{-1} q^n)^e.
+    """Expand prod_{n>=0} (1 + z q^{n+1})^e (1 + z^{-1} q^n)^e to q^N.
 
-    z-exponents are clipped to [-(N+e), N+e]: a unit of positive
-    z-exponent costs at least one q-degree, and only the n=0 factor hands
-    out negative z-exponent for free, so states outside the window cannot
-    reach z^0 within the q-budget.
+    By the Jacobi triple product it is theta(z)^e / (q;q)_inf^e, with
+    theta(z) = sum_m z^m q^{m(m+1)/2}: a sparse theta power, then e
+    pentagonal divisions per z row.
     """
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     n, e = truncation, exponent
-    window = n + e
-    factors = []
-    for m in range(n + 1):
-        up = [(i, (m + 1) * i, comb(e, i)) for i in range(e + 1) if (m + 1) * i <= n]
-        if len(up) > 1:
-            factors.append(up)
-        down = [(-i, m * i, comb(e, i)) for i in range(e + 1) if m * i <= n]
-        if len(down) > 1:
-            factors.append(down)
-    rows = _laurent_product(factors, ring, n, window)
+    theta = [(m, m * (m + 1) // 2, 1) for m in range(-n - 1, n + 1)]
+    theta = [term for term in theta if term[1] <= n]
+    euler = pentagonal_series(ring, n)
+    rows = {}
+    for z, row in _laurent_product([theta] * e, ring, n).items():
+        series = TruncatedSeries(ring, n, tuple(row))
+        for _ in range(e):
+            series = divide(series, euler)
+        rows[z] = series.coeffs
     return _wrap_rows(rows, ring, n)
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from jsonschema import validate
 
+import frobseries
 from frobseries import cli, congruences, frobenius
 from frobseries.congruences import VerificationReport
 from frobseries.series import CoefficientRing, make_series
@@ -244,6 +249,40 @@ def test_out_check_keeps_an_existing_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 2
     assert path.read_text() == "earlier payload\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["expand", "--family", "phi", "--k", "0", "--n", "3"], 2),
+        (["oracle", "--family", "cphi", "--k", "2", "--weight", "12"], 3),
+    ],
+)
+def test_failed_run_leaves_no_out_file(argv, code, tmp_path, capsys):
+    path = tmp_path / "new.txt"
+    assert cli.main(argv + ["--out", str(path)]) == code
+    capsys.readouterr()
+    assert not path.exists()
+
+
+def test_console_entry_point_exit_status(tmp_path):
+    src = Path(frobseries.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def status(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "frobseries.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        return proc.returncode, proc.stdout
+
+    code, out = status("expand", "--family", "cphi", "--k", "2", "--n", "3",
+                       "--format", "csv")
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[-1] == "3,20"
+    code, out = status("expand", "--family", "phi", "--k", "0", "--n", "3")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
 
 
 def test_verify_json_round_trip(tmp_path, capsys):

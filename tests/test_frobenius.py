@@ -11,7 +11,14 @@ from frobseries.frobenius import (
     phi_series_double_sum,
 )
 from frobseries.oracle import count_cphi, count_phi
-from frobseries.series import EXACT, CoefficientRing, make_series, reduce_mod
+from frobseries.series import (
+    EXACT,
+    CoefficientRing,
+    make_series,
+    mul,
+    pentagonal_series,
+    reduce_mod,
+)
 
 
 def test_phi_double_sum_k1_is_partition_function():
@@ -76,7 +83,7 @@ def test_cg_product_constant_row():
 
 
 def test_cg_window_soundness():
-    # truncation n + 5 widens the z-window by 5 and adds only q^{>n} terms
+    # truncation n + 5 adds only q^{>n} terms to the z^0 row
     for e, n in ((2, 8), (3, 6), (5, 5)):
         base = cg_product(e, n).constant_term()
         widened = cg_product(e, n + 5).constant_term()
@@ -94,6 +101,19 @@ def test_cphi_series_matches_oracle():
         series = cphi_series(k, 8)
         for n in range(9):
             assert series.coefficient(n) == count_cphi(k, n), (k, n)
+
+
+def test_cphi2_matches_andrews_eta_quotient():
+    # cphi_2 = E2^5 / (E1^4 E4^2), Es = (q^s;q^s)_inf; checked by mul alone
+    n = 400
+    e1, e2, e4 = (pentagonal_series(EXACT, n, s) for s in (1, 2, 4))
+    lhs = cphi_series(2, n)
+    for factor in (e1, e1, e1, e1, e4, e4):
+        lhs = mul(lhs, factor)
+    rhs = e2
+    for _ in range(4):
+        rhs = mul(rhs, e2)
+    assert lhs == rhs
 
 
 def test_cphi_coefficients_nonnegative():
