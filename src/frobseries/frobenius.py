@@ -10,18 +10,21 @@ Three independent routes are implemented:
 * ``cphi_series`` -- constant-term extraction: cphi_k(n) is the z^0
   coefficient of the two-variable product
   prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k = theta(z)^k / (q;q)_inf^k
-  (Jacobi triple product), built by ``cg_product``.
+  (Jacobi triple product).  (q;q)_inf^k does not depend on z, so only the
+  z^0 row of theta(z)^k is built, on packed integers, and only that row is
+  divided.
 
 Every route takes each Pochhammer factor as a sparse pentagonal series
 and divides by it with ``series.divide``, O(N^1.5) per factor; none
 expands a dense product or inverse.
 
-``cphi_parity_witness`` is the image of ``cg_product`` over Z/2 under
-z -> z^2, q -> q^2, which is the mod-2 form of the product with subscript
-2k.  It is a cross-check only and never a route.
+``cg_product`` builds every z row of the colored product, unpacked, in a
+:class:`LaurentPolyOverSeries` (a finite window of z-exponents, each
+carrying a truncated q-series).  It is the reference that the tests
+compare ``cphi_series`` against, and ``cphi_parity_witness`` is its image
+over Z/2 under z -> z^2, q -> q^2, the mod-2 form of the product with
+subscript 2k.  Neither is a route.
 
-The two-variable intermediate lives in :class:`LaurentPolyOverSeries`, a
-finite window of z-exponents each carrying a truncated q-series.
 :func:`expand` is the one place that picks a route for (family, modulus),
 and ``FAMILIES`` is the one place the family names are written.
 """
@@ -37,6 +40,7 @@ from .series import (
     TruncatedSeries,
     divide,
     invert,
+    make_series,
     mul,  # unused here; perfbench/layers.py wraps frobenius.mul
     pentagonal_series,
     pochhammer,
@@ -86,8 +90,25 @@ class LaurentPolyOverSeries:
         return self.z_coefficient(0)
 
 
+def _theta_terms(truncation):
+    """(m, m(m+1)/2) for every integer m with m(m+1)/2 <= truncation.
+
+    The terms of theta(z) = sum_m z^m q^{m(m+1)/2}, ordered by q-degree;
+    m and -1-m share a degree and sit next to each other.
+    """
+    terms = []
+    t = 0
+    while (dq := t * (t + 1) // 2) <= truncation:
+        terms += [(t, dq), (-1 - t, dq)]
+        t += 1
+    return terms
+
+
 def _laurent_product(factors, ring, truncation):
-    """Left-to-right product of sparse two-variable factors.
+    """Left-to-right product of sparse two-variable factors, unpacked.
+
+    The all-row reference behind ``cg_product``; ``cphi_series`` uses
+    ``_theta_constant_row`` instead.
 
     Each factor is a list of (dz, dq, coefficient) terms.  State is a dict
     z-exponent -> q-coefficient list up to q^truncation; a z row is made
@@ -139,15 +160,15 @@ def cg_product(
 
     By the Jacobi triple product it is theta(z)^e / (q;q)_inf^e, with
     theta(z) = sum_m z^m q^{m(m+1)/2}: a sparse theta power, then e
-    pentagonal divisions per z row.
+    pentagonal divisions per z row.  Every row, unpacked: the reference
+    for ``cphi_series``, not a route.
     """
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     n, e = truncation, exponent
-    theta = [(m, m * (m + 1) // 2, 1) for m in range(-n - 1, n + 1)]
-    theta = [term for term in theta if term[1] <= n]
+    theta = [(m, dq, 1) for m, dq in _theta_terms(n)]
     euler = pentagonal_series(ring, n)
     rows = {}
     for z, row in _laurent_product([theta] * e, ring, n).items():
@@ -158,13 +179,69 @@ def cg_product(
     return _wrap_rows(rows, ring, n)
 
 
+def _theta_constant_row(k, truncation):
+    """Coefficients of q^0..q^N in the z^0 row of theta(z)^k, over Z.
+
+    Each z row is one int of B-bit slots, q^i at bit i*B, so a theta term
+    is one shift, one mask and one add.  A coefficient of theta^t, t <= k,
+    counts at most T^k tuples of the T theta terms and is never negative,
+    so with B = bits(T^k) + 1 (rounded up to whole bytes) no carry leaves
+    its slot.  The last factor adds only into z = 0.
+    """
+    n = truncation
+    terms = _theta_terms(n)
+    width = (len(terms) ** k).bit_length() // 8 + 1
+    slot = 8 * width
+    mask = (1 << (n + 1) * slot) - 1
+    rows = {0: 1}
+    for t in range(1, k):
+        # theta(z) = z^-1 theta(1/z), so row j of theta^t equals row -t-j:
+        # build the rows with 2j >= -t and mirror the rest
+        new_rows: dict[int, int] = {}
+        for z, row in rows.items():
+            low = ((row & -row).bit_length() - 1) // slot
+            shifted_dq = None
+            for m, dq in terms:
+                if low + dq > n:
+                    break
+                if 2 * (z + m) < -t:
+                    continue
+                if dq != shifted_dq:
+                    shifted = (row << dq * slot) & mask
+                    shifted_dq = dq
+                new_rows[z + m] = new_rows.get(z + m, 0) + shifted
+        for j in list(new_rows):
+            new_rows[-t - j] = new_rows[j]
+        rows = new_rows
+    packed = 0
+    for z, row in rows.items():
+        dq = z * (z - 1) // 2  # the term m = -z
+        if dq <= n:
+            packed += (row << dq * slot) & mask
+    data = packed.to_bytes((n + 1) * width, "little")
+    return [
+        int.from_bytes(data[i : i + width], "little")
+        for i in range(0, len(data), width)
+    ]
+
+
 def cphi_series(
     k: int, truncation: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
-    """Sum of cphi_k(n) q^n: the z^0 row of the colored product with e = k."""
+    """Sum of cphi_k(n) q^n: ([z^0] theta(z)^k) / (q;q)_inf^k.
+
+    The z^0 row comes from ``_theta_constant_row`` and is reduced into the
+    ring once, then divided k times by the pentagonal series.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return cg_product(k, truncation, ring).constant_term()
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
+    series = make_series(ring, truncation, _theta_constant_row(k, truncation))
+    euler = pentagonal_series(ring, truncation)
+    for _ in range(k):
+        series = divide(series, euler)
+    return series
 
 
 def cphi_parity_witness(k: int, truncation: int) -> LaurentPolyOverSeries:

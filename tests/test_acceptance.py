@@ -118,8 +118,8 @@ def test_criterion_6_cphi_parity():
     mod2 = CoefficientRing(2)
     even_ok = True
     for k in (1, 2, 3):
-        series = cphi_series(2 * k, 121, mod2)
-        if any(series.coefficient(m) for m in range(1, 122, 2)):
+        series = cphi_series(2 * k, 1001, mod2)
+        if any(series.coefficient(m) for m in range(1, 1002, 2)):
             even_ok = False
     witness_ok = True
     for k in (1, 2, 3):
@@ -130,7 +130,7 @@ def test_criterion_6_cphi_parity():
                 witness_ok = False
     _report(
         6,
-        "cphi_{2k}(odd) even to 121 for k<=3; parity witness has no odd-q terms",
+        "cphi_{2k}(odd) even to 1001 for k<=3; parity witness has no odd-q terms",
         even_ok and witness_ok,
     )
 
@@ -138,15 +138,15 @@ def test_criterion_6_cphi_parity():
 def test_criterion_7_andrews_p_squared():
     failures = []
     for p in (2, 3, 5):
-        series = cphi_series(p, 150, CoefficientRing(p * p))
+        series = cphi_series(p, 1000, CoefficientRing(p * p))
         for r in range(1, p):
-            for m in range(r, 151, p):
+            for m in range(r, 1001, p):
                 if series.coefficient(m) != 0:
                     failures.append((p, r, m))
     spot = cphi_series(5, 1).coefficient(1) == 25
     _report(
         7,
-        "cphi_p(pn+r) = 0 mod p^2 for p in {2,3,5}, pn+r <= 150; cphi_5(1) = 25",
+        "cphi_p(pn+r) = 0 mod p^2 for p in {2,3,5}, pn+r <= 1000; cphi_5(1) = 25",
         not failures and spot,
     )
 

@@ -106,6 +106,10 @@ def test_expand_invalid_flags(capsys):
     assert code == 2
     code, _ = run(["expand", "--family", "phi", "--k", "1"], capsys)
     assert code == 2
+    code, _ = run(["expand", "--family", "cphi", "--k", "0", "--n", "3"], capsys)
+    assert code == 2
+    code, _ = run(["expand", "--family", "cphi", "--k", "2", "--n", "-1"], capsys)
+    assert code == 2
 
 
 def test_verify_main_exit_zero_and_schema(capsys):

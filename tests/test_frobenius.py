@@ -18,6 +18,7 @@ from frobseries.series import (
     mul,
     pentagonal_series,
     reduce_mod,
+    triangular_cube_series,
 )
 
 
@@ -83,11 +84,16 @@ def test_cg_product_constant_row():
 
 
 def test_cg_window_soundness():
-    # truncation n + 5 adds only q^{>n} terms to the z^0 row
-    for e, n in ((2, 8), (3, 6), (5, 5)):
-        base = cg_product(e, n).constant_term()
-        widened = cg_product(e, n + 5).constant_term()
-        assert base.coeffs == widened.coeffs[: n + 1], (e, n)
+    # truncation n + 5 adds only q^{>n} terms to the z^0 row, in the
+    # all-row reference and in the packed route alike
+    def reference(e, n):
+        return cg_product(e, n).constant_term()
+
+    for build in (reference, cphi_series):
+        for e, n in ((2, 8), (3, 6), (5, 5), (6, 40)):
+            base = build(e, n)
+            widened = build(e, n + 5)
+            assert base.coeffs == widened.coeffs[: n + 1], (build, e, n)
 
 
 def test_cphi_series_examples():
@@ -101,6 +107,44 @@ def test_cphi_series_matches_oracle():
         series = cphi_series(k, 8)
         for n in range(9):
             assert series.coefficient(n) == count_cphi(k, n), (k, n)
+
+
+def test_cphi_series_matches_cg_product_reference():
+    rings = [CoefficientRing(m) for m in (None, 2, 3, 4, 6, 25)]
+    for k in range(1, 8):
+        for n in (0, 1, 2, 3, 7, 20, 41):
+            for ring in rings:
+                want = cg_product(k, n, ring).constant_term()
+                assert cphi_series(k, n, ring) == want, (k, n, ring)
+        # at N = 120 one exact reference per k, reduced into each ring
+        exact = cg_product(k, 120).constant_term()
+        assert cphi_series(k, 120) == exact, k
+        for ring in rings[1:]:
+            want = reduce_mod(exact, ring.modulus)
+            assert cphi_series(k, 120, ring) == want, (k, ring)
+    # the most slot headroom: T^8 with T = 22 theta terms
+    assert cphi_series(8, 60) == cg_product(8, 60).constant_term()
+
+
+def test_cphi_series_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        cphi_series(0, 5)
+    with pytest.raises(ValueError, match="truncation must be >= 0"):
+        cphi_series(2, -1)
+
+
+def test_cphi3_matches_borwein_cubic_theta():
+    # [z^0] theta(z)^3 = sum q^{m^2+mn+n^2} = a(q), the Borweins' cubic
+    # theta, so cphi_3 (q;q)^3 = 1 + 6 sum_n (d_{1,3}(n) - d_{2,3}(n)) q^n
+    n = 1000
+    a = [0] * (n + 1)
+    a[0] = 1
+    for d in range(1, n + 1):
+        if d % 3:
+            for multiple in range(d, n + 1, d):
+                a[multiple] += 6 if d % 3 == 1 else -6
+    lhs = mul(cphi_series(3, n), triangular_cube_series(EXACT, n))
+    assert lhs == make_series(EXACT, n, a)
 
 
 def test_cphi2_matches_andrews_eta_quotient():
