@@ -6,6 +6,11 @@ disagreement, 2 usage error or an --out file that cannot be written, 3
 guard or truncation error.  stdout carries the payload, stderr the
 diagnostics; --out writes the payload to a file instead.
 
+Each command returns its payload and exit code, and ``main`` is the only
+writer.  Argument values are checked by the library, whose ValueError
+exits 2; the CLI itself checks only ``--jobs`` and that a suite got the
+flags it needs.
+
 The --out path is opened for append (never truncated) before any
 computation, so a directory, a missing parent or a permission error
 exits 2 at once, and a run that exits 2 or 3 removes the file if it made
@@ -30,35 +35,12 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
-SUITES = ("main", "cphi-even", "p-squared", "gs-lift")
-
-
-class UsageError(Exception):
-    pass
-
 
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}")
+    return [int(p) for p in text.split(",") if p]
 
 
-def _emit(payload: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
-def cmd_expand(args) -> int:
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
-    if args.n < 0:
-        raise UsageError("--n must be >= 0")
-    if args.mod is not None and args.mod < 2:
-        raise UsageError("--mod must be >= 2")
+def cmd_expand(args) -> tuple[str, int]:
     series, route = frobenius.expand(args.family, args.k, args.n, args.mod)
     if args.format == "csv":
         buf = io.StringIO()
@@ -66,8 +48,8 @@ def cmd_expand(args) -> int:
         writer.writerow(["n", "coefficient"])
         for n, c in enumerate(series.coeffs):
             writer.writerow([n, c])
-        _emit(buf.getvalue(), args.out)
-    elif args.format == "json":
+        return buf.getvalue(), EXIT_OK
+    if args.format == "json":
         doc = {
             "family": args.family,
             "k": args.k,
@@ -78,63 +60,65 @@ def cmd_expand(args) -> int:
         }
         if not args.no_timestamp:
             doc["timestamp"] = _now()
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        lines = [f"# family={args.family} k={args.k} route={route}"]
-        lines += [f"{n}\t{c}" for n, c in enumerate(series.coeffs)]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        return json.dumps(doc, indent=2) + "\n", EXIT_OK
+    lines = [f"# family={args.family} k={args.k} route={route}"]
+    lines += [f"{n}\t{c}" for n, c in enumerate(series.coeffs)]
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    if args.nmax < 0:
-        raise UsageError("--nmax must be >= 0")
+# suite -> (the flags it needs, the call that runs it); the lambdas look up
+# congruences.<suite> at call time, so a rebound suite is seen here
+SUITE_CALLS = {
+    "main": (
+        ("primes", "ells"),
+        lambda a: congruences.main_theorem_suite(a.primes, a.ells, a.nmax),
+    ),
+    "cphi-even": (
+        ("ks",),
+        lambda a: congruences.cphi_even_suite(a.ks, a.nmax),
+    ),
+    "p-squared": (
+        ("p",),
+        lambda a: congruences.andrews_p_squared_suite(a.p, a.nmax),
+    ),
+    "gs-lift": (
+        ("k", "p", "r"),
+        lambda a: congruences.garvan_sellers_lift_check(
+            a.k, a.p, a.r, a.lifts, a.nmax
+        ),
+    ),
+}
+
+
+def cmd_verify(args) -> tuple[str, int]:
     if args.jobs is not None and args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    if args.suite == "main":
-        if not args.primes or not args.ells:
-            raise UsageError("verify main needs --primes and --ells")
-        reports = congruences.main_theorem_suite(args.primes, args.ells, args.nmax)
-    elif args.suite == "cphi-even":
-        if not args.ks:
-            raise UsageError("verify cphi-even needs --ks")
-        reports = congruences.cphi_even_suite(args.ks, args.nmax)
-    elif args.suite == "p-squared":
-        if args.p is None:
-            raise UsageError("verify p-squared needs --p")
-        reports = congruences.andrews_p_squared_suite(args.p, args.nmax)
-    else:  # gs-lift
-        if None in (args.k, args.p, args.r):
-            raise UsageError("verify gs-lift needs --k, --p and --r")
-        reports = congruences.garvan_sellers_lift_check(
-            args.k, args.p, args.r, args.lifts, args.nmax
-        )
+        raise ValueError("--jobs must be >= 1")
+    needs, run = SUITE_CALLS[args.suite]
+    missing = [f"--{flag}" for flag in needs if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"verify {args.suite} needs {', '.join(missing)}")
+    reports = run(args)
     doc = {"reports": [r.to_dict() for r in reports]}
     if not args.no_timestamp:
         doc["timestamp"] = _now()
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    if congruences.any_refuted(reports):
-        return EXIT_REFUTED
-    return EXIT_OK
+    code = EXIT_REFUTED if congruences.any_refuted(reports) else EXIT_OK
+    return json.dumps(doc, indent=2) + "\n", code
 
 
-def cmd_oracle(args) -> int:
-    if args.k < 1 or args.weight < 0:
-        raise UsageError("--k must be >= 1 and --weight >= 0")
+def cmd_oracle(args) -> tuple[str, int]:
     count_fn = oracle.count_phi if args.family == frobenius.PHI else oracle.count_cphi
     count = count_fn(args.k, args.weight)
     series, _ = frobenius.expand(args.family, args.k, args.weight)
     coeff = series.coefficient(args.weight)
     marker = "agrees" if coeff == count else "DISAGREES"
-    _emit(
+    payload = (
         f"family={args.family} k={args.k} weight={args.weight} "
-        f"count={count} series={coeff} {marker}\n",
-        args.out,
+        f"count={count} series={coeff} {marker}\n"
     )
-    return EXIT_OK if coeff == count else EXIT_REFUTED
+    return payload, EXIT_OK if coeff == count else EXIT_REFUTED
 
 
-def cmd_residues(args) -> int:
+def cmd_residues(args) -> tuple[str, int]:
     rows = sorted(
         (r, congruences.residue_class(24 * r + 1, args.p))
         for r in range(1, args.p)
@@ -144,8 +128,7 @@ def cmd_residues(args) -> int:
     for r, cls in rows:
         flag = "eligible" if r in eligible else "-"
         lines.append(f"r={r}\t24r+1={24 * r + 1}\t{cls.value}\t{flag}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def _now() -> str:
@@ -183,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run a theorem verification suite"
     )
-    p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument("suite", choices=tuple(SUITE_CALLS))
     p_verify.add_argument("--primes", type=_int_list, default=None)
     p_verify.add_argument("--ells", type=_int_list, default=None)
     p_verify.add_argument("--ks", type=_int_list, default=None)
@@ -230,11 +213,17 @@ def main(argv=None) -> int:
     try:
         if args.out:
             open(args.out, "a").close()
-        return args.func(args)
+        payload, code = args.func(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
+        return code
     except (oracle.GuardError, TruncationError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         code = EXIT_GUARD
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     if created and os.path.isfile(args.out):

@@ -4,7 +4,9 @@ A claim is a statement "f_k(a*n + b) == 0 (mod m) for all n"; verification
 here is always over an explicit finite window [0, n_max], recorded in the
 report.  A Verified report means "no counterexample in the window", never
 an unbounded assertion.  Claims run one after another in the calling
-thread.
+thread.  The suites take their series from :func:`default_series_provider`,
+looked up at call time, so rebinding it swaps the series for every suite;
+:func:`verify_claim` alone also accepts a provider argument.
 """
 
 from __future__ import annotations
@@ -180,15 +182,15 @@ def verify_claim(
     )
 
 
-def _run_claims(claims, n_max, series_provider):
+def _run_claims(claims, n_max, series_provider=None):
+    if not claims:
+        raise ValueError("no claims to verify: a list argument is empty")
     reports = [verify_claim(c, n_max, series_provider) for c in claims]
     reports.sort(key=lambda r: r.claim.sort_key())
     return reports
 
 
-def main_theorem_suite(
-    primes, ells, n_max: int, series_provider=None
-) -> list[VerificationReport]:
+def main_theorem_suite(primes, ells, n_max: int) -> list[VerificationReport]:
     """phi_{p*ell - 1}(p*n + r) == 0 (mod 2) for every eligible residue r."""
     claims = []
     for p in sorted(set(primes)):
@@ -197,42 +199,33 @@ def main_theorem_suite(
                 raise ValueError("ell must be >= 1")
             for r in sorted(eligible_residues(p)):
                 claims.append(CongruenceClaim(PHI, p * ell - 1, p, r, 2))
-    return _run_claims(claims, n_max, series_provider)
+    return _run_claims(claims, n_max)
 
 
-def cphi_even_suite(
-    ks, n_max: int, series_provider=None
-) -> list[VerificationReport]:
+def cphi_even_suite(ks, n_max: int) -> list[VerificationReport]:
     """cphi_{2k}(2n + 1) == 0 (mod 2) for each k."""
     claims = []
     for k in sorted(set(ks)):
         if k < 1:
             raise ValueError("k must be >= 1")
         claims.append(CongruenceClaim(CPHI, 2 * k, 2, 1, 2))
-    return _run_claims(claims, n_max, series_provider)
+    return _run_claims(claims, n_max)
 
 
-def andrews_p_squared_suite(
-    p: int, n_max: int, series_provider=None
-) -> list[VerificationReport]:
+def andrews_p_squared_suite(p: int, n_max: int) -> list[VerificationReport]:
     """cphi_p(p*n + r) == 0 (mod p^2) for every 0 < r < p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     claims = [CongruenceClaim(CPHI, p, p, r, p * p) for r in range(1, p)]
-    if series_provider is None:
-        # one expansion, to the largest truncation, serves all p-1 progressions
-        shared = default_series_provider(claims[-1], p * n_max + p - 1)
-        series_provider = lambda claim, truncation: shared
-    return _run_claims(claims, n_max, series_provider)
+    # one expansion, to the largest truncation, serves all p-1 progressions
+    shared = default_series_provider(claims[-1], p * n_max + p - 1)
+    return _run_claims(claims, n_max, lambda claim, truncation: shared)
 
 
 def garvan_sellers_lift_check(
-    k: int,
-    p: int,
-    r: int,
-    lift_count: int,
-    n_max: int,
-    series_provider=None,
+    k: int, p: int, r: int, lift_count: int, n_max: int
 ) -> list[VerificationReport]:
     """Conditional lift: if cphi_k(pn+r) == 0 (mod p) holds in-window,
     check cphi_{pN+k}(pn+r) == 0 (mod p) for N = 1..lift_count."""
@@ -243,14 +236,14 @@ def garvan_sellers_lift_check(
     if lift_count < 0:
         raise ValueError("lift_count must be >= 0")
     hypothesis = CongruenceClaim(CPHI, k, p, r, p)
-    reports = [verify_claim(hypothesis, n_max, series_provider)]
+    reports = [verify_claim(hypothesis, n_max)]
     lifted = [
         CongruenceClaim(CPHI, p * n + k, p, r, p)
         for n in range(1, lift_count + 1)
     ]
     if reports[0].status == VERIFIED:
         for claim in lifted:
-            reports.append(verify_claim(claim, n_max, series_provider))
+            reports.append(verify_claim(claim, n_max))
     else:
         route = reports[0].route
         for claim in lifted:
@@ -258,11 +251,6 @@ def garvan_sellers_lift_check(
                 VerificationReport(claim, n_max, SKIPPED, (), route)
             )
     return reports
-
-
-def all_verified(reports) -> bool:
-    """True when every non-skipped report is verified."""
-    return all(r.status in (VERIFIED, SKIPPED) for r in reports)
 
 
 def any_refuted(reports) -> bool:

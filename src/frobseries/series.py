@@ -207,6 +207,8 @@ def pochhammer(
     """
     if start < 1 or step < 1:
         raise ValueError("start and step must be >= 1")
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
     n = truncation
     out = [0] * (n + 1)
     out[0] = 1
@@ -230,6 +232,8 @@ def pentagonal_series(
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
     n = truncation
     out = [0] * (n + 1)
     out[0] = 1

@@ -110,6 +110,12 @@ def test_expand_invalid_flags(capsys):
     assert code == 2
     code, _ = run(["expand", "--family", "cphi", "--k", "2", "--n", "-1"], capsys)
     assert code == 2
+    code, _ = run(["expand", "--family", "phi", "--k", "1", "--n", "3",
+                   "--mod", "1"], capsys)
+    assert code == 2
+    code, _ = run(["expand", "--family", "phi", "--k", "1", "--n", "-1",
+                   "--mod", "2"], capsys)
+    assert code == 2
 
 
 def test_verify_main_exit_zero_and_schema(capsys):
@@ -172,8 +178,32 @@ def test_verify_gs_lift(capsys):
 
 
 def test_verify_missing_flags(capsys):
-    code, _ = run(["verify", "main", "--nmax", "5"], capsys)
+    for argv in (
+        ["main", "--nmax", "5"],
+        ["cphi-even", "--nmax", "5"],
+        ["p-squared", "--nmax", "5"],
+        ["gs-lift", "--k", "2", "--p", "5", "--nmax", "5"],
+    ):
+        code, out = run(["verify"] + argv, capsys)
+        assert code == 2, argv
+        assert out == "", argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["main", "--primes", "5,x", "--ells", "1"],
+        ["cphi-even", "--ks", "1,a"],
+        ["main", "--primes", ",", "--ells", "1"],
+        ["cphi-even", "--ks", ","],
+    ],
+)
+def test_verify_malformed_or_empty_list_exits_two(argv, capsys):
+    code = cli.main(["verify"] + argv)
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

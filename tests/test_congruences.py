@@ -215,6 +215,24 @@ def test_andrews_p_squared_suite():
     assert all(r.status == VERIFIED for r in reports)
 
 
+def test_suites_reject_empty_claim_lists():
+    with pytest.raises(ValueError):
+        main_theorem_suite([], [1], 5)
+    with pytest.raises(ValueError):
+        main_theorem_suite([5], [], 5)
+    with pytest.raises(ValueError):
+        cphi_even_suite([], 5)
+
+
+def test_andrews_p_squared_suite_rejects_negative_nmax(monkeypatch):
+    def never(claim, truncation):
+        raise AssertionError("built a series before checking n_max")
+
+    monkeypatch.setattr(congruences, "default_series_provider", never)
+    with pytest.raises(ValueError, match="n_max"):
+        andrews_p_squared_suite(5, -1)
+
+
 def test_andrews_p_squared_suite_builds_one_series(monkeypatch):
     builds = []
     real = congruences.default_series_provider
@@ -242,12 +260,13 @@ def test_garvan_sellers_lift_count_zero():
     assert len(reports) == 1
 
 
-def test_garvan_sellers_failed_hypothesis_skips_lifts():
+def test_garvan_sellers_failed_hypothesis_skips_lifts(monkeypatch):
     def corrupt_provider(claim, truncation):
         coeffs = [1] * (truncation + 1)
         return make_series(CoefficientRing(claim.m), truncation, coeffs), "fake"
 
-    reports = garvan_sellers_lift_check(2, 5, 3, 2, 3, corrupt_provider)
+    monkeypatch.setattr(congruences, "default_series_provider", corrupt_provider)
+    reports = garvan_sellers_lift_check(2, 5, 3, 2, 3)
     assert reports[0].status == REFUTED
     assert [r.status for r in reports[1:]] == [SKIPPED, SKIPPED]
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobseries.frobenius import partition_series, phi_parity_series
 from frobseries.series import (
     EXACT,
     CoefficientRing,
@@ -163,6 +164,17 @@ def test_pentagonal_series_matches_pochhammer(ring):
 def test_pentagonal_series_rejects_zero_step():
     with pytest.raises(ValueError):
         pentagonal_series(EXACT, 5, step=0)
+
+
+def test_negative_truncation_raises_value_error():
+    for build in (
+        lambda: pentagonal_series(EXACT, -1),
+        lambda: pochhammer(EXACT, -1, 1, 1),
+        lambda: phi_parity_series(1, -1),
+        lambda: partition_series(-1),
+    ):
+        with pytest.raises(ValueError, match="truncation must be >= 0"):
+            build()
 
 
 def test_pentagonal_support_is_signed_units():
