@@ -37,7 +37,12 @@ EXIT_GUARD = 3
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p]
+    try:
+        return [int(p) for p in text.split(",") if p]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of integers, got {text!r}"
+        ) from None
 
 
 def cmd_expand(args) -> tuple[str, int]:

@@ -171,11 +171,10 @@ def verify_claim(
         raise ValueError(
             f"provider ring {series.ring} does not match modulus {claim.m}"
         )
-    counterexamples = []
-    for n in range(n_max + 1):
-        v = series.coefficient(claim.a * n + claim.b)
-        if v:
-            counterexamples.append((claim.a * n + claim.b, v))
+    progression = series.coeffs[claim.b : needed + 1 : claim.a]
+    counterexamples = [
+        (claim.a * n + claim.b, v) for n, v in enumerate(progression) if v
+    ]
     status = VERIFIED if not counterexamples else REFUTED
     return VerificationReport(
         claim, n_max, status, tuple(counterexamples), route

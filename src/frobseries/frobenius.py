@@ -6,7 +6,9 @@ Three independent routes are implemented:
   numerator over pairs (j, r) with r >= (k+1)|j|, divided by
   (q;q)_inf^2 (q^{k+1};q^{k+1})_inf.
 * ``phi_parity_series`` -- the mod-2 collapse of the same function to the
-  eta quotient (q;q)_inf / (q^{k+1};q^{k+1})_inf.
+  eta quotient (q;q)_inf / (q^{k+1};q^{k+1})_inf, evaluated without
+  division: over Z/2 it is a product of about log2(N) sparse pentagonal
+  series, applied by shift-XOR to the series held as one bit-packed int.
 * ``cphi_series`` -- constant-term extraction: cphi_k(n) is the z^0
   coefficient of the two-variable product
   prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k = theta(z)^k / (q;q)_inf^k
@@ -14,9 +16,11 @@ Three independent routes are implemented:
   z^0 row of theta(z)^k is built, on packed integers, and only that row is
   divided.
 
-Every route takes each Pochhammer factor as a sparse pentagonal series
-and divides by it with ``series.divide``, O(N^1.5) per factor; none
-expands a dense product or inverse.
+The double sum and ``cphi_series`` take each Pochhammer factor as a
+sparse pentagonal series and divide by it with ``series.divide``,
+O(N^1.5) per factor; the parity route multiplies by pentagonal factors,
+O(N^1.5 / 64) word operations in all.  None expands a dense product or
+inverse.
 
 ``cg_product`` builds every z row of the colored product, unpacked, in a
 :class:`LaurentPolyOverSeries` (a finite window of z-exponents, each
@@ -299,14 +303,57 @@ def phi_series_double_sum(
     return divide(quotient, pentagonal_series(ring, n, k + 1))
 
 
+def _pentagonal_exponents(limit):
+    """Generalized pentagonal numbers j(3j -+ 1)/2 up to limit, 0 first.
+
+    The exponents of Euler's E(q) = (q;q)_inf, each with coefficient +-1.
+    """
+    exponents = [0]
+    j = 1
+    while (low := j * (3 * j - 1) // 2) <= limit:
+        exponents.append(low)
+        if low + j <= limit:
+            exponents.append(low + j)
+        j += 1
+    return exponents
+
+
+# ASCII '0'/'1' -> byte 0/1, for unpacking a bit string in one pass
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def phi_parity_series(k: int, truncation: int) -> TruncatedSeries:
-    """Sum of phi_k(n) q^n over Z/2: (q;q)_inf / (q^{k+1};q^{k+1})_inf mod 2."""
+    """Sum of phi_k(n) q^n over Z/2: (q;q)_inf / (q^{k+1};q^{k+1})_inf mod 2.
+
+    Over Z/2, E(q)^2 = E(q^2) with E(q) = (q;q)_inf, so 1/E(q^s) =
+    prod_{t>=0} E(q^{s 2^t}) and the quotient is E(q) times about
+    log2(N) sparse pentagonal factors, with no division.  The series is
+    one int, q^i at bit i: a product with E(q^s) is one shift-XOR per
+    pentagonal exponent, masked to the truncation.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return divide(
-        pentagonal_series(MOD2, truncation),
-        pentagonal_series(MOD2, truncation, k + 1),
-    )
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
+    n = truncation
+    mask = (1 << (n + 1)) - 1
+    pentagonal = _pentagonal_exponents(n)
+    # E(q), its bits set in a buffer: one big-int OR per term costs O(N)
+    euler = bytearray(n // 8 + 1)
+    for g in pentagonal:
+        euler[g >> 3] |= 1 << (g & 7)
+    packed = int.from_bytes(euler, "little")
+    step = k + 1
+    while step <= n:
+        product = 0
+        for g in pentagonal:
+            if step * g > n:
+                break
+            product ^= packed << step * g
+        packed = product & mask
+        step *= 2
+    bits = format(packed, f"0{n + 1}b")[::-1]
+    return TruncatedSeries(MOD2, n, tuple(bits.encode().translate(_BIT_BYTES)))
 
 
 def expand(

@@ -204,6 +204,7 @@ def test_verify_malformed_or_empty_list_exits_two(argv, capsys):
     assert code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
+    assert "_int_list" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,9 @@ from frobseries.frobenius import (
 from frobseries.oracle import count_cphi, count_phi
 from frobseries.series import (
     EXACT,
+    MOD2,
     CoefficientRing,
+    divide,
     make_series,
     mul,
     pentagonal_series,
@@ -56,6 +58,23 @@ def test_phi_parity_series_examples():
     assert phi_parity_series(2, 3).coeffs == (1, 1, 1, 1)
     assert phi_parity_series(4, 3).coeffs == (1, 1, 1, 0)
     assert phi_parity_series(5, 0).coeffs == (1,)
+
+
+def test_phi_parity_bit_route_matches_sparse_division():
+    # the eta quotient by the sequential recurrence, as the reference
+    for n in (0, 1, 2, 7, 50, 301, 3001):
+        for k in range(1, 31):
+            reference = divide(
+                pentagonal_series(MOD2, n), pentagonal_series(MOD2, n, k + 1)
+            )
+            assert phi_parity_series(k, n) == reference, (k, n)
+
+
+def test_phi_parity_series_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        phi_parity_series(0, 5)
+    with pytest.raises(ValueError, match="truncation must be >= 0"):
+        phi_parity_series(3, -1)
 
 
 def test_mod2_route_agreement():
