@@ -8,11 +8,9 @@ from .series import (
     TruncatedSeries,
     TruncationError,
     add,
-    coefficient,
     invert,
     make_series,
     mul,
-    negate,
     pentagonal_series,
     pochhammer,
     reduce_mod,

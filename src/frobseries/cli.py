@@ -20,8 +20,6 @@ it.  A path that fails only on write, such as /dev/full, exits 2 last.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -48,12 +46,9 @@ def _int_list(text: str) -> list[int]:
 def cmd_expand(args) -> tuple[str, int]:
     series, route = frobenius.expand(args.family, args.k, args.n, args.mod)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "coefficient"])
-        for n, c in enumerate(series.coeffs):
-            writer.writerow([n, c])
-        return buf.getvalue(), EXIT_OK
+        lines = ["n,coefficient"]
+        lines += [f"{n},{c}" for n, c in enumerate(series.coeffs)]
+        return "\n".join(lines) + "\n", EXIT_OK
     if args.format == "json":
         doc = {
             "family": args.family,
@@ -63,9 +58,7 @@ def cmd_expand(args) -> tuple[str, int]:
             "route": route,
             "coefficients": list(series.coeffs),
         }
-        if not args.no_timestamp:
-            doc["timestamp"] = _now()
-        return json.dumps(doc, indent=2) + "\n", EXIT_OK
+        return _json_payload(doc, args), EXIT_OK
     lines = [f"# family={args.family} k={args.k} route={route}"]
     lines += [f"{n}\t{c}" for n, c in enumerate(series.coeffs)]
     return "\n".join(lines) + "\n", EXIT_OK
@@ -104,10 +97,8 @@ def cmd_verify(args) -> tuple[str, int]:
         raise ValueError(f"verify {args.suite} needs {', '.join(missing)}")
     reports = run(args)
     doc = {"reports": [r.to_dict() for r in reports]}
-    if not args.no_timestamp:
-        doc["timestamp"] = _now()
     code = EXIT_REFUTED if congruences.any_refuted(reports) else EXIT_OK
-    return json.dumps(doc, indent=2) + "\n", code
+    return _json_payload(doc, args), code
 
 
 def cmd_oracle(args) -> tuple[str, int]:
@@ -136,8 +127,11 @@ def cmd_residues(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _json_payload(doc: dict, args) -> str:
+    """doc as indented JSON, stamped with the UTC time unless --no-timestamp."""
+    if not args.no_timestamp:
+        doc["timestamp"] = datetime.now(timezone.utc).isoformat()
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -77,7 +77,7 @@ def pentagonal_class_reachable(p: int, r: int) -> bool:
     return any((3 * k * k - k) // 2 % p == r for k in range(p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CongruenceClaim:
     """f_k(a*n + b) == 0 (mod m) for all n >= 0, f in {phi, cphi}."""
 
@@ -96,9 +96,6 @@ class CongruenceClaim:
             raise ValueError("need a >= 1 and 0 <= b < a")
         if self.m < 2:
             raise ValueError("congruence modulus must be >= 2")
-
-    def sort_key(self):
-        return (self.family, self.k, self.a, self.b, self.m)
 
 
 VERIFIED = "verified"
@@ -185,7 +182,7 @@ def _run_claims(claims, n_max, series_provider=None):
     if not claims:
         raise ValueError("no claims to verify: a list argument is empty")
     reports = [verify_claim(c, n_max, series_provider) for c in claims]
-    reports.sort(key=lambda r: r.claim.sort_key())
+    reports.sort(key=lambda r: r.claim)
     return reports
 
 

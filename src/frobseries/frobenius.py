@@ -22,11 +22,12 @@ O(N^1.5) per factor; the parity route multiplies by pentagonal factors,
 O(N^1.5 / 64) word operations in all.  None expands a dense product or
 inverse.
 
-``cg_product`` builds every z row of the colored product, unpacked, in a
-:class:`LaurentPolyOverSeries` (a finite window of z-exponents, each
-carrying a truncated q-series).  It is the reference that the tests
-compare ``cphi_series`` against, and ``cphi_parity_witness`` is its image
-over Z/2 under z -> z^2, q -> q^2, the mod-2 form of the product with
+``cg_product`` builds every z row of the colored product over Z,
+unpacked, in a :class:`LaurentPolyOverSeries` (a finite window of
+z-exponents, each carrying a truncated q-series).  It is the exact
+reference that the tests compare ``cphi_series`` against, reduced into
+each ring afterwards, and ``cphi_parity_witness`` is its image reduced
+mod 2 under z -> z^2, q -> q^2, the mod-2 form of the product with
 subscript 2k.  Neither is a route.
 
 :func:`expand` is the one place that picks a route for (family, modulus),
@@ -46,6 +47,7 @@ from .series import (
     invert,
     make_series,
     mul,  # unused here; perfbench/layers.py wraps frobenius.mul
+    pentagonal_exponents,
     pentagonal_series,
     pochhammer,
     zero_series,
@@ -108,38 +110,31 @@ def _theta_terms(truncation):
     return terms
 
 
-def _laurent_product(factors, ring, truncation):
-    """Left-to-right product of sparse two-variable factors, unpacked.
+def _theta_rows(exponent, truncation):
+    """The z rows of theta(z)^exponent over Z, unpacked: z -> q^0..q^N list.
 
     The all-row reference behind ``cg_product``; ``cphi_series`` uses
-    ``_theta_constant_row`` instead.
-
-    Each factor is a list of (dz, dq, coefficient) terms.  State is a dict
-    z-exponent -> q-coefficient list up to q^truncation; a z row is made
-    only when some product term reaches it within the truncation.
+    ``_theta_constant_row`` instead.  A z row is made only when some
+    product term reaches it within the truncation.
     """
     n = truncation
-    rows = {0: [0] * (n + 1)}
-    rows[0][0] = 1
-    modulus = ring.modulus
-    for terms in factors:
+    terms = _theta_terms(n)
+    rows = {0: [1] + [0] * n}
+    for _ in range(exponent):
         new_rows: dict[int, list[int]] = {}
         for z, row in rows.items():
             low = next((i for i, v in enumerate(row) if v), n + 1)
-            for dz, dq, c in terms:
+            for m, dq in terms:
                 if low + dq > n:
-                    continue
-                target = new_rows.get(z + dz)
+                    break
+                target = new_rows.get(z + m)
                 if target is None:
                     target = [0] * (n + 1)
-                    new_rows[z + dz] = target
+                    new_rows[z + m] = target
                 for i in range(low, n + 1 - dq):
                     ri = row[i]
                     if ri:
-                        target[i + dq] += c * ri
-        if modulus is not None:
-            for row in new_rows.values():
-                row[:] = [v % modulus for v in row]
+                        target[i + dq] += ri
         rows = new_rows
     return rows
 
@@ -157,30 +152,28 @@ def _wrap_rows(rows, ring, truncation) -> LaurentPolyOverSeries:
     return LaurentPolyOverSeries(z_min, z_max, tuple(entries))
 
 
-def cg_product(
-    exponent: int, truncation: int, ring: CoefficientRing = EXACT
-) -> LaurentPolyOverSeries:
-    """Expand prod_{n>=0} (1 + z q^{n+1})^e (1 + z^{-1} q^n)^e to q^N.
+def cg_product(exponent: int, truncation: int) -> LaurentPolyOverSeries:
+    """Expand prod_{n>=0} (1 + z q^{n+1})^e (1 + z^{-1} q^n)^e to q^N over Z.
 
     By the Jacobi triple product it is theta(z)^e / (q;q)_inf^e, with
     theta(z) = sum_m z^m q^{m(m+1)/2}: a sparse theta power, then e
-    pentagonal divisions per z row.  Every row, unpacked: the reference
-    for ``cphi_series``, not a route.
+    pentagonal divisions per z row.  Every row, unpacked and exact: the
+    reference for ``cphi_series``, which ``reduce_mod`` carries into any
+    Z/m, not a route.
     """
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     n, e = truncation, exponent
-    theta = [(m, dq, 1) for m, dq in _theta_terms(n)]
-    euler = pentagonal_series(ring, n)
+    euler = pentagonal_series(EXACT, n)
     rows = {}
-    for z, row in _laurent_product([theta] * e, ring, n).items():
-        series = TruncatedSeries(ring, n, tuple(row))
+    for z, row in _theta_rows(e, n).items():
+        series = TruncatedSeries(EXACT, n, tuple(row))
         for _ in range(e):
             series = divide(series, euler)
         rows[z] = series.coeffs
-    return _wrap_rows(rows, ring, n)
+    return _wrap_rows(rows, EXACT, n)
 
 
 def _theta_constant_row(k, truncation):
@@ -253,15 +246,16 @@ def cphi_parity_witness(k: int, truncation: int) -> LaurentPolyOverSeries:
 
     Over Z/2, (1 + x)^{2k} = (1 + x^2)^k, so the product collapses to
     prod_{n>=0} (1 + z^2 q^{2n+2})^k (1 + z^{-2} q^{2n})^k: the image of
-    cg_product(k, N // 2, Z/2) under z -> z^2, q -> q^2.  Every z row
-    then involves only even q-exponents; that structural fact forces
-    cphi_{2k}(odd) to be even.  A cross-check only, never a route.
+    the exact cg_product(k, N // 2), reduced mod 2, under z -> z^2,
+    q -> q^2.  Every z row then involves only even q-exponents; that
+    structural fact forces cphi_{2k}(odd) to be even.  A cross-check only,
+    never a route.
     """
-    half = cg_product(k, truncation // 2, MOD2)
+    half = cg_product(k, truncation // 2)
     rows = {}
     for j, series in enumerate(half.entries, half.z_min):
         row = [0] * (truncation + 1)
-        row[::2] = series.coeffs
+        row[::2] = [c % 2 for c in series.coeffs]
         rows[2 * j] = row
     return _wrap_rows(rows, MOD2, truncation)
 
@@ -303,21 +297,6 @@ def phi_series_double_sum(
     return divide(quotient, pentagonal_series(ring, n, k + 1))
 
 
-def _pentagonal_exponents(limit):
-    """Generalized pentagonal numbers j(3j -+ 1)/2 up to limit, 0 first.
-
-    The exponents of Euler's E(q) = (q;q)_inf, each with coefficient +-1.
-    """
-    exponents = [0]
-    j = 1
-    while (low := j * (3 * j - 1) // 2) <= limit:
-        exponents.append(low)
-        if low + j <= limit:
-            exponents.append(low + j)
-        j += 1
-    return exponents
-
-
 # ASCII '0'/'1' -> byte 0/1, for unpacking a bit string in one pass
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -337,7 +316,7 @@ def phi_parity_series(k: int, truncation: int) -> TruncatedSeries:
         raise ValueError("truncation must be >= 0")
     n = truncation
     mask = (1 << (n + 1)) - 1
-    pentagonal = _pentagonal_exponents(n)
+    pentagonal = [g for g, _ in pentagonal_exponents(n)]
     # E(q), its bits set in a buffer: one big-int OR per term costs O(N)
     euler = bytearray(n // 8 + 1)
     for g in pentagonal:

@@ -11,8 +11,9 @@ integers mod m, selected by a :class:`CoefficientRing` tag fixed per
 series.
 
 Production routes build eta quotients from sparse pentagonal series
-(:func:`pentagonal_series`) and :func:`divide`, which costs O(N * nnz) for
-a divisor with nnz nonzero terms.  The dense O(N^2) :func:`mul` and
+(:func:`pentagonal_series`, placed from the one exponent list
+:func:`pentagonal_exponents`) and :func:`divide`, which costs O(N * nnz)
+for a divisor with nnz nonzero terms.  The dense O(N^2) :func:`mul` and
 :func:`pochhammer` stay as the schoolbook and product-expansion references
 that the tests compare the sparse forms against.
 """
@@ -89,10 +90,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def support(self) -> list[int]:
-        """Exponents with nonzero coefficient."""
-        return [n for n, c in enumerate(self.coeffs) if c]
-
     def __str__(self) -> str:
         terms = [f"{c}*q^{n}" for n, c in enumerate(self.coeffs) if c]
         body = " + ".join(terms) if terms else "0"
@@ -136,13 +133,6 @@ def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         ring,
         a.truncation,
         tuple(ring.normalize(x + y) for x, y in zip(a.coeffs, b.coeffs)),
-    )
-
-
-def negate(a: TruncatedSeries) -> TruncatedSeries:
-    ring = a.ring
-    return TruncatedSeries(
-        ring, a.truncation, tuple(ring.normalize(-c) for c in a.coeffs)
     )
 
 
@@ -221,30 +211,40 @@ def pochhammer(
     return TruncatedSeries(ring, n, tuple(out))
 
 
+def pentagonal_exponents(limit: int) -> list[tuple[int, int]]:
+    """(e, (-1)^j) for each generalized pentagonal e = j(3j -+ 1)/2 <= limit.
+
+    The terms of Euler's (q;q)_inf, in ascending order of e, 0 first;
+    O(sqrt(limit)) steps.
+    """
+    terms = [(0, 1)]
+    j = 1
+    while (low := j * (3 * j - 1) // 2) <= limit:
+        sign = -1 if j % 2 else 1
+        terms.append((low, sign))
+        if low + j <= limit:
+            terms.append((low + j, sign))
+        j += 1
+    return terms
+
+
 def pentagonal_series(
     ring: CoefficientRing, truncation: int, step: int = 1
 ) -> TruncatedSeries:
     """Sparse form of (q^step; q^step)_inf by Euler's pentagonal theorem.
 
-    The coefficient of q^{step * (3k^2-k)/2} is (-1)^k for every integer k;
-    the series is placed term by term rather than by expanding the product
-    (:func:`pochhammer` is that dense reference).
+    Each term (e, sign) of :func:`pentagonal_exponents` puts sign at
+    q^{step * e}; the series is placed term by term rather than by
+    expanding the product (:func:`pochhammer` is that dense reference).
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    n = truncation
-    out = [0] * (n + 1)
-    out[0] = 1
-    k = 1
-    while step * (3 * k * k - k) // 2 <= n:
-        sign = ring.normalize(-1 if k % 2 else 1)
-        for e in (step * (3 * k * k - k) // 2, step * (3 * k * k + k) // 2):
-            if e <= n:
-                out[e] = sign
-        k += 1
-    return TruncatedSeries(ring, n, tuple(out))
+    out = [0] * (truncation + 1)
+    for e, sign in pentagonal_exponents(truncation // step):
+        out[step * e] = ring.normalize(sign)
+    return TruncatedSeries(ring, truncation, tuple(out))
 
 
 def triangular_cube_series(
@@ -272,7 +272,3 @@ def reduce_mod(a: TruncatedSeries, m: int) -> TruncatedSeries:
     return TruncatedSeries(
         ring, a.truncation, tuple(c % m for c in a.coeffs)
     )
-
-
-def coefficient(a: TruncatedSeries, n: int) -> int:
-    return a.coefficient(n)
