@@ -14,11 +14,14 @@ Three independent routes are implemented:
   prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k = theta(z)^k / (q;q)_inf^k
   (Jacobi triple product).  (q;q)_inf^k does not depend on z, so only the
   z^0 row of theta(z)^k is built, on packed integers, and only that row is
-  divided.
+  divided: floor(k/3) times by Jacobi's sparse cube (q;q)_inf^3 and k mod 3
+  times by (q;q)_inf.
 
-The double sum and ``cphi_series`` take each Pochhammer factor as a
-sparse pentagonal series and divide by it with ``series.divide``,
-O(N^1.5) per factor; the parity route multiplies by pentagonal factors,
+The double sum and ``cphi_series`` take each Pochhammer factor (or cube)
+as a sparse series and divide by it with ``series.divide``: O(N^1.5)
+element reads per factor, gathered in C, and O(N) Python steps per factor
+when its terms take a bounded set of values (a pentagonal series has two,
+one over Z/2).  The parity route multiplies by pentagonal factors,
 O(N^1.5 / 64) word operations in all.  None expands a dense product or
 inverse.
 
@@ -50,6 +53,7 @@ from .series import (
     pentagonal_exponents,
     pentagonal_series,
     pochhammer,
+    triangular_cube_series,
     zero_series,
 )
 
@@ -157,9 +161,10 @@ def cg_product(exponent: int, truncation: int) -> LaurentPolyOverSeries:
 
     By the Jacobi triple product it is theta(z)^e / (q;q)_inf^e, with
     theta(z) = sum_m z^m q^{m(m+1)/2}: a sparse theta power, then e
-    pentagonal divisions per z row.  Every row, unpacked and exact: the
-    reference for ``cphi_series``, which ``reduce_mod`` carries into any
-    Z/m, not a route.
+    pentagonal divisions per z row (not the cube divisions that
+    ``cphi_series`` uses).  Every row, unpacked and exact: the reference
+    for ``cphi_series``, which ``reduce_mod`` carries into any Z/m, not a
+    route.
     """
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
@@ -228,16 +233,23 @@ def cphi_series(
     """Sum of cphi_k(n) q^n: ([z^0] theta(z)^k) / (q;q)_inf^k.
 
     The z^0 row comes from ``_theta_constant_row`` and is reduced into the
-    ring once, then divided k times by the pentagonal series.
+    ring once.  It is then divided floor(k/3) times by Jacobi's sparse cube
+    (q;q)_inf^3 = sum_j (-1)^j (2j+1) q^{j(j+1)/2} and k mod 3 times by the
+    pentagonal series: for k = 6, two divisions instead of six.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     series = make_series(ring, truncation, _theta_constant_row(k, truncation))
-    euler = pentagonal_series(ring, truncation)
-    for _ in range(k):
-        series = divide(series, euler)
+    for make_divisor, times in (
+        (triangular_cube_series, k // 3),
+        (pentagonal_series, k % 3),
+    ):
+        if times:
+            divisor = make_divisor(ring, truncation)
+            for _ in range(times):
+                series = divide(series, divisor)
     return series
 
 

@@ -59,10 +59,10 @@ def test_criterion_1_classical_identities():
 def test_criterion_2_mod2_lemma():
     # every subscript p*ell - 1 that the main-theorem checks below use
     ok = all(
-        reduce_mod(phi_series_double_sum(k, 2000), 2) == phi_parity_series(k, 2000)
+        reduce_mod(phi_series_double_sum(k, 3000), 2) == phi_parity_series(k, 3000)
         for k in (*range(1, 14), 21, 25)
     )
-    _report(2, "double sum = eta quotient mod 2 for k=1..13,21,25, N=2000", ok)
+    _report(2, "double sum = eta quotient mod 2 for k=1..13,21,25, N=3000", ok)
 
 
 def test_criterion_3_oracle_agreement():

@@ -101,6 +101,28 @@ def test_divide_rejects_mismatch_and_non_unit():
                make_series(CoefficientRing(6), 3, [3, 1]))
 
 
+@pytest.mark.parametrize("modulus", [None, 2, 3, 4, 6, 25])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 300])
+def test_divide_undoes_mul_on_sparse_and_dense_divisors(modulus, n):
+    # divide gathers b's terms in groups of equal value that change at each
+    # term index: sparse divisors with one or several groups (pentagonal,
+    # step 5), groups of one (the cube over Z), a dense divisor, no terms
+    ring = CoefficientRing(modulus) if modulus else EXACT
+    a = make_series(
+        ring, n, [(7 * i * i - 3 * i + 11) * (-1) ** i for i in range(n + 1)]
+    )
+    divisors = [
+        pentagonal_series(ring, n),
+        pentagonal_series(ring, n, 5),
+        triangular_cube_series(ring, n),
+        pochhammer(ring, n, 1, 1),
+        make_series(ring, n, [1]),
+        make_series(ring, n, [-1]),  # a unit other than 1, except in Z/2
+    ]
+    for b in divisors:
+        assert mul(b, divide(a, b)) == a
+
+
 def test_invert_rejects_non_unit():
     with pytest.raises(ValueError):
         invert(make_series(EXACT, 2, [2]))
