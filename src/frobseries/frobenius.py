@@ -13,9 +13,11 @@ Three independent routes are implemented:
   coefficient of the two-variable product
   prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k = theta(z)^k / (q;q)_inf^k
   (Jacobi triple product).  (q;q)_inf^k does not depend on z, so only the
-  z^0 row of theta(z)^k is built, on packed integers, and only that row is
-  divided: floor(k/3) times by Jacobi's sparse cube (q;q)_inf^3 and k mod 3
-  times by (q;q)_inf.
+  z^0 row of theta(z)^k is divided: floor(k/3) times by Jacobi's sparse
+  cube (q;q)_inf^3 and k mod 3 times by (q;q)_inf.  That row is built on
+  packed integers from t base rows per power theta^t, since the
+  quasi-periodicity theta(zq) = z^-1 q^-1 theta(z) makes every other z
+  row a q-shift of one of them.
 
 The double sum and ``cphi_series`` take each Pochhammer factor (or cube)
 as a sparse series and divide by it with ``series.divide``: O(N^1.5)
@@ -184,43 +186,38 @@ def cg_product(exponent: int, truncation: int) -> LaurentPolyOverSeries:
 def _theta_constant_row(k, truncation):
     """Coefficients of q^0..q^N in the z^0 row of theta(z)^k, over Z.
 
-    Each z row is one int of B-bit slots, q^i at bit i*B, so a theta term
-    is one shift, one mask and one add.  A coefficient of theta^t, t <= k,
-    counts at most T^k tuples of the T theta terms and is never negative,
-    so with B = bits(T^k) + 1 (rounded up to whole bytes) no carry leaves
-    its slot.  The last factor adds only into z = 0.
+    theta(zq) = z^-1 q^-1 theta(z), so the z rows R_j of theta^t satisfy
+    R_{b+st} = q^{sb + ts(s+1)/2} R_b: only the t base rows b in (-t, 0]
+    are kept, and on that window every such shift is >= 0, so truncating
+    a base row loses nothing.  Step t -> t+1 builds its t+1 base rows as
+    R'_c = sum_m q^{m(m+1)/2} R_{c-m}, one shift-add per theta term; the
+    last step builds only c = 0.
+
+    Each row is one int of B-bit slots, q^i at bit i*B.  A slot of R'_c
+    sums at most T shifted rows, one per theta term, whose entries count
+    tuples of the T terms, so are never negative and at most T^t; the sum
+    is at most T^{t+1} <= T^k, and with B = bits(T^k) + 1 (rounded up to
+    whole bytes) no carry leaves its slot.
     """
     n = truncation
     terms = _theta_terms(n)
     width = (len(terms) ** k).bit_length() // 8 + 1
     slot = 8 * width
     mask = (1 << (n + 1) * slot) - 1
-    rows = {0: 1}
+    rows = [1]  # rows[b + t - 1] is R_b of theta^t, b in (-t, 0]
     for t in range(1, k):
-        # theta(z) = z^-1 theta(1/z), so row j of theta^t equals row -t-j:
-        # build the rows with 2j >= -t and mirror the rest
-        new_rows: dict[int, int] = {}
-        for z, row in rows.items():
-            low = ((row & -row).bit_length() - 1) // slot
-            shifted_dq = None
+        new_rows = []
+        for c in range(-t if t + 1 < k else 0, 1):
+            row = 0
             for m, dq in terms:
-                if low + dq > n:
-                    break
-                if 2 * (z + m) < -t:
-                    continue
-                if dq != shifted_dq:
-                    shifted = (row << dq * slot) & mask
-                    shifted_dq = dq
-                new_rows[z + m] = new_rows.get(z + m, 0) + shifted
-        for j in list(new_rows):
-            new_rows[-t - j] = new_rows[j]
+                s = -((m - c) // t)  # c - m = b + s*t with b in (-t, 0]
+                b = c - m - s * t
+                shift = dq + s * b + t * s * (s + 1) // 2
+                if shift <= n:
+                    row += (rows[b + t - 1] << shift * slot) & mask
+            new_rows.append(row)
         rows = new_rows
-    packed = 0
-    for z, row in rows.items():
-        dq = z * (z - 1) // 2  # the term m = -z
-        if dq <= n:
-            packed += (row << dq * slot) & mask
-    data = packed.to_bytes((n + 1) * width, "little")
+    data = rows[-1].to_bytes((n + 1) * width, "little")
     return [
         int.from_bytes(data[i : i + width], "little")
         for i in range(0, len(data), width)

@@ -118,9 +118,9 @@ def test_criterion_5_qnr_pentagonal_equivalence():
 def test_criterion_6_cphi_parity():
     mod2 = CoefficientRing(2)
     even_ok = True
-    for k in (1, 2, 3):
-        series = cphi_series(2 * k, 1001, mod2)
-        if any(series.coefficient(m) for m in range(1, 1002, 2)):
+    for k in range(1, 7):
+        series = cphi_series(2 * k, 4001, mod2)
+        if any(series.coefficient(m) for m in range(1, 4002, 2)):
             even_ok = False
     # over Z these rows have hundreds of odd-q terms; mod 2 they have none
     product_ok = True
@@ -130,7 +130,7 @@ def test_criterion_6_cphi_parity():
                 product_ok = False
     _report(
         6,
-        "cphi_{2k}(odd) even to 1001 for k<=3; every z row of the 2k-colored "
+        "cphi_{2k}(odd) even to 4001 for k<=6; every z row of the 2k-colored "
         "product has no odd-q term mod 2 to q^40",
         even_ok and product_ok,
     )
@@ -138,16 +138,16 @@ def test_criterion_6_cphi_parity():
 
 def test_criterion_7_andrews_p_squared():
     failures = []
-    for p in (2, 3, 5):
-        series = cphi_series(p, 1000, CoefficientRing(p * p))
+    for p in (2, 3, 5, 7):
+        series = cphi_series(p, 3000, CoefficientRing(p * p))
         for r in range(1, p):
-            for m in range(r, 1001, p):
+            for m in range(r, 3001, p):
                 if series.coefficient(m) != 0:
                     failures.append((p, r, m))
     spot = cphi_series(5, 1).coefficient(1) == 25
     _report(
         7,
-        "cphi_p(pn+r) = 0 mod p^2 for p in {2,3,5}, pn+r <= 1000; cphi_5(1) = 25",
+        "cphi_p(pn+r) = 0 mod p^2 for p in {2,3,5,7}, pn+r <= 3000; cphi_5(1) = 25",
         not failures and spot,
     )
 

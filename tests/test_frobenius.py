@@ -2,6 +2,8 @@ import pytest
 
 from frobseries.frobenius import (
     LaurentPolyOverSeries,
+    _theta_constant_row,
+    _theta_rows,
     cg_product,
     cphi_parity_witness,
     cphi_series,
@@ -113,6 +115,30 @@ def test_cg_window_soundness():
             base = build(e, n)
             widened = build(e, n + 5)
             assert base.coeffs == widened.coeffs[: n + 1], (build, e, n)
+
+
+def test_theta_constant_row_matches_all_row_reference():
+    # the base-row recurrence against every row built without it
+    for k in range(1, 12):
+        for n in (0, 1, 2, 5, 37, 77):
+            want = _theta_rows(k, n).get(0, [0] * (n + 1))
+            assert _theta_constant_row(k, n) == want, (k, n)
+
+
+def test_theta_constant_row_lattice_identities():
+    # [z^0] theta^k sums q^{|m|^2/2} over m in Z^k with sum 0; m -> -m
+    # pairs all but m = 0, so the row is 1 mod 2, and theta^k =
+    # (theta^{k/p})^p = theta^{k/p}(z^p, q^p) mod p for a prime p | k
+    n = 1000
+    rows = {k: _theta_constant_row(k, n) for k in range(1, 16)}
+    for k, row in rows.items():
+        assert [c % 2 for c in row] == [1] + [0] * n, k
+        for p in (2, 3, 5, 7, 11, 13):
+            if k % p == 0:
+                lifted = [0] * (n + 1)
+                lifted[::p] = rows[k // p][: n // p + 1]
+                want = [c % p for c in lifted]
+                assert [c % p for c in row] == want, (k, p)
 
 
 def test_cphi_series_examples():
