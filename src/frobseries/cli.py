@@ -4,10 +4,14 @@ and the theorem verification suites.
 Exit codes are a contract: 0 success/verified, 1 refuted or oracle
 disagreement, 2 usage error or an --out file that cannot be written, 3
 guard or truncation error.  stdout carries the payload, stderr the
-diagnostics; --out writes the payload to a file instead.
+diagnostics; --out writes the payload to a file instead.  JSON payloads
+are one compact line; ``python3 -m json.tool`` pretty-prints them.  The
+text form of ``expand`` opens with a header naming the family, k, the
+truncation n, the coefficient ring and the route.
 
 Each command returns its payload and exit code, and ``main`` is the only
-writer.  Argument values are checked by the library, whose ValueError
+writer.  The argument parser is built once per process and shared by
+every call.  Argument values are checked by the library, whose ValueError
 exits 2; the CLI itself checks only ``--jobs`` and that a suite got the
 flags it needs.
 
@@ -20,6 +24,7 @@ it.  A path that fails only on write, such as /dev/full, exits 2 last.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,7 +64,10 @@ def cmd_expand(args) -> tuple[str, int]:
             "coefficients": list(series.coeffs),
         }
         return _json_payload(doc, args), EXIT_OK
-    lines = [f"# family={args.family} k={args.k} route={route}"]
+    lines = [
+        f"# family={args.family} k={args.k} n={series.truncation} "
+        f"ring={series.ring} route={route}"
+    ]
     lines += [f"{n}\t{c}" for n, c in enumerate(series.coeffs)]
     return "\n".join(lines) + "\n", EXIT_OK
 
@@ -128,13 +136,26 @@ def cmd_residues(args) -> tuple[str, int]:
 
 
 def _json_payload(doc: dict, args) -> str:
-    """doc as indented JSON, stamped with the UTC time unless --no-timestamp."""
+    """doc as one compact JSON line, stamped with the UTC time unless
+    --no-timestamp.
+
+    Without ``indent`` json.dumps runs CPython's C encoder; with it, the
+    pure-Python one.
+    """
     if not args.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the frobseries grammar, built on the first call.
+
+    Every call returns the same object, shared by all callers in the
+    process, so callers must not change it (no add_argument, set_defaults
+    or similar).  parse_args leaves it unchanged and returns a new
+    namespace each time.
+    """
     parser = argparse.ArgumentParser(
         prog="frobseries",
         description="Truncated q-series toolkit for generalized Frobenius "

@@ -91,6 +91,44 @@ def test_expand_trivial(capsys):
     assert out.splitlines()[-1] == "0\t1"
 
 
+@pytest.mark.parametrize(
+    "mod, ring, route",
+    [
+        ([], "Z", "phi-double-sum"),
+        (["--mod", "3"], "Z/3", "phi-double-sum"),
+        (["--mod", "2"], "Z/2", "phi-parity-series"),
+    ],
+)
+def test_expand_text_header_names_truncation_and_ring(mod, ring, route, capsys):
+    code, out = run(
+        ["expand", "--family", "phi", "--k", "4", "--n", "5"] + mod, capsys
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"# family=phi k=4 n=5 ring={ring} route={route}"
+    assert len(lines) == 7
+
+
+def test_json_payload_is_one_compact_line(capsys):
+    expand = ["expand", "--family", "phi", "--k", "1", "--n", "2000",
+              "--format", "json"]
+    verify = ["verify", "main", "--primes", "5,7", "--ells", "1,2",
+              "--nmax", "20"]
+    docs = []
+    for argv in (expand + ["--no-timestamp"], verify + ["--no-timestamp"], verify):
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert out.endswith("\n") and out.count("\n") == 1
+        doc = json.loads(out)
+        assert out == json.dumps(doc) + "\n"
+        docs.append(doc)
+    exact = frobenius.phi_series_double_sum(1, 2000).coeffs
+    assert docs[0]["coefficients"] == list(exact)
+    assert "timestamp" not in docs[1]
+    validate(docs[2], REPORT_SCHEMA)
+    assert "timestamp" in docs[2]
+
+
 def test_expand_parity_route_metadata(capsys):
     code, out = run(
         ["expand", "--family", "phi", "--k", "4", "--n", "5", "--mod", "2",
@@ -340,6 +378,39 @@ def test_verify_deterministic_bytes(capsys):
     _, first = run(argv, capsys)
     _, second = run(argv, capsys)
     assert first == second
+
+
+def test_shared_parser_leaks_no_state_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    reports_path, csv_path = tmp_path / "reports.json", tmp_path / "out.csv"
+    gs_lift = ["verify", "gs-lift", "--k", "2", "--p", "5", "--r", "3",
+               "--nmax", "3", "--no-timestamp"]
+    expand = ["expand", "--family", "phi", "--k", "1", "--n", "10"]
+    assert cli.main(gs_lift + ["--lifts", "2", "--out", str(reports_path)]) == 0
+    assert len(json.loads(reports_path.read_text())["reports"]) == 3
+    assert cli.main(expand + ["--mod", "3", "--format", "csv",
+                              "--out", str(csv_path)]) == 0
+    assert csv_path.read_text().splitlines()[-1] == "10,0"  # p(10) = 42
+
+    args = cli.build_parser().parse_args(gs_lift)
+    assert (args.lifts, args.out) == (1, None)
+    args = cli.build_parser().parse_args(expand)
+    assert (args.mod, args.format, args.out) == (None, "text", None)
+    code, out = run(gs_lift, capsys)
+    assert code == 0
+    reports = congruences.garvan_sellers_lift_check(2, 5, 3, 1, 3)
+    assert json.loads(out) == {"reports": [r.to_dict() for r in reports]}
+    code, out = run(expand, capsys)
+    assert code == 0
+    assert out.splitlines()[0].startswith("# family=phi k=1 n=10 ring=Z ")
+    assert out.splitlines()[-1] == "10\t42"
+
+    assert cli.main(["expand", "--family", "phi", "--k", "1"]) == 2
+    assert cli.main(["verify", "main", "--primes", "5,x", "--ells", "1"]) == 2
+    capsys.readouterr()
+    code, out = run(expand + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "10,42"
 
 
 def test_oracle_agreement(capsys):
