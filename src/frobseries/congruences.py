@@ -169,13 +169,12 @@ def verify_claim(
             f"provider ring {series.ring} does not match modulus {claim.m}"
         )
     progression = series.coeffs[claim.b : needed + 1 : claim.a]
-    counterexamples = [
+    if not any(progression):  # a C-level scan; the usual, verified case
+        return VerificationReport(claim, n_max, VERIFIED, (), route)
+    counterexamples = tuple(
         (claim.a * n + claim.b, v) for n, v in enumerate(progression) if v
-    ]
-    status = VERIFIED if not counterexamples else REFUTED
-    return VerificationReport(
-        claim, n_max, status, tuple(counterexamples), route
     )
+    return VerificationReport(claim, n_max, REFUTED, counterexamples, route)
 
 
 def _run_claims(claims, n_max, series_provider=None):

@@ -8,7 +8,10 @@ Three independent routes are implemented:
 * ``phi_parity_series`` -- the mod-2 collapse of the same function to the
   eta quotient (q;q)_inf / (q^{k+1};q^{k+1})_inf, evaluated without
   division: over Z/2 it is a product of about log2(N) sparse pentagonal
-  series, applied by shift-XOR to the series held as one bit-packed int.
+  series, applied by shift-XOR to the series held as one bit-packed int
+  with q^i at bit N - i, so a product with q^s is a right shift that
+  drops the terms past q^N.  E(q) = (q;q)_inf comes packed the same way
+  from one table per process, grown on demand (``_euler_bits``).
 * ``cphi_series`` -- constant-term extraction: cphi_k(n) is the z^0
   coefficient of the two-variable product
   prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k = theta(z)^k / (q;q)_inf^k
@@ -298,9 +301,7 @@ def phi_series_double_sum(
                 num[exp] += sign
                 r += 1
         j += 1
-    numerator = TruncatedSeries(
-        ring, n, tuple(ring.normalize(c) for c in num)
-    )
+    numerator = make_series(ring, n, num)
     euler = pentagonal_series(ring, n)
     quotient = divide(divide(numerator, euler), euler)
     return divide(quotient, pentagonal_series(ring, n, k + 1))
@@ -309,6 +310,33 @@ def phi_series_double_sum(
 # ASCII '0'/'1' -> byte 0/1, for unpacking a bit string in one pass
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
+# (limit, exponents, bits): the pentagonal exponents g <= limit and E(q)
+# to q^limit packed with q^g at bit limit - g.  One table per process,
+# grown on demand and never shrunk; every truncation reads a prefix, so
+# the results do not depend on the order of the calls.
+_euler_table = (-1, [], 0)
+
+
+def _euler_bits(truncation):
+    """(exponents, E(q) to q^N with q^g at bit N - g), from the table.
+
+    A truncation past the table rebuilds it at max(N, 2 * limit), so a
+    run of growing truncations rebuilds it O(log N) times.  The exponents
+    returned may run past N; callers stop at the first one too large.
+    """
+    global _euler_table
+    limit, exponents, bits = _euler_table
+    if truncation > limit:
+        limit = max(truncation, 2 * limit)
+        exponents = [g for g, _ in pentagonal_exponents(limit)]
+        # bits set in a buffer: one big-int OR per term costs O(N)
+        buffer = bytearray(limit // 8 + 1)
+        for g in exponents:
+            buffer[(limit - g) >> 3] |= 1 << ((limit - g) & 7)
+        bits = int.from_bytes(buffer, "little")
+        _euler_table = (limit, exponents, bits)
+    return exponents, bits >> (limit - truncation)
+
 
 def phi_parity_series(k: int, truncation: int) -> TruncatedSeries:
     """Sum of phi_k(n) q^n over Z/2: (q;q)_inf / (q^{k+1};q^{k+1})_inf mod 2.
@@ -316,31 +344,28 @@ def phi_parity_series(k: int, truncation: int) -> TruncatedSeries:
     Over Z/2, E(q)^2 = E(q^2) with E(q) = (q;q)_inf, so 1/E(q^s) =
     prod_{t>=0} E(q^{s 2^t}) and the quotient is E(q) times about
     log2(N) sparse pentagonal factors, with no division.  The series is
-    one int, q^i at bit i: a product with E(q^s) is one shift-XOR per
-    pentagonal exponent, masked to the truncation.
+    one int, q^i at bit N - i, so multiplying by q^s is a right shift by
+    s that drops every term past q^N: a product with E(q^s) is one
+    shift-XOR per pentagonal exponent, with no mask, and the binary digits
+    of the int, most significant first, are the coefficients of q^0..q^N.
+    E(q) and its exponents come from the shared table of ``_euler_bits``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     n = truncation
-    mask = (1 << (n + 1)) - 1
-    pentagonal = [g for g, _ in pentagonal_exponents(n)]
-    # E(q), its bits set in a buffer: one big-int OR per term costs O(N)
-    euler = bytearray(n // 8 + 1)
-    for g in pentagonal:
-        euler[g >> 3] |= 1 << (g & 7)
-    packed = int.from_bytes(euler, "little")
+    pentagonal, packed = _euler_bits(n)
     step = k + 1
     while step <= n:
         product = 0
         for g in pentagonal:
             if step * g > n:
                 break
-            product ^= packed << step * g
-        packed = product & mask
+            product ^= packed >> step * g
+        packed = product
         step *= 2
-    bits = format(packed, f"0{n + 1}b")[::-1]
+    bits = format(packed, f"0{n + 1}b")
     return TruncatedSeries(MOD2, n, tuple(bits.encode().translate(_BIT_BYTES)))
 
 

@@ -113,7 +113,8 @@ def make_series(
         raise ValueError(
             f"{len(coeffs)} coefficients exceed truncation window {truncation}"
         )
-    padded = [ring.normalize(c) for c in coeffs]
+    m = ring.modulus
+    padded = list(coeffs) if m is None else [c % m for c in coeffs]
     padded.extend([0] * (truncation + 1 - len(padded)))
     return TruncatedSeries(ring, truncation, tuple(padded))
 
@@ -174,14 +175,15 @@ def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     cube's terms all differ over Z, so there each is a group of one.
 
     Cost: O(N * nnz(b)) element reads, done in C, and per coefficient one
-    Python step per group, then one multiplication by b_0^{-1} and one
-    reduction.  On CPython 3.11 that about halves a pentagonal division
-    at N = 2000; below N ~ 120 building the getters costs a few
-    microseconds more than it saves.  Requires the constant coefficient of b to be a unit.
+    Python step per group, then one multiplication by b_0^{-1} and, in a
+    modular ring only, one reduction.  On CPython 3.11 that about halves
+    a pentagonal division at N = 2000; below N ~ 120 building the getters
+    costs a few microseconds more than it saves.  Requires the constant
+    coefficient of b to be a unit.
     """
     _check_compatible(a, b)
     ring = a.ring
-    normalize = ring.normalize
+    modulus = ring.modulus
     inv0 = ring.unit_inverse(b.coeffs[0])
     n = a.truncation
     ac = a.coeffs
@@ -201,7 +203,8 @@ def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
                 acc -= value * sum(get(out))
             for value, j in singles:
                 acc -= value * out[j]
-            out.append(normalize(inv0 * acc))
+            acc = inv0 * acc
+            out.append(acc if modulus is None else acc % modulus)
         if i > n:
             break
         groups.setdefault(c, []).append(-i)

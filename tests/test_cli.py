@@ -324,6 +324,30 @@ def test_out_check_keeps_an_existing_file(tmp_path, capsys):
     assert path.read_text() == "earlier payload\n"
 
 
+def test_out_replaces_a_longer_file(tmp_path, capsys):
+    path = tmp_path / "old.txt"
+    path.write_text("stale line\n" * 1000)
+    argv = ["expand", "--family", "phi", "--k", "1", "--n", "5"]
+    code, expected = run(argv, capsys)
+    assert cli.main(argv + ["--out", str(path)]) == code == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("device, code", [("/dev/null", 0), ("/dev/full", 2)])
+def test_out_to_a_device(device, code, capsys):
+    # a device cannot be truncated: it is written as it is, and a failed
+    # write still exits 2
+    if not os.path.exists(device):
+        pytest.skip(f"no {device} here")
+    argv = ["expand", "--family", "phi", "--k", "1", "--n", "3000"]
+    assert cli.main(argv + ["--out", device]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") == (code == 2)
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

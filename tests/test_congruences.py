@@ -131,16 +131,23 @@ def test_verify_claim_truncation_shortfall():
 
 
 def test_verify_claim_alternate_route_agrees():
-    claim = CongruenceClaim(PHI, 4, 5, 3, 2)
-
     def double_sum_provider(c, truncation):
         series = phi_series_double_sum(c.k, truncation, CoefficientRing(c.m))
         return series, "phi-double-sum"
 
-    a = verify_claim(claim, 8)
-    b = verify_claim(claim, 8, double_sum_provider)
-    assert a.status == b.status == VERIFIED
-    assert a.counterexamples == b.counterexamples
+    # 24*3+1 is a nonresidue mod 5, 24*1+1 is 0 mod 5: an all-zero
+    # progression and one with odd values
+    mod2 = phi_series_double_sum(4, 5 * 40 + 4, CoefficientRing(2)).coeffs
+    for r, status in ((3, VERIFIED), (1, REFUTED)):
+        claim = CongruenceClaim(PHI, 4, 5, r, 2)
+        a = verify_claim(claim, 40)
+        b = verify_claim(claim, 40, double_sum_provider)
+        scan = tuple(
+            (n, mod2[n]) for n in range(r, 5 * 40 + r + 1, 5) if mod2[n]
+        )
+        assert a.status == b.status == status
+        assert a.counterexamples == b.counterexamples == scan
+        assert bool(scan) == (status == REFUTED)
 
 
 def test_verify_claim_reduces_exact_provider():

@@ -1,5 +1,6 @@
 import pytest
 
+from frobseries import frobenius
 from frobseries.frobenius import (
     LaurentPolyOverSeries,
     _theta_constant_row,
@@ -79,10 +80,21 @@ def test_phi_parity_series_rejects_bad_arguments():
         phi_parity_series(3, -1)
 
 
-def test_mod2_route_agreement():
-    for k in range(1, 9):
-        direct = reduce_mod(phi_series_double_sum(k, 60), 2)
-        assert direct == phi_parity_series(k, 60), k
+def test_mod2_route_agreement(monkeypatch):
+    # the parity route reads E(q) from a table shared by every call in the
+    # process; start it empty, then shrink, grow and pass the truncation,
+    # cycling k, so each result is checked after a different history
+    monkeypatch.setattr(frobenius, "_euler_table", (-1, [], 0))
+    direct = {}
+    for j, n in enumerate((60, 33, 7, 1, 0, 0, 1, 7, 33, 60, None, 120, 50)):
+        if n is None:
+            n = frobenius._euler_table[0] + 1  # one past the table
+        for i in range(30):
+            k = (7 * i + j) % 30 + 1  # every k <= 30, in a new order per n
+            if (k, n) not in direct:
+                direct[k, n] = reduce_mod(phi_series_double_sum(k, n), 2)
+            assert phi_parity_series(k, n) == direct[k, n], (k, n)
+    assert frobenius._euler_table[0] == 120  # 61 rebuilt it at 2 * 60
 
 
 def test_partition_series():
