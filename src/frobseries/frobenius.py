@@ -7,11 +7,13 @@ Three independent routes are implemented:
   (q;q)_inf^2 (q^{k+1};q^{k+1})_inf.
 * ``phi_parity_series`` -- the mod-2 collapse of the same function to the
   eta quotient (q;q)_inf / (q^{k+1};q^{k+1})_inf, evaluated without
-  division: over Z/2 it is a product of about log2(N) sparse pentagonal
-  series, applied by shift-XOR to the series held as one bit-packed int
-  with q^i at bit N - i, so a product with q^s is a right shift that
-  drops the terms past q^N.  E(q) = (q;q)_inf comes packed the same way
-  from one table per process, grown on demand (``_euler_bits``).
+  division: over Z/2 it is E(q) = (q;q)_inf times about log2(N) sparse
+  pentagonal series, applied by shift-XOR to the series held as one
+  bit-packed int with q^i at bit N - i, so a product with q^s is a right
+  shift that drops the terms past q^N.  That loop is the Z/2 kernel of
+  ``series.divide`` (``series._gf2_times_inverse``), started at step k+1
+  instead of 1.  E(q) comes packed from one table per process, grown on
+  demand (``_euler_bits``).
 * ``cphi_series`` -- constant-term extraction: cphi_k(n) is the z^0
   coefficient of the two-variable product
   prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k = theta(z)^k / (q;q)_inf^k
@@ -23,12 +25,12 @@ Three independent routes are implemented:
   row a q-shift of one of them.
 
 The double sum and ``cphi_series`` take each Pochhammer factor (or cube)
-as a sparse series and divide by it with ``series.divide``: O(N^1.5)
-element reads per factor, gathered in C, and O(N) Python steps per factor
-when its terms take a bounded set of values (a pentagonal series has two,
-one over Z/2).  The parity route multiplies by pentagonal factors,
-O(N^1.5 / 64) word operations in all.  None expands a dense product or
-inverse.
+as a sparse series and divide by it with ``series.divide``.  Over Z/2
+that is the parity route's kernel, O(N^1.5 / 64) word operations per
+factor.  In other rings it is a recurrence: O(N^1.5) element reads per
+factor, gathered in C, and O(N) Python steps per factor when its terms
+take a bounded set of values (a pentagonal series has two over Z).  None
+expands a dense product or inverse.
 
 ``cg_product`` builds every z row of the colored product over Z,
 unpacked, in a :class:`LaurentPolyOverSeries` (a finite window of
@@ -51,6 +53,7 @@ from .series import (
     MOD2,
     CoefficientRing,
     TruncatedSeries,
+    _gf2_times_inverse,
     divide,
     invert,
     make_series,
@@ -307,9 +310,6 @@ def phi_series_double_sum(
     return divide(quotient, pentagonal_series(ring, n, k + 1))
 
 
-# ASCII '0'/'1' -> byte 0/1, for unpacking a bit string in one pass
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
 # (limit, exponents, bits): the pentagonal exponents g <= limit and E(q)
 # to q^limit packed with q^g at bit limit - g.  One table per process,
 # grown on demand and never shrunk; every truncation reads a prefix, so
@@ -343,30 +343,18 @@ def phi_parity_series(k: int, truncation: int) -> TruncatedSeries:
 
     Over Z/2, E(q)^2 = E(q^2) with E(q) = (q;q)_inf, so 1/E(q^s) =
     prod_{t>=0} E(q^{s 2^t}) and the quotient is E(q) times about
-    log2(N) sparse pentagonal factors, with no division.  The series is
-    one int, q^i at bit N - i, so multiplying by q^s is a right shift by
-    s that drops every term past q^N: a product with E(q^s) is one
-    shift-XOR per pentagonal exponent, with no mask, and the binary digits
-    of the int, most significant first, are the coefficients of q^0..q^N.
-    E(q) and its exponents come from the shared table of ``_euler_bits``.
+    log2(N) sparse pentagonal factors, with no division.  E(q), packed
+    with q^i at bit N - i, and its exponents come from the shared table of
+    ``_euler_bits``; ``series._gf2_times_inverse``, the kernel that
+    ``divide`` runs over Z/2, applies the factors from step k + 1 on, one
+    shift-XOR per pentagonal exponent g with step * g <= N.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    n = truncation
-    pentagonal, packed = _euler_bits(n)
-    step = k + 1
-    while step <= n:
-        product = 0
-        for g in pentagonal:
-            if step * g > n:
-                break
-            product ^= packed >> step * g
-        packed = product
-        step *= 2
-    bits = format(packed, f"0{n + 1}b")
-    return TruncatedSeries(MOD2, n, tuple(bits.encode().translate(_BIT_BYTES)))
+    pentagonal, packed = _euler_bits(truncation)
+    return _gf2_times_inverse(packed, pentagonal, k + 1, truncation)
 
 
 def expand(

@@ -64,13 +64,25 @@ def test_phi_parity_series_examples():
 
 
 def test_phi_parity_bit_route_matches_sparse_division():
-    # the eta quotient by the sequential recurrence, as the reference
+    # the eta quotient by the recurrence over Z, reduced mod 2, as the
+    # reference: over Z/2 divide runs the parity route's own kernel
     for n in (0, 1, 2, 7, 50, 301, 3001):
         for k in range(1, 31):
-            reference = divide(
-                pentagonal_series(MOD2, n), pentagonal_series(MOD2, n, k + 1)
+            quotient = divide(
+                pentagonal_series(EXACT, n), pentagonal_series(EXACT, n, k + 1)
             )
-            assert phi_parity_series(k, n) == reference, (k, n)
+            assert phi_parity_series(k, n) == reduce_mod(quotient, 2), (k, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 120, 1000])
+def test_z2_routes_match_their_exact_forms(n):
+    # the double sum and cphi divide over Z/2 by dilations of the divisor;
+    # their exact forms divide by the recurrence over Z
+    for k in range(1, 14):
+        exact = phi_series_double_sum(k, n)
+        assert phi_series_double_sum(k, n, MOD2) == reduce_mod(exact, 2), k
+    for k in range(1, 10):
+        assert cphi_series(k, n, MOD2) == reduce_mod(cphi_series(k, n), 2), k
 
 
 def test_phi_parity_series_rejects_bad_arguments():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from frobseries.frobenius import partition_series, phi_parity_series
 from frobseries.series import (
     EXACT,
+    MOD2,
     CoefficientRing,
     TruncatedSeries,
     add,
@@ -99,6 +102,11 @@ def test_divide_rejects_mismatch_and_non_unit():
     with pytest.raises(ValueError, match="not a unit"):
         divide(make_series(CoefficientRing(6), 3, [1]),
                make_series(CoefficientRing(6), 3, [3, 1]))
+    one2 = make_series(MOD2, 3, [1])
+    with pytest.raises(ValueError, match="not a unit"):
+        divide(one2, make_series(MOD2, 3, [0, 1]))
+    with pytest.raises(ValueError, match="truncation mismatch"):
+        divide(one2, make_series(MOD2, 4, [1]))
 
 
 @pytest.mark.parametrize("modulus", [None, 2, 3, 4, 6, 25])
@@ -121,6 +129,27 @@ def test_divide_undoes_mul_on_sparse_and_dense_divisors(modulus, n):
     ]
     for b in divisors:
         assert mul(b, divide(a, b)) == a
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 63, 64, 65, 300])
+def test_divide_over_z2_matches_exact_route(n):
+    # over Z/2 divide multiplies by b(q^s) for s = 1, 2, 4, .. <= N; the
+    # truncations sit at the edges of that doubling, and the recurrence over
+    # Z, reduced mod 2, is the reference; an odd a_0 lets the last step show
+    rng = random.Random(n)
+    a = make_series(EXACT, n, [1] + [rng.randint(-9, 9) for _ in range(n)])
+    divisors = [
+        pentagonal_series(EXACT, n),
+        pentagonal_series(EXACT, n, 2),
+        pentagonal_series(EXACT, n, 5),
+        triangular_cube_series(EXACT, n),
+        pochhammer(EXACT, n, 1, 1),
+        make_series(EXACT, n, [1] + [rng.randint(-9, 9) for _ in range(n)]),
+        make_series(EXACT, n, [1]),
+    ]
+    for b in divisors:
+        got = divide(reduce_mod(a, 2), reduce_mod(b, 2))
+        assert got == reduce_mod(divide(a, b), 2), b
 
 
 def test_invert_rejects_non_unit():
