@@ -11,9 +11,10 @@ truncation n, the coefficient ring and the route.
 
 Each command returns its payload and exit code, and ``main`` is the only
 writer.  The argument parser is built once per process and shared by
-every call.  Argument values are checked by the library, whose ValueError
-exits 2; the CLI itself checks only ``--jobs`` and that a suite got the
-flags it needs.
+every call.  Each ``verify`` suite has a sub-parser that takes its own
+flags, after the suite name, so a missing or foreign flag is an argparse
+usage error.  Argument values are checked by the library, whose
+ValueError exits 2; the CLI itself checks only ``--jobs``.
 
 The --out path is opened once, for append, before any computation, so a
 directory, a missing parent or a permission error exits 2 at once and an
@@ -76,41 +77,13 @@ def cmd_expand(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_OK
 
 
-# suite -> (the flags it needs, the call that runs it); the lambdas look up
-# congruences.<suite> at call time, so a rebound suite is seen here
-SUITE_CALLS = {
-    "main": (
-        ("primes", "ells"),
-        lambda a: congruences.main_theorem_suite(a.primes, a.ells, a.nmax),
-    ),
-    "cphi-even": (
-        ("ks",),
-        lambda a: congruences.cphi_even_suite(a.ks, a.nmax),
-    ),
-    "p-squared": (
-        ("p",),
-        lambda a: congruences.andrews_p_squared_suite(a.p, a.nmax),
-    ),
-    "gs-lift": (
-        ("k", "p", "r"),
-        lambda a: congruences.garvan_sellers_lift_check(
-            a.k, a.p, a.r, a.lifts, a.nmax
-        ),
-    ),
-}
-
-
 def cmd_verify(args) -> tuple[str, int]:
     if args.jobs is not None and args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    needs, run = SUITE_CALLS[args.suite]
-    missing = [f"--{flag}" for flag in needs if getattr(args, flag) is None]
-    if missing:
-        raise ValueError(f"verify {args.suite} needs {', '.join(missing)}")
-    reports = run(args)
+    reports = args.run(args)
     doc = {"reports": [r.to_dict() for r in reports]}
-    code = EXIT_REFUTED if congruences.any_refuted(reports) else EXIT_OK
-    return _json_payload(doc, args), code
+    refuted = any(r.status == congruences.REFUTED for r in reports)
+    return _json_payload(doc, args), EXIT_REFUTED if refuted else EXIT_OK
 
 
 def cmd_oracle(args) -> tuple[str, int]:
@@ -187,25 +160,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_expand.set_defaults(func=cmd_expand)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run a theorem verification suite"
-    )
-    p_verify.add_argument("suite", choices=tuple(SUITE_CALLS))
-    p_verify.add_argument("--primes", type=_int_list, default=None)
-    p_verify.add_argument("--ells", type=_int_list, default=None)
-    p_verify.add_argument("--ks", type=_int_list, default=None)
-    p_verify.add_argument("--k", type=int, default=None)
-    p_verify.add_argument("--p", type=int, default=None)
-    p_verify.add_argument("--r", type=int, default=None)
-    p_verify.add_argument("--lifts", type=int, default=1)
-    p_verify.add_argument("--nmax", type=int, default=10)
-    p_verify.add_argument(
+    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify.set_defaults(func=cmd_verify)
+    # no abbreviations, so main's foreign --p is not read as --primes; each
+    # run looks up congruences.<suite> at call time, so it sees a rebinding
+    shared = argparse.ArgumentParser(add_help=False, parents=[common])
+    shared.add_argument("--nmax", type=int, default=10)
+    shared.add_argument(
         "--jobs",
         type=int,
         default=None,
         help="accepted (must be >= 1) but unused: claims run in one thread",
     )
-    p_verify.set_defaults(func=cmd_verify)
+    suite = functools.partial(
+        p_verify.add_subparsers(dest="suite", required=True).add_parser,
+        parents=[shared],
+        allow_abbrev=False,
+    )
+
+    s = suite("main", help="phi_{p*ell-1}(pn+r) = 0 mod 2, 24r+1 a nonresidue")
+    s.add_argument("--primes", type=_int_list, required=True)
+    s.add_argument("--ells", type=_int_list, required=True)
+    s.set_defaults(
+        run=lambda a: congruences.main_theorem_suite(a.primes, a.ells, a.nmax)
+    )
+    s = suite("cphi-even", help="cphi_{2k}(2n+1) = 0 mod 2")
+    s.add_argument("--ks", type=_int_list, required=True)
+    s.set_defaults(run=lambda a: congruences.cphi_even_suite(a.ks, a.nmax))
+    s = suite("p-squared", help="cphi_p(pn+r) = 0 mod p^2")
+    s.add_argument("--p", type=int, required=True)
+    s.set_defaults(
+        run=lambda a: congruences.andrews_p_squared_suite(a.p, a.nmax)
+    )
+    s = suite("gs-lift", help="cphi_k(pn+r) = 0 mod p lifted to cphi_{pN+k}")
+    for flag in ("--k", "--p", "--r"):
+        s.add_argument(flag, type=int, required=True)
+    s.add_argument("--lifts", type=int, default=1)
+    s.set_defaults(
+        run=lambda a: congruences.garvan_sellers_lift_check(
+            a.k, a.p, a.r, a.lifts, a.nmax
+        )
+    )
 
     p_oracle = sub.add_parser(
         "oracle",

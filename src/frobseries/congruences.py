@@ -189,10 +189,13 @@ def main_theorem_suite(primes, ells, n_max: int) -> list[VerificationReport]:
     """phi_{p*ell - 1}(p*n + r) == 0 (mod 2) for every eligible residue r."""
     claims = []
     for p in sorted(set(primes)):
+        residues = None  # once per prime, after its first ell is checked
         for ell in sorted(set(ells)):
             if ell < 1:
                 raise ValueError("ell must be >= 1")
-            for r in sorted(eligible_residues(p)):
+            if residues is None:
+                residues = sorted(eligible_residues(p))
+            for r in residues:
                 claims.append(CongruenceClaim(PHI, p * ell - 1, p, r, 2))
     return _run_claims(claims, n_max)
 
@@ -247,6 +250,3 @@ def garvan_sellers_lift_check(
             )
     return reports
 
-
-def any_refuted(reports) -> bool:
-    return any(r.status == REFUTED for r in reports)

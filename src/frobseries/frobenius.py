@@ -282,8 +282,10 @@ def phi_series_double_sum(
 
     Numerator: sum over integers j and r >= (k+1)|j| of
     (-1)^{r+kj} q^{binom(r+1,2) - binom(k+1,2) j^2}, assembled sparsely.
-    Denominator: (q;q)_inf^2 (q^{k+1};q^{k+1})_inf, applied in the
-    requested ring as three sparse divisions by pentagonal series.
+    j and -j give the same exponent and sign (kj = -kj mod 2), so each
+    j > 0 is added once with weight 2.  Denominator: (q;q)_inf^2
+    (q^{k+1};q^{k+1})_inf, applied in the requested ring as three sparse
+    divisions by pentagonal series.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -292,17 +294,14 @@ def phi_series_double_sum(
     half_kk1 = k * (k + 1) // 2
     j = 0
     while (k + 1) * j * (j + 1) // 2 <= n:
-        floor = (k + 1) * j * (j + 1) // 2
-        for jj in ((j,) if j == 0 else (j, -j)):
-            r = (k + 1) * j
-            while True:
-                exp = r * (r + 1) // 2 - half_kk1 * j * j
-                if exp > n:
-                    break
-                assert exp >= floor >= 0
-                sign = -1 if (r + k * jj) % 2 else 1
-                num[exp] += sign
-                r += 1
+        weight = 2 if j else 1
+        r = (k + 1) * j
+        while True:
+            exp = r * (r + 1) // 2 - half_kk1 * j * j
+            if exp > n:
+                break
+            num[exp] += -weight if (r + k * j) % 2 else weight
+            r += 1
         j += 1
     numerator = make_series(ring, n, num)
     euler = pentagonal_series(ring, n)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -225,6 +226,42 @@ def test_verify_missing_flags(capsys):
         code, out = run(["verify"] + argv, capsys)
         assert code == 2, argv
         assert out == "", argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["main", "--primes", "5", "--ells", "1", "--ks", "3"],
+        ["cphi-even", "--ks", "1", "--p", "5"],
+        ["p-squared", "--p", "5", "--lifts", "2"],
+        ["gs-lift", "--k", "2", "--p", "5", "--r", "3", "--primes", "5"],
+        # a foreign flag that is a prefix of one of the suite's own flags
+        ["main", "--primes", "5", "--ells", "1", "--p", "7"],
+        ["cphi-even", "--ks", "1", "--k", "2"],
+        # the shared flags go after the suite name
+        ["--nmax", "5", "main", "--primes", "5", "--ells", "1"],
+    ],
+)
+def test_verify_foreign_flag_exits_two(argv, capsys):
+    code, out = run(["verify"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+
+
+SUITE_FLAGS = {
+    "main": {"--primes", "--ells"},
+    "cphi-even": {"--ks"},
+    "p-squared": {"--p"},
+    "gs-lift": {"--k", "--p", "--r", "--lifts"},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_FLAGS))
+def test_verify_suite_help_lists_only_its_flags(suite, capsys):
+    code, out = run(["verify", suite, "--help"], capsys)
+    assert code == 0
+    shared = {"--help", "--nmax", "--jobs", "--out", "--no-timestamp"}
+    assert set(re.findall(r"--[a-z-]+", out)) == SUITE_FLAGS[suite] | shared
 
 
 @pytest.mark.parametrize(
