@@ -13,8 +13,9 @@ Each command returns its payload and exit code, and ``main`` is the only
 writer.  The argument parser is built once per process and shared by
 every call.  Each ``verify`` suite has a sub-parser that takes its own
 flags, after the suite name, so a missing or foreign flag is an argparse
-usage error.  Argument values are checked by the library, whose
-ValueError exits 2; the CLI itself checks only ``--jobs``.
+usage error, reported under the usage line of the sub-command it
+reached.  Argument values are checked by the library, whose ValueError
+exits 2; the CLI itself checks only ``--jobs``.
 
 The --out path is opened once, for append, before any computation, so a
 directory, a missing parent or a permission error exits 2 at once and an
@@ -124,6 +125,23 @@ def _json_payload(doc: dict, args) -> str:
     return json.dumps(doc) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reports its own unknown arguments.
+
+    A sub-command's parser hands arguments it does not know up to its
+    parent, which would report them under the top-level usage line; here
+    the parser that owns the sub-command reports them, with its own.
+    ``add_subparsers`` makes its sub-parsers of the parent's class, so
+    every sub-command parser of the top-level one is a ``_Parser``.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the frobseries grammar, built on the first call.
@@ -133,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     or similar).  parse_args leaves it unchanged and returns a new
     namespace each time.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frobseries",
         description="Truncated q-series toolkit for generalized Frobenius "
         "partition congruences",

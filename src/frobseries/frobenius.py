@@ -11,25 +11,26 @@ Three independent routes are implemented:
   pentagonal series, applied by shift-XOR to the series held as one
   bit-packed int with q^i at bit N - i, so a product with q^s is a right
   shift that drops the terms past q^N.  That loop is the Z/2 kernel of
-  ``series.divide`` (``series._gf2_times_inverse``), started at step k+1
-  instead of 1.  E(q) comes packed from one table per process, grown on
-  demand (``_euler_bits``).
+  ``series.divide`` (``series._gf2_times_inverse``), called with the one
+  factor (pentagonal exponents, step k+1).  E(q) comes packed from one
+  table per process, grown on demand (``_euler_bits``).
 * ``cphi_series`` -- constant-term extraction: cphi_k(n) is the z^0
   coefficient of the two-variable product
   prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k = theta(z)^k / (q;q)_inf^k
   (Jacobi triple product).  (q;q)_inf^k does not depend on z, so only the
-  z^0 row of theta(z)^k is divided: floor(k/3) times by Jacobi's sparse
-  cube (q;q)_inf^3 and k mod 3 times by (q;q)_inf.  That row is built on
-  packed integers from t base rows per power theta^t, since the
+  z^0 row of theta(z)^k is divided, by floor(k/3) factors of Jacobi's
+  sparse cube (q;q)_inf^3 and k mod 3 factors of (q;q)_inf.  That row is
+  built on packed integers from t base rows per power theta^t, since the
   quasi-periodicity theta(zq) = z^-1 q^-1 theta(z) makes every other z
   row a q-shift of one of them.
 
 The double sum and ``cphi_series`` take each Pochhammer factor (or cube)
-as a sparse series and divide by it with ``series.divide``.  Over Z/2
-that is the parity route's kernel, O(N^1.5 / 64) word operations per
-factor.  In other rings it is a recurrence: O(N^1.5) element reads per
-factor, gathered in C, and O(N) Python steps per factor when its terms
-take a bounded set of values (a pentagonal series has two over Z).  None
+as a sparse series and state their whole denominator in one
+``series.divide`` call.  Over Z/2 that is one call of the parity route's
+kernel, one pack and one unpack, and O(N^1.5 / 64) word operations per
+factor.  In other rings it is a recurrence per factor: O(N^1.5) element
+reads, gathered in C, and O(N) Python steps when the factor's terms take
+a bounded set of values (a pentagonal series has two over Z).  None
 expands a dense product or inverse.
 
 ``cg_product`` builds every z row of the colored product over Z,
@@ -168,8 +169,8 @@ def cg_product(exponent: int, truncation: int) -> LaurentPolyOverSeries:
     """Expand prod_{n>=0} (1 + z q^{n+1})^e (1 + z^{-1} q^n)^e to q^N over Z.
 
     By the Jacobi triple product it is theta(z)^e / (q;q)_inf^e, with
-    theta(z) = sum_m z^m q^{m(m+1)/2}: a sparse theta power, then e
-    pentagonal divisions per z row (not the cube divisions that
+    theta(z) = sum_m z^m q^{m(m+1)/2}: a sparse theta power, then one
+    division per z row by e pentagonal factors (not the cube factors that
     ``cphi_series`` uses).  Every row, unpacked and exact: the reference
     for ``cphi_series``, which ``reduce_mod`` carries into any Z/m, not a
     route.
@@ -179,13 +180,11 @@ def cg_product(exponent: int, truncation: int) -> LaurentPolyOverSeries:
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     n, e = truncation, exponent
-    euler = pentagonal_series(EXACT, n)
-    rows = {}
-    for z, row in _theta_rows(e, n).items():
-        series = TruncatedSeries(EXACT, n, tuple(row))
-        for _ in range(e):
-            series = divide(series, euler)
-        rows[z] = series.coeffs
+    denominator = [pentagonal_series(EXACT, n)] * e
+    rows = {
+        z: divide(TruncatedSeries(EXACT, n, tuple(row)), *denominator).coeffs
+        for z, row in _theta_rows(e, n).items()
+    }
     return _wrap_rows(rows, EXACT, n)
 
 
@@ -236,24 +235,22 @@ def cphi_series(
     """Sum of cphi_k(n) q^n: ([z^0] theta(z)^k) / (q;q)_inf^k.
 
     The z^0 row comes from ``_theta_constant_row`` and is reduced into the
-    ring once.  It is then divided floor(k/3) times by Jacobi's sparse cube
-    (q;q)_inf^3 = sum_j (-1)^j (2j+1) q^{j(j+1)/2} and k mod 3 times by the
-    pentagonal series: for k = 6, two divisions instead of six.
+    ring once.  It is then divided, in one ``divide`` call, by floor(k/3)
+    factors of Jacobi's sparse cube (q;q)_inf^3 = sum_j (-1)^j (2j+1)
+    q^{j(j+1)/2} and k mod 3 factors of the pentagonal series: for k = 6,
+    two factors instead of six.  Only the divisors used are built.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    series = make_series(ring, truncation, _theta_constant_row(k, truncation))
-    for make_divisor, times in (
-        (triangular_cube_series, k // 3),
-        (pentagonal_series, k % 3),
-    ):
-        if times:
-            divisor = make_divisor(ring, truncation)
-            for _ in range(times):
-                series = divide(series, divisor)
-    return series
+    denominator = []
+    if k >= 3:
+        denominator += [triangular_cube_series(ring, truncation)] * (k // 3)
+    if k % 3:
+        denominator += [pentagonal_series(ring, truncation)] * (k % 3)
+    row = make_series(ring, truncation, _theta_constant_row(k, truncation))
+    return divide(row, *denominator)
 
 
 def cphi_parity_witness(k: int, truncation: int) -> LaurentPolyOverSeries:
@@ -284,8 +281,8 @@ def phi_series_double_sum(
     (-1)^{r+kj} q^{binom(r+1,2) - binom(k+1,2) j^2}, assembled sparsely.
     j and -j give the same exponent and sign (kj = -kj mod 2), so each
     j > 0 is added once with weight 2.  Denominator: (q;q)_inf^2
-    (q^{k+1};q^{k+1})_inf, applied in the requested ring as three sparse
-    divisions by pentagonal series.
+    (q^{k+1};q^{k+1})_inf, three sparse pentagonal factors in one
+    ``divide`` call in the requested ring.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -303,10 +300,10 @@ def phi_series_double_sum(
             num[exp] += -weight if (r + k * j) % 2 else weight
             r += 1
         j += 1
-    numerator = make_series(ring, n, num)
     euler = pentagonal_series(ring, n)
-    quotient = divide(divide(numerator, euler), euler)
-    return divide(quotient, pentagonal_series(ring, n, k + 1))
+    return divide(
+        make_series(ring, n, num), euler, euler, pentagonal_series(ring, n, k + 1)
+    )
 
 
 # (limit, exponents, bits): the pentagonal exponents g <= limit and E(q)
@@ -345,15 +342,16 @@ def phi_parity_series(k: int, truncation: int) -> TruncatedSeries:
     log2(N) sparse pentagonal factors, with no division.  E(q), packed
     with q^i at bit N - i, and its exponents come from the shared table of
     ``_euler_bits``; ``series._gf2_times_inverse``, the kernel that
-    ``divide`` runs over Z/2, applies the factors from step k + 1 on, one
-    shift-XOR per pentagonal exponent g with step * g <= N.
+    ``divide`` runs over Z/2, takes the one factor (pentagonal exponents,
+    k + 1) and applies its dilations from step k + 1 on, one shift-XOR per
+    pentagonal exponent g with step * g <= N.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     pentagonal, packed = _euler_bits(truncation)
-    return _gf2_times_inverse(packed, pentagonal, k + 1, truncation)
+    return _gf2_times_inverse(packed, [(pentagonal, k + 1)], truncation)
 
 
 def expand(

@@ -13,15 +13,17 @@ series.
 Production routes build eta quotients from sparse pentagonal series
 (:func:`pentagonal_series`, placed from the one exponent list
 :func:`pentagonal_exponents`), the sparse cube
-:func:`triangular_cube_series`, and :func:`divide`.  For a divisor with
-nnz nonzero terms taking g distinct values, :func:`divide` reads
-O(N * nnz) coefficients but takes only O(N * g) Python steps: each group
-of equal-valued terms is summed by one C-level gather.  Over Z/2 it runs
-no recurrence: there b^2 = b(q^2), so 1/b = prod_{t>=0} b(q^{2^t}), and
-the private kernel :func:`_gf2_times_inverse` applies those dilations to
-the dividend packed in one int, sum_t nnz(b up to q^{N/2^t}) shift-XORs
-of N-bit ints in all.  The parity route of ``frobenius`` calls the same
-kernel.  The dense O(N^2)
+:func:`triangular_cube_series`, and :func:`divide`, which takes a whole
+denominator b_1 ... b_r in one call.  For a factor with nnz nonzero
+terms taking g distinct values, :func:`divide` reads O(N * nnz)
+coefficients but takes only O(N * g) Python steps: each group of
+equal-valued terms is summed by one C-level gather.  Over Z/2 it runs no
+recurrence: there b^2 = b(q^2), so 1/b = prod_{t>=0} b(q^{2^t}), and one
+call of the private kernel :func:`_gf2_times_inverse` applies the
+dilations of every factor to the dividend, packed once into one int and
+unpacked once, sum_t nnz(b_i up to q^{N/2^t}) shift-XORs of N-bit ints
+per factor.  The parity route of ``frobenius`` calls the same kernel
+with its one factor.  The dense O(N^2)
 :func:`mul` and :func:`pochhammer` stay as the schoolbook and
 product-expansion references that the tests compare the sparse forms
 against.
@@ -168,71 +170,81 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(ring, n, tuple(out))
 
 
-def divide(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Quotient a / b at the shared truncation.
+def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
+    """Quotient a / (b_1 * ... * b_r) at the shared truncation.
+
+    The divisors are the factors of one denominator, such as an eta
+    product (q^{s_1};q^{s_1})_inf ... (q^{s_r};q^{s_r})_inf; a factor may
+    repeat.  Each b_i must have a unit constant coefficient.
 
     Over Z/2 the quotient is a product, with no recurrence: b^2 = b(q^2)
     there, so b * prod_{t<T} b(q^{2^t}) = b(q^{2^T}) = 1 + O(q^{2^T}) and
-    1/b = prod_{t>=0} b(q^{2^t}).  a is packed into one int and
-    :func:`_gf2_times_inverse` applies the about log2(N) dilations of b
-    by shift-XOR: sum_t nnz(b up to q^{N/2^t}) shift-XORs of N-bit ints.
+    1/b = prod_{t>=0} b(q^{2^t}).  a is packed into one int,
+    :func:`_gf2_times_inverse` applies the about log2(N) dilations of
+    every b_i by shift-XOR, sum_t nnz(b_i up to q^{N/2^t}) shift-XORs of
+    N-bit ints per factor, and the result is unpacked once.
 
-    In any other ring, the recurrence c_m = b_0^{-1} (a_m - sum_{i>=1,
-    b_i != 0} b_i c_{m-i}), over b's nonzero terms only.  ``out`` grows by
-    append, so c_{m-i} is ``out[-i]``, and b's active terms (i <= m) are
-    grouped by coefficient value: each group of two or more is one
-    ``itemgetter`` of negative indices, so c * sum(getter(out)) gathers
-    and adds the whole group in C.  The groups change only at b's term
-    indices and are rebuilt there.  A pentagonal divisor gives two groups
-    over Z; the cube's terms all differ over Z, so there each is a group
-    of one.
+    In any other ring, one recurrence per factor, c_m = b_0^{-1} (a_m -
+    sum_{i>=1, b_i != 0} b_i c_{m-i}), over b's nonzero terms only.
+    ``out`` grows by append, so c_{m-i} is ``out[-i]``, and b's active
+    terms (i <= m) are grouped by coefficient value: each group of two or
+    more is one ``itemgetter`` of negative indices, so c * sum(getter(out))
+    gathers and adds the whole group in C.  The groups change only at b's
+    term indices and are rebuilt there.  A pentagonal divisor gives two
+    groups over Z; the cube's terms all differ over Z, so there each is a
+    group of one.
 
-    The recurrence costs O(N * nnz(b)) element reads, done in C, and per
-    coefficient one Python step per group, then one multiplication by
-    b_0^{-1} and, in a modular ring only, one reduction.  On CPython 3.11
-    that about halves a pentagonal division at N = 2000; below N ~ 120
-    building the getters costs a few microseconds more than it saves.
-    Requires the constant coefficient of b to be a unit.
+    The recurrence costs O(N * nnz(b)) element reads per factor, done in
+    C, and per coefficient one Python step per group, then one
+    multiplication by b_0^{-1} and, in a modular ring only, one
+    reduction.  On CPython 3.11 that about halves a pentagonal division at
+    N = 2000; below N ~ 120 building the getters costs a few microseconds
+    more than it saves.
     """
-    _check_compatible(a, b)
-    ring = a.ring
+    for b in divisors:
+        _check_compatible(a, b)
+    ring, n = a.ring, a.truncation
     modulus = ring.modulus
-    inv0 = ring.unit_inverse(b.coeffs[0])
-    n = a.truncation
+    inverses = [ring.unit_inverse(b.coeffs[0]) for b in divisors]
     if modulus == 2:
         # coefficients as ASCII binary digits, q^0 first: a's are the bits
-        # of one int with q^i at bit N - i, b's nonzero ones its exponents
+        # of one int with q^i at bit N - i, each b's nonzero ones its
+        # exponents
         a_digits = bytes(a.coeffs).translate(_PARITY_DIGIT)
-        b_bits = bytes(b.coeffs).translate(_PARITY_DIGIT).translate(_DIGIT_BIT)
-        exponents = list(compress(range(n + 1), b_bits))
-        return _gf2_times_inverse(int(a_digits, 2), exponents, 1, n)
-    ac = a.coeffs
-    terms = [(i, c) for i, c in enumerate(b.coeffs) if c and i]
-    out: list[int] = []
-    # value -> negative indices of the active terms with that value; a
-    # group of one is read directly, since itemgetter of one index returns
-    # the item, not a tuple
-    groups: dict[int, list[int]] = {}
-    gathers: list = []  # (value, itemgetter) per group of two or more
-    singles: list = []  # (value, index) per group of one
-    for i, c in [*terms, (n + 1, 0)]:
-        # c_m for m < i: the active terms are those below i
-        for m in range(len(out), i):
-            acc = ac[m]
-            for value, get in gathers:
-                acc -= value * sum(get(out))
-            for value, j in singles:
-                acc -= value * out[j]
-            acc = inv0 * acc
-            out.append(acc if modulus is None else acc % modulus)
-        if i > n:
-            break
-        groups.setdefault(c, []).append(-i)
-        gathers = [
-            (v, itemgetter(*js)) for v, js in groups.items() if len(js) > 1
-        ]
-        singles = [(v, js[0]) for v, js in groups.items() if len(js) == 1]
-    return TruncatedSeries(ring, n, tuple(out))
+        factors = []
+        for b in divisors:
+            bits = bytes(b.coeffs).translate(_PARITY_DIGIT).translate(_DIGIT_BIT)
+            factors.append((list(compress(range(n + 1), bits)), 1))
+        return _gf2_times_inverse(int(a_digits, 2), factors, n)
+    coeffs = a.coeffs
+    for b, inv0 in zip(divisors, inverses):
+        terms = [(i, c) for i, c in enumerate(b.coeffs) if c and i]
+        out: list[int] = []
+        # value -> negative indices of the active terms with that value; a
+        # group of one is read directly, since itemgetter of one index
+        # returns the item, not a tuple
+        groups: dict[int, list[int]] = {}
+        gathers: list = []  # (value, itemgetter) per group of two or more
+        singles: list = []  # (value, index) per group of one
+        for i, c in [*terms, (n + 1, 0)]:
+            # c_m for m < i: the active terms are those below i
+            for m in range(len(out), i):
+                acc = coeffs[m]
+                for value, get in gathers:
+                    acc -= value * sum(get(out))
+                for value, j in singles:
+                    acc -= value * out[j]
+                acc = inv0 * acc
+                out.append(acc if modulus is None else acc % modulus)
+            if i > n:
+                break
+            groups.setdefault(c, []).append(-i)
+            gathers = [
+                (v, itemgetter(*js)) for v, js in groups.items() if len(js) > 1
+            ]
+            singles = [(v, js[0]) for v, js in groups.items() if len(js) == 1]
+        coeffs = out
+    return TruncatedSeries(ring, n, tuple(coeffs))
 
 
 # byte value -> its parity as an ASCII digit '0'/'1', and ASCII '0'/'1' ->
@@ -242,27 +254,31 @@ _DIGIT_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _gf2_times_inverse(
-    packed: int, exponents: Sequence[int], step: int, truncation: int
+    packed: int, factors: Sequence[tuple[Sequence[int], int]], truncation: int
 ) -> TruncatedSeries:
-    """packed / b(q^step) over Z/2, where b = sum_{g in exponents} q^g.
+    """packed / prod_i b_i(q^{step_i}) over Z/2, one factor per pair.
 
-    ``packed`` holds a series to q^N with q^i at bit N - i, so multiplying
-    by q^s is a right shift by s that drops every term past q^N, with no
-    mask.  ``exponents`` ascend from 0 (b_0 = 1) and may run past N.  Over
-    Z/2, 1/b(q^step) = prod_{t>=0} b(q^{step 2^t}); each dilation with
-    step * 2^t <= N is one shift-XOR per exponent g with step * 2^t * g
-    <= N, and the factors past N are 1.  The binary digits of the result,
-    most significant first, are the coefficients of q^0..q^N.
+    ``factors`` holds the pairs (exponents_i, step_i), and b_i = sum_{g in
+    exponents_i} q^g.  ``packed`` holds a series to q^N with q^i at bit
+    N - i, so multiplying by q^s is a right shift by s that drops every
+    term past q^N, with no mask.  Each exponent list ascends from 0
+    (b_i(0) = 1) and may run past N.  Over Z/2, 1/b(q^step) =
+    prod_{t>=0} b(q^{step 2^t}); each dilation with step * 2^t <= N is
+    one shift-XOR per exponent g with step * 2^t * g <= N, and the
+    factors past N are 1.  The factors commute, so they are applied one
+    after another to the one packed int.  The binary digits of the
+    result, most significant first, are the coefficients of q^0..q^N.
     """
     n = truncation
-    while step <= n:
-        product = 0
-        for g in exponents:
-            if step * g > n:
-                break
-            product ^= packed >> step * g
-        packed = product
-        step *= 2
+    for exponents, step in factors:
+        while step <= n:
+            product = 0
+            for g in exponents:
+                if step * g > n:
+                    break
+                product ^= packed >> step * g
+            packed = product
+            step *= 2
     bits = format(packed, f"0{n + 1}b")
     return TruncatedSeries(MOD2, n, tuple(bits.encode().translate(_DIGIT_BIT)))
 

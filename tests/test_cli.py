@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -231,21 +232,28 @@ def test_verify_missing_flags(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["main", "--primes", "5", "--ells", "1", "--ks", "3"],
-        ["cphi-even", "--ks", "1", "--p", "5"],
-        ["p-squared", "--p", "5", "--lifts", "2"],
-        ["gs-lift", "--k", "2", "--p", "5", "--r", "3", "--primes", "5"],
+        ["verify", "main", "--primes", "5", "--ells", "1", "--ks", "3"],
+        ["verify", "cphi-even", "--ks", "1", "--p", "5"],
+        ["verify", "p-squared", "--p", "5", "--lifts", "2"],
+        ["verify", "gs-lift", "--k", "2", "--p", "5", "--r", "3", "--primes", "5"],
         # a foreign flag that is a prefix of one of the suite's own flags
-        ["main", "--primes", "5", "--ells", "1", "--p", "7"],
-        ["cphi-even", "--ks", "1", "--k", "2"],
+        ["verify", "main", "--primes", "5", "--ells", "1", "--p", "7"],
+        ["verify", "cphi-even", "--ks", "1", "--k", "2"],
         # the shared flags go after the suite name
-        ["--nmax", "5", "main", "--primes", "5", "--ells", "1"],
+        ["verify", "--nmax", "5", "main", "--primes", "5", "--ells", "1"],
+        ["expand", "--family", "phi", "--k", "2", "--n", "3", "--bogus"],
     ],
 )
 def test_verify_foreign_flag_exits_two(argv, capsys):
-    code, out = run(["verify"] + argv, capsys)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
     assert code == 2
-    assert out == ""
+    assert captured.out == ""
+    # the parser of the sub-command that the flag reached reports it, with
+    # its own usage line: the words before the first flag name it
+    words = itertools.takewhile(lambda arg: not arg.startswith("-"), argv)
+    usage = f"usage: frobseries {' '.join(words)} [-h]"
+    assert captured.err.startswith(usage), captured.err
 
 
 SUITE_FLAGS = {

@@ -1,5 +1,6 @@
 import pytest
 
+import frobseries.series
 from frobseries import frobenius
 from frobseries.frobenius import (
     LaurentPolyOverSeries,
@@ -83,6 +84,31 @@ def test_z2_routes_match_their_exact_forms(n):
         assert phi_series_double_sum(k, n, MOD2) == reduce_mod(exact, 2), k
     for k in range(1, 10):
         assert cphi_series(k, n, MOD2) == reduce_mod(cphi_series(k, n), 2), k
+
+
+@pytest.mark.parametrize("n", [0, 7, 300])
+def test_each_z2_quotient_makes_one_kernel_call(n, monkeypatch):
+    # each route states its whole denominator in one divide call, so over
+    # Z/2 the dividend is packed once, runs one kernel call that applies
+    # every factor's dilations, and is unpacked once
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    kernel = frobseries.series._gf2_times_inverse
+    monkeypatch.setattr(frobseries.series, "_gf2_times_inverse", counted)
+    monkeypatch.setattr(frobenius, "_gf2_times_inverse", counted)
+    for build in (
+        lambda: phi_series_double_sum(4, n, MOD2),
+        lambda: cphi_series(6, n, MOD2),
+        lambda: cphi_series(7, n, MOD2),
+        lambda: phi_parity_series(4, n),
+    ):
+        calls.clear()
+        build()
+        assert len(calls) == 1
 
 
 def test_phi_parity_series_rejects_bad_arguments():

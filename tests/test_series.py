@@ -107,6 +107,19 @@ def test_divide_rejects_mismatch_and_non_unit():
         divide(one2, make_series(MOD2, 3, [0, 1]))
     with pytest.raises(ValueError, match="truncation mismatch"):
         divide(one2, make_series(MOD2, 4, [1]))
+    # every factor of a denominator is checked, not just the first
+    for ring in (EXACT, MOD2, CoefficientRing(6)):
+        a, good = make_series(ring, 3, [1]), make_series(ring, 3, [1, 1])
+        other = CoefficientRing(5)
+        for bad, match in (
+            (make_series(other, 3, [1]), "ring mismatch"),
+            (make_series(ring, 4, [1]), "truncation mismatch"),
+            (make_series(ring, 3, [2 if ring is MOD2 else 3, 1]), "not a unit"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                divide(a, good, bad)
+            with pytest.raises(ValueError, match=match):
+                divide(a, good, good, bad)
 
 
 @pytest.mark.parametrize("modulus", [None, 2, 3, 4, 6, 25])
@@ -119,16 +132,23 @@ def test_divide_undoes_mul_on_sparse_and_dense_divisors(modulus, n):
     a = make_series(
         ring, n, [(7 * i * i - 3 * i + 11) * (-1) ** i for i in range(n + 1)]
     )
+    euler, cube = pentagonal_series(ring, n), triangular_cube_series(ring, n)
     divisors = [
-        pentagonal_series(ring, n),
+        euler,
         pentagonal_series(ring, n, 5),
-        triangular_cube_series(ring, n),
+        cube,
         pochhammer(ring, n, 1, 1),
         make_series(ring, n, [1]),
         make_series(ring, n, [-1]),  # a unit other than 1, except in Z/2
     ]
     for b in divisors:
         assert mul(b, divide(a, b)) == a
+    # the routes' whole denominators in one call: the double sum's
+    # E E E(q^5) and cphi_7's cube cube E, as a chain of one-factor calls
+    for b1, b2, b3 in ((euler, euler, divisors[1]), (cube, cube, euler)):
+        quotient = divide(a, b1, b2, b3)
+        assert quotient == divide(divide(divide(a, b1), b2), b3)
+        assert mul(b1, mul(b2, mul(b3, quotient))) == a
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 63, 64, 65, 300])
@@ -138,18 +158,23 @@ def test_divide_over_z2_matches_exact_route(n):
     # Z, reduced mod 2, is the reference; an odd a_0 lets the last step show
     rng = random.Random(n)
     a = make_series(EXACT, n, [1] + [rng.randint(-9, 9) for _ in range(n)])
-    divisors = [
-        pentagonal_series(EXACT, n),
-        pentagonal_series(EXACT, n, 2),
-        pentagonal_series(EXACT, n, 5),
-        triangular_cube_series(EXACT, n),
-        pochhammer(EXACT, n, 1, 1),
-        make_series(EXACT, n, [1] + [rng.randint(-9, 9) for _ in range(n)]),
-        make_series(EXACT, n, [1]),
+    euler, cube = pentagonal_series(EXACT, n), triangular_cube_series(EXACT, n)
+    step5 = pentagonal_series(EXACT, n, 5)
+    denominators = [
+        [euler],
+        [pentagonal_series(EXACT, n, 2)],
+        [step5],
+        [cube],
+        [pochhammer(EXACT, n, 1, 1)],
+        [make_series(EXACT, n, [1] + [rng.randint(-9, 9) for _ in range(n)])],
+        [make_series(EXACT, n, [1])],
+        # the routes' own: one pack, every factor's dilations, one unpack
+        [euler, euler, step5],
+        [cube, cube, euler],
     ]
-    for b in divisors:
-        got = divide(reduce_mod(a, 2), reduce_mod(b, 2))
-        assert got == reduce_mod(divide(a, b), 2), b
+    for bs in denominators:
+        got = divide(reduce_mod(a, 2), *(reduce_mod(b, 2) for b in bs))
+        assert got == reduce_mod(divide(a, *bs), 2), bs
 
 
 def test_invert_rejects_non_unit():
