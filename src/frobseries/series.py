@@ -13,26 +13,32 @@ series.
 Production routes build eta quotients from sparse pentagonal series
 (:func:`pentagonal_series`, placed from the one exponent list
 :func:`pentagonal_exponents`), the sparse cube
-:func:`triangular_cube_series`, and :func:`divide`, which takes a whole
-denominator b_1 ... b_r in one call.  For a factor with nnz nonzero
-terms taking g distinct values, :func:`divide` reads O(N * nnz)
-coefficients but takes only O(N * g) Python steps: each group of
-equal-valued terms is summed by one C-level gather.  Over Z/2 it runs no
-recurrence: there b^2 = b(q^2), so 1/b = prod_{t>=0} b(q^{2^t}), and one
-call of the private kernel :func:`_gf2_times_inverse` applies the
-dilations of every factor to the dividend, packed once into one int and
-unpacked once, sum_t nnz(b_i up to q^{N/2^t}) shift-XORs of N-bit ints
-per factor.  The parity route of ``frobenius`` calls the same kernel
-with its one factor.  The dense O(N^2)
-:func:`mul` and :func:`pochhammer` stay as the schoolbook and
-product-expansion references that the tests compare the sparse forms
-against.
+:func:`triangular_cube_series` (from :func:`triangular_exponents`), and
+:func:`divide`, which takes a whole denominator b_1 ... b_r in one call.
+Over Z/p for a prime p <= 13 it runs no recurrence: there b^p = b(q^p),
+so a factor b (b_0 = 1) taken r times has 1/b^r = prod_t
+b(q^{p^t})^{d_t}, the d_t the base-p digits of p^T - r for p^T > N.
+Each distinct factor is scanned once, and one call of the private kernel
+:func:`_times_dilations` applies every dilation to the dividend, packed
+once into one int and unpacked once: one shifted add per term of
+b(q^{p^t}) up to q^N, on 1-bit slots with XOR over Z/2 and on 16-bit
+slots, reduced mod p by byte tables when a slot could overflow, for odd
+p.  The parity route of ``frobenius`` calls the same kernel with Jacobi's
+cube mod 2 as its factor.  In Z, in Z/m for composite m and for primes p
+>= 17, where each level's p - 1 products cost more than they save,
+:func:`divide` runs a recurrence per factor: for nnz nonzero terms taking
+g distinct values it reads O(N * nnz) coefficients but takes only
+O(N * g) Python steps, since each group of equal-valued terms is summed
+by one C-level gather.  The dense O(N^2) :func:`mul` and
+:func:`pochhammer` stay as the schoolbook and product-expansion
+references that the tests compare the sparse forms against, and the
+recurrence as the reference for the products.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
 from operator import itemgetter
 from typing import Sequence
 
@@ -177,22 +183,37 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     product (q^{s_1};q^{s_1})_inf ... (q^{s_r};q^{s_r})_inf; a factor may
     repeat.  Each b_i must have a unit constant coefficient.
 
-    Over Z/2 the quotient is a product, with no recurrence: b^2 = b(q^2)
-    there, so b * prod_{t<T} b(q^{2^t}) = b(q^{2^T}) = 1 + O(q^{2^T}) and
-    1/b = prod_{t>=0} b(q^{2^t}).  a is packed into one int,
-    :func:`_gf2_times_inverse` applies the about log2(N) dilations of
-    every b_i by shift-XOR, sum_t nnz(b_i up to q^{N/2^t}) shift-XORs of
-    N-bit ints per factor, and the result is unpacked once.
+    Over Z/p for a prime p <= 13 the quotient is a product, with no
+    recurrence.  Over F_p, b^p = b(q^p), so for b_0 = 1 and p^T > N,
+    b^{p^T} = b(q^{p^T}) = 1 + O(q^{N+1}); a factor b taken r times then
+    has 1/b^r = b^{p^T - r} = prod_{t<T} b(q^{p^t})^{d_t}, where the d_t
+    are the base-p digits of p^T - r.  :func:`_dilation_plan` scans each
+    distinct divisor once and folds its multiplicity into those digits
+    (over Z/2, 1/b^2 = 1/b(q^2)), and one call of
+    :func:`_times_dilations` applies every dilation to a, packed once and
+    unpacked once.
 
-    In any other ring, one recurrence per factor, c_m = b_0^{-1} (a_m -
-    sum_{i>=1, b_i != 0} b_i c_{m-i}), over b's nonzero terms only.
-    ``out`` grows by append, so c_{m-i} is ``out[-i]``, and b's active
-    terms (i <= m) are grouped by coefficient value: each group of two or
-    more is one ``itemgetter`` of negative indices, so c * sum(getter(out))
-    gathers and adds the whole group in C.  The groups change only at b's
-    term indices and are rebuilt there.  A pentagonal divisor gives two
-    groups over Z; the cube's terms all differ over Z, so there each is a
-    group of one.
+    Why p <= 13: level t costs d_t <= p - 1 products, each one shifted
+    add per term of b up to q^{N/p^t}, where the recurrence costs one
+    pass.  At N = 10^4 (CPython 3.11.7, 2-core machine, best of 5, two
+    runs; products against recurrence) 1/E(q) took 9-11 against 30-43 ms
+    at p = 3, 34-44 against 38-41 ms at p = 13, 54-56 against 38-42 ms at
+    p = 17 and 82-98 against 38-41 ms at p = 31; the double sum's
+    1/(E E E(q^5)) took 54-64 against 89-99, 56-80 against 72-89 and
+    146-149 against 63-92 ms at p = 13, 17 and 31.  So p = 13 is the last
+    prime at which a lone factor about ties and the routes' denominators
+    still gain.  The bound is fixed, not a setting.
+
+    In any other ring (Z, composite m, primes p >= 17), one recurrence
+    per factor, c_m = b_0^{-1} (a_m - sum_{i>=1, b_i != 0} b_i c_{m-i}),
+    over b's nonzero terms only.  ``out`` grows by append, so c_{m-i} is
+    ``out[-i]``, and b's active terms (i <= m) are grouped by coefficient
+    value: each group of two or more is one ``itemgetter`` of negative
+    indices, so c * sum(getter(out)) gathers and adds the whole group in
+    C.  The groups change only at b's term indices and are rebuilt there.
+    A pentagonal divisor gives two groups over Z; the cube's terms all
+    differ over Z, so there each is a group of one.  The recurrence is
+    also the reference that the tests compare the products against.
 
     The recurrence costs O(N * nnz(b)) element reads per factor, done in
     C, and per coefficient one Python step per group, then one
@@ -206,16 +227,15 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     ring, n = a.ring, a.truncation
     modulus = ring.modulus
     inverses = [ring.unit_inverse(b.coeffs[0]) for b in divisors]
-    if modulus == 2:
-        # coefficients as ASCII binary digits, q^0 first: a's are the bits
-        # of one int with q^i at bit N - i, each b's nonzero ones its
-        # exponents
-        a_digits = bytes(a.coeffs).translate(_PARITY_DIGIT)
-        factors = []
-        for b in divisors:
-            bits = bytes(b.coeffs).translate(_PARITY_DIGIT).translate(_DIGIT_BIT)
-            factors.append((list(compress(range(n + 1), bits)), 1))
-        return _gf2_times_inverse(int(a_digits, 2), factors, n)
+    if modulus in _FROBENIUS_PRIMES:
+        scale, factors = _dilation_plan(divisors, modulus, n)
+        data = _residue_bytes(a, modulus)
+        if modulus == 2:
+            packed = int(data.translate(_PARITY_DIGIT), 2)
+        else:
+            scaled = bytes(scale * x % modulus for x in range(256))
+            packed = _pack_slots(data.translate(scaled))
+        return _times_dilations(packed, factors, n, modulus)
     coeffs = a.coeffs
     for b, inv0 in zip(divisors, inverses):
         terms = [(i, c) for i, c in enumerate(b.coeffs) if c and i]
@@ -247,40 +267,151 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(ring, n, tuple(coeffs))
 
 
+# the moduli whose quotients divide takes as products of dilations
+_FROBENIUS_PRIMES = (2, 3, 5, 7, 11, 13)
+_NONZERO_FLAG = bytes([0] + [1] * 255)  # byte x -> 1 if x else 0
 # byte value -> its parity as an ASCII digit '0'/'1', and ASCII '0'/'1' ->
 # byte 0/1: a Z/2 series packs and unpacks in a few C-level passes
 _PARITY_DIGIT = bytes(b"01"[i & 1] for i in range(256))
 _DIGIT_BIT = bytes.maketrans(b"01", b"\x00\x01")
+# p -> the bytes x -> x mod p, and for odd p, whose coefficients take one
+# 16-bit slot each, x -> 256 x mod p: a slot's low and high byte reduced
+_RESIDUE_TABLES = {p: bytes(x % p for x in range(256)) for p in _FROBENIUS_PRIMES}
+_HIGH_BYTE_TABLES = {
+    p: bytes(256 * x % p for x in range(256)) for p in _FROBENIUS_PRIMES[1:]
+}
+_SLOT_MAX = 0xFFFF
 
 
-def _gf2_times_inverse(
-    packed: int, factors: Sequence[tuple[Sequence[int], int]], truncation: int
-) -> TruncatedSeries:
-    """packed / prod_i b_i(q^{step_i}) over Z/2, one factor per pair.
+def _residue_bytes(a: TruncatedSeries, p: int) -> bytes:
+    """a's coefficients reduced mod p, q^0 first, one byte each.
 
-    ``factors`` holds the pairs (exponents_i, step_i), and b_i = sum_{g in
-    exponents_i} q^g.  ``packed`` holds a series to q^N with q^i at bit
-    N - i, so multiplying by q^s is a right shift by s that drops every
-    term past q^N, with no mask.  Each exponent list ascends from 0
-    (b_i(0) = 1) and may run past N.  Over Z/2, 1/b(q^step) =
-    prod_{t>=0} b(q^{step 2^t}); each dilation with step * 2^t <= N is
-    one shift-XOR per exponent g with step * 2^t * g <= N, and the
-    factors past N are 1.  The factors commute, so they are applied one
-    after another to the one packed int.  The binary digits of the
-    result, most significant first, are the coefficients of q^0..q^N.
+    Series built by :func:`make_series` already hold residues; the table
+    also reduces a byte stored unreduced, and a coefficient outside
+    [0, 256) is reduced one by one.
+    """
+    try:
+        data = bytes(a.coeffs)
+    except ValueError:
+        return bytes(c % p for c in a.coeffs)
+    return data.translate(_RESIDUE_TABLES[p])
+
+
+def _dilation_plan(
+    divisors: Sequence[TruncatedSeries], p: int, truncation: int
+) -> tuple[int, list]:
+    """(scale, factors) with 1 / (b_1 ... b_r) = scale * prod b(q^step) over Z/p.
+
+    For each distinct divisor b, taken r times, the coefficients are
+    scaled so that b_0 = 1 (``scale`` collects b_0^{-r}), and ``factors``
+    gets d_t pairs (terms, p^t) for each base-p digit d_t of p^T - r with
+    p^t <= N < p^T; the dilations past q^N are 1 and are left out.
+    ``terms`` lists b's nonzero terms in ascending order from g = 0: the
+    exponents g over Z/2, (g, coefficient) pairs for odd p.  Each distinct
+    divisor is scanned once, its N + 1 coefficients as one bytes object.
     """
     n = truncation
-    for exponents, step in factors:
+    distinct: list[TruncatedSeries] = []
+    for b in divisors:
+        if b not in distinct:
+            distinct.append(b)
+    scale, factors = 1, []
+    for b in distinct:
+        r = divisors.count(b)
+        inv0 = pow(b.coeffs[0], -1, p)
+        scale = scale * pow(inv0, r, p) % p
+        data = _residue_bytes(b, p)
+        flags = data.translate(_NONZERO_FLAG)
+        exponents = []
+        g = flags.find(1)
+        while g >= 0:
+            exponents.append(g)
+            g = flags.find(1, g + 1)
+        terms = exponents if p == 2 else [(g, data[g] * inv0 % p) for g in exponents]
+        # the base-p digits of p^T - r for t < T are those of -r, which %
+        # and // by p give (floor division); p^T past N is never formed
+        digits, step = -r, 1
         while step <= n:
+            factors += [(terms, step)] * (digits % p)
+            digits //= p
+            step *= p
+    return scale, factors
+
+
+def _pack_slots(residues: bytes) -> int:
+    """Residues mod an odd p, q^0 first, as one int: q^i in 16-bit slot N - i."""
+    slots = bytearray(2 * len(residues))
+    slots[1::2] = residues
+    return int.from_bytes(slots, "big")
+
+
+def _slot_residues(packed: int, truncation: int, p: int) -> bytes:
+    """The 16-bit slots of ``packed`` reduced mod p, q^0 first, one byte each.
+
+    A slot 256 h + l is congruent to (256 h mod p) + (l mod p), a sum of
+    two table lookups below 2p; one byte per slot holds it, and the low
+    table reduces it once more.
+    """
+    data = packed.to_bytes(2 * (truncation + 1), "big")
+    low = _RESIDUE_TABLES[p]
+    total = int.from_bytes(data[1::2].translate(low), "big") + int.from_bytes(
+        data[::2].translate(_HIGH_BYTE_TABLES[p]), "big"
+    )
+    return total.to_bytes(truncation + 1, "big").translate(low)
+
+
+def _times_dilations(
+    packed: int, factors: Sequence[tuple[Sequence, int]], truncation: int, p: int
+) -> TruncatedSeries:
+    """packed * prod_i b_i(q^{step_i}) over Z/p, for p = 2 or an odd prime.
+
+    ``factors`` holds the pairs (terms_i, step_i) of sparse factors b_i,
+    whose terms ascend from g = 0 and may run past N.  ``packed`` holds a
+    series to q^N with q^i in slot N - i, so multiplying by q^s is a right
+    shift by s slots that drops every term past q^N, with no mask, and
+    each factor is one shifted add per term g with step * g <= N.  The
+    factors commute, so they are applied one after another to the one
+    packed int.
+
+    Over Z/2 a slot is one bit, the terms are the exponents g and the add
+    is XOR; the binary digits of the result, most significant first, are
+    the coefficients of q^0..q^N.  For odd p a slot is 16 bits and the
+    terms are pairs (g, c) with 0 < c < p: c * packed is made once per
+    factor and value c, then shifted per term.  A bound on the slots is
+    tracked, and whenever an add could pass 2^16 - 1 the sum so far is
+    reduced mod p by :func:`_slot_residues`, back to the bound p - 1; the
+    result is reduced once at the end.
+    """
+    n = truncation
+    if p == 2:
+        for exponents, step in factors:
             product = 0
             for g in exponents:
                 if step * g > n:
                     break
                 product ^= packed >> step * g
             packed = product
-            step *= 2
-    bits = format(packed, f"0{n + 1}b")
-    return TruncatedSeries(MOD2, n, tuple(bits.encode().translate(_DIGIT_BIT)))
+        bits = format(packed, f"0{n + 1}b")
+        return TruncatedSeries(MOD2, n, tuple(bits.encode().translate(_DIGIT_BIT)))
+    bound = p - 1  # no slot of packed exceeds it
+    for terms, step in factors:
+        # (g, c) <= (N // step, p) exactly when step * g <= N, since c < p
+        active = terms[: bisect_right(terms, (n // step, p))]
+        if bound * sum(c for _, c in active) > _SLOT_MAX:
+            packed, bound = _pack_slots(_slot_residues(packed, n, p)), p - 1
+        multiples = {1: packed}
+        product = top = 0
+        for g, c in active:
+            if top + c * bound > _SLOT_MAX:
+                product, top = _pack_slots(_slot_residues(product, n, p)), p - 1
+            multiple = multiples.get(c)
+            if multiple is None:
+                multiple = multiples[c] = c * packed
+            product += multiple >> 16 * step * g
+            top += c * bound
+        packed, bound = product, top
+    residues = _slot_residues(packed, n, p)
+    return TruncatedSeries(CoefficientRing(p), n, tuple(residues))
 
 
 def invert(a: TruncatedSeries) -> TruncatedSeries:
@@ -350,19 +481,29 @@ def pentagonal_series(
     return TruncatedSeries(ring, truncation, tuple(out))
 
 
+def triangular_exponents(limit: int) -> list[tuple[int, int]]:
+    """(e, (-1)^m (2m+1)) for each triangular e = m(m+1)/2 <= limit, m >= 0.
+
+    The terms of Jacobi's cube (q;q)_inf^3, in ascending order of e, 0
+    first; O(sqrt(limit)) steps.  Mod 2 every coefficient is 1, so the
+    exponents alone are J = sum_{m>=0} q^{m(m+1)/2}, the cube mod 2.
+    """
+    terms = []
+    m = 0
+    while (e := m * (m + 1) // 2) <= limit:
+        terms.append((e, -(2 * m + 1) if m % 2 else 2 * m + 1))
+        m += 1
+    return terms
+
+
 def triangular_cube_series(
     ring: CoefficientRing, truncation: int
 ) -> TruncatedSeries:
-    """Sparse form of (q;q)_inf^3: coefficient (-1)^k (2k+1) at q^{k(k+1)/2}."""
-    n = truncation
-    out = [0] * (n + 1)
-    k = 0
-    while k * (k + 1) // 2 <= n:
-        e = k * (k + 1) // 2
-        c = (2 * k + 1) * (-1 if k % 2 else 1)
+    """Sparse form of (q;q)_inf^3: each term of :func:`triangular_exponents`."""
+    out = [0] * (truncation + 1)
+    for e, c in triangular_exponents(truncation):
         out[e] = ring.normalize(c)
-        k += 1
-    return TruncatedSeries(ring, n, tuple(out))
+    return TruncatedSeries(ring, truncation, tuple(out))
 
 
 def reduce_mod(a: TruncatedSeries, m: int) -> TruncatedSeries:

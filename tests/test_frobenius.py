@@ -66,8 +66,10 @@ def test_phi_parity_series_examples():
 
 def test_phi_parity_bit_route_matches_sparse_division():
     # the eta quotient by the recurrence over Z, reduced mod 2, as the
-    # reference: over Z/2 divide runs the parity route's own kernel
-    for n in (0, 1, 2, 7, 50, 301, 3001):
+    # reference: over Z/2 divide runs the parity route's own kernel.  The
+    # route multiplies by J(q^{(k+1) 4^u}); the truncations include the
+    # edges of that chain
+    for n in (0, 1, 2, 3, 5, 7, 17, 50, 129, 256, 301, 1000, 3001, 4097):
         for k in range(1, 31):
             quotient = divide(
                 pentagonal_series(EXACT, n), pentagonal_series(EXACT, n, k + 1)
@@ -89,23 +91,26 @@ def test_z2_routes_match_their_exact_forms(n):
 @pytest.mark.parametrize("n", [0, 7, 300])
 def test_each_z2_quotient_makes_one_kernel_call(n, monkeypatch):
     # each route states its whole denominator in one divide call, so over
-    # Z/2 the dividend is packed once, runs one kernel call that applies
-    # every factor's dilations, and is unpacked once
+    # Z/2 and over Z/p for small odd p the dividend is packed once, runs
+    # one kernel call that applies every factor's dilations, and is
+    # unpacked once
     calls = []
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    kernel = frobseries.series._gf2_times_inverse
-    monkeypatch.setattr(frobseries.series, "_gf2_times_inverse", counted)
-    monkeypatch.setattr(frobenius, "_gf2_times_inverse", counted)
-    for build in (
-        lambda: phi_series_double_sum(4, n, MOD2),
-        lambda: cphi_series(6, n, MOD2),
-        lambda: cphi_series(7, n, MOD2),
-        lambda: phi_parity_series(4, n),
-    ):
+    kernel = frobseries.series._times_dilations
+    monkeypatch.setattr(frobseries.series, "_times_dilations", counted)
+    monkeypatch.setattr(frobenius, "_times_dilations", counted)
+    builds = [lambda: phi_parity_series(4, n)]
+    for ring in (MOD2, CoefficientRing(3), CoefficientRing(5)):
+        builds += [
+            lambda ring=ring: phi_series_double_sum(4, n, ring),
+            lambda ring=ring: cphi_series(6, n, ring),
+            lambda ring=ring: cphi_series(7, n, ring),
+        ]
+    for build in builds:
         calls.clear()
         build()
         assert len(calls) == 1

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frobseries.series
 from frobseries.frobenius import partition_series, phi_parity_series
 from frobseries.series import (
     EXACT,
@@ -175,6 +176,65 @@ def test_divide_over_z2_matches_exact_route(n):
     for bs in denominators:
         got = divide(reduce_mod(a, 2), *(reduce_mod(b, 2) for b in bs))
         assert got == reduce_mod(divide(a, *bs), 2), bs
+    # coefficients stored unreduced, even or negative, give the same quotient
+    a2, euler2 = reduce_mod(a, 2), reduce_mod(euler, 2)
+    for shift in (2, -2):
+        unreduced = TruncatedSeries(MOD2, n, tuple(c + shift for c in a2.coeffs))
+        b = TruncatedSeries(MOD2, n, tuple(c + shift for c in euler2.coeffs))
+        assert divide(unreduced, b) == divide(a2, euler2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_divide_over_small_p_matches_exact_route(p):
+    # over Z/p, p <= 13, divide multiplies by b(q^{p^t}) d_t times, d_t the
+    # base-p digits of p^T - r for a factor taken r times; the truncations
+    # sit at the edges of that plan, and the recurrence over Z, reduced mod
+    # p, is the reference.  2E has b_0 = 2, a unit other than 1 mod p
+    for n in sorted({0, 1, 2, p - 1, p, p * p, 300}):
+        rng = random.Random(n * p)
+        a = make_series(EXACT, n, [rng.randint(-9, 9) for _ in range(n + 1)])
+        euler, cube = pentagonal_series(EXACT, n), triangular_cube_series(EXACT, n)
+        step5 = pentagonal_series(EXACT, n, 5)
+        ring = CoefficientRing(p)
+        for b in (euler, step5, cube):
+            for r in range(1, 8):
+                got = divide(reduce_mod(a, p), *[reduce_mod(b, p)] * r)
+                assert got == reduce_mod(divide(a, *[b] * r), p), (n, b, r)
+        two_euler = make_series(ring, n, [2 * c for c in euler.coeffs])
+        for r in range(1, 8):
+            quotient = reduce_mod(divide(a, *[euler] * r), p)
+            scaled = make_series(ring, n, [pow(2, -r, p) * c for c in quotient.coeffs])
+            assert divide(reduce_mod(a, p), *[two_euler] * r) == scaled, (n, r)
+        for bs in ([euler, euler, step5], [cube, cube, euler]):
+            got = divide(reduce_mod(a, p), *(reduce_mod(b, p) for b in bs))
+            assert got == reduce_mod(divide(a, *bs), p), (n, bs)
+        # coefficients stored unreduced, in [p, 2p) or below 0, give the
+        # same quotient
+        e_p = reduce_mod(euler, p)
+        for shift in (p, -p):
+            unreduced = TruncatedSeries(
+                ring, n, tuple(c % p + shift for c in a.coeffs)
+            )
+            b = TruncatedSeries(ring, n, tuple(c + shift for c in e_p.coeffs))
+            assert divide(unreduced, b) == divide(reduce_mod(a, p), e_p), n
+
+
+@pytest.mark.parametrize("modulus", [4, 17, 25])
+def test_divide_past_small_primes_runs_the_recurrence(modulus, monkeypatch):
+    # composite moduli and primes p >= 17 keep the recurrence: the
+    # dilation kernel is never called, and the quotients are the exact
+    # ones reduced mod m
+    def kernel(*args):
+        raise AssertionError("dilation kernel called")
+
+    monkeypatch.setattr(frobseries.series, "_times_dilations", kernel)
+    for n in (0, 1, 16, 17, 300):
+        rng = random.Random(n)
+        a = make_series(EXACT, n, [rng.randint(-9, 9) for _ in range(n + 1)])
+        euler, cube = pentagonal_series(EXACT, n), triangular_cube_series(EXACT, n)
+        for bs in ([euler], [cube], [euler, euler, pentagonal_series(EXACT, n, 5)]):
+            got = divide(reduce_mod(a, modulus), *(reduce_mod(b, modulus) for b in bs))
+            assert got == reduce_mod(divide(a, *bs), modulus), (n, bs)
 
 
 def test_invert_rejects_non_unit():
