@@ -23,12 +23,13 @@ Each distinct factor is scanned once, and one call of the private kernel
 once into one int and unpacked once: one shifted add per term of
 b(q^{p^t}) up to q^N, on 1-bit slots with XOR over Z/2 and on 16-bit
 slots, reduced mod p by byte tables when a slot could overflow, for odd
-p.  The parity route of ``frobenius`` calls the same kernel with Jacobi's
-cube mod 2 as its factor.  In Z, in Z/m for composite m and for primes p
->= 17, where each level's p - 1 products cost more than they save,
-:func:`divide` runs a recurrence per factor: for nnz nonzero terms taking
-g distinct values it reads O(N * nnz) coefficients but takes only
-O(N * g) Python steps, since each group of equal-valued terms is summed
+p.  In ``frobenius`` the parity route calls the same kernel with Jacobi's
+cube mod 2 as its factor, and cphi over Z/p with the plan of its
+denominator on a theta row built in the kernel's slots.  In Z, in Z/m
+for composite m and for primes p >= 17, where each level's p - 1
+products cost more than they save, :func:`divide` runs a recurrence per
+factor: for nnz nonzero terms taking g distinct values it reads
+O(N * nnz) coefficients but takes only O(N * g) Python steps, since each group of equal-valued terms is summed
 by one C-level gather.  The dense O(N^2) :func:`mul` and
 :func:`pochhammer` stay as the schoolbook and product-expansion
 references that the tests compare the sparse forms against, and the
@@ -195,14 +196,11 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
 
     Why p <= 13: level t costs d_t <= p - 1 products, each one shifted
     add per term of b up to q^{N/p^t}, where the recurrence costs one
-    pass.  At N = 10^4 (CPython 3.11.7, 2-core machine, best of 5, two
-    runs; products against recurrence) 1/E(q) took 9-11 against 30-43 ms
-    at p = 3, 34-44 against 38-41 ms at p = 13, 54-56 against 38-42 ms at
-    p = 17 and 82-98 against 38-41 ms at p = 31; the double sum's
-    1/(E E E(q^5)) took 54-64 against 89-99, 56-80 against 72-89 and
-    146-149 against 63-92 ms at p = 13, 17 and 31.  So p = 13 is the last
-    prime at which a lone factor about ties and the routes' denominators
-    still gain.  The bound is fixed, not a setting.
+    pass.  At N = 10^4 1/E(q) took 34-44 ms by products against 38-41 ms
+    by the recurrence at p = 13, and 54-56 against 38-42 ms at p = 17
+    (CPython 3.11.7, 2-core machine; the README has more primes and the
+    double sum's denominator).  So p = 13 is the last prime at which a
+    lone factor about ties.  The bound is fixed, not a setting.
 
     In any other ring (Z, composite m, primes p >= 17), one recurrence
     per factor, c_m = b_0^{-1} (a_m - sum_{i>=1, b_i != 0} b_i c_{m-i}),
@@ -228,14 +226,13 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     modulus = ring.modulus
     inverses = [ring.unit_inverse(b.coeffs[0]) for b in divisors]
     if modulus in _FROBENIUS_PRIMES:
-        scale, factors = _dilation_plan(divisors, modulus, n)
         data = _residue_bytes(a, modulus)
         if modulus == 2:
             packed = int(data.translate(_PARITY_DIGIT), 2)
         else:
-            scaled = bytes(scale * x % modulus for x in range(256))
-            packed = _pack_slots(data.translate(scaled))
-        return _times_dilations(packed, factors, n, modulus)
+            packed = _pack_slots(data)
+        plan = _dilation_plan(divisors, modulus, n)
+        return _times_dilations(packed, plan, n, modulus)
     coeffs = a.coeffs
     for b, inv0 in zip(divisors, inverses):
         terms = [(i, c) for i, c in enumerate(b.coeffs) if c and i]
@@ -299,23 +296,23 @@ def _residue_bytes(a: TruncatedSeries, p: int) -> bytes:
 
 def _dilation_plan(
     divisors: Sequence[TruncatedSeries], p: int, truncation: int
-) -> tuple[int, list]:
-    """(scale, factors) with 1 / (b_1 ... b_r) = scale * prod b(q^step) over Z/p.
+) -> list:
+    """Factors (terms, step) with 1 / (b_1 ... b_r) = prod b(q^step) over Z/p.
 
     For each distinct divisor b, taken r times, the coefficients are
-    scaled so that b_0 = 1 (``scale`` collects b_0^{-r}), and ``factors``
-    gets d_t pairs (terms, p^t) for each base-p digit d_t of p^T - r with
-    p^t <= N < p^T; the dilations past q^N are 1 and are left out.
-    ``terms`` lists b's nonzero terms in ascending order from g = 0: the
-    exponents g over Z/2, (g, coefficient) pairs for odd p.  Each distinct
-    divisor is scanned once, its N + 1 coefficients as one bytes object.
+    scaled so that b_0 = 1, and the factors get d_t pairs (terms, p^t) for
+    each base-p digit d_t of p^T - r with p^t <= N < p^T; the dilations
+    past q^N are 1 and are left out.  ``terms`` lists b's nonzero terms in
+    ascending order from g = 0: the exponents g over Z/2, (g, coefficient)
+    pairs for odd p, whose first factor is the constant prod b_0^{-r}.
+    Each distinct divisor is scanned once, as one bytes object.
     """
     n = truncation
     distinct: list[TruncatedSeries] = []
     for b in divisors:
         if b not in distinct:
             distinct.append(b)
-    scale, factors = 1, []
+    scale, factors = 1, []  # over Z/2 every b_0 is 1
     for b in distinct:
         r = divisors.count(b)
         inv0 = pow(b.coeffs[0], -1, p)
@@ -335,7 +332,7 @@ def _dilation_plan(
             factors += [(terms, step)] * (digits % p)
             digits //= p
             step *= p
-    return scale, factors
+    return factors if p == 2 else [([(0, scale)], 1), *factors]
 
 
 def _pack_slots(residues: bytes) -> int:

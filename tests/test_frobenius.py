@@ -103,17 +103,29 @@ def test_each_z2_quotient_makes_one_kernel_call(n, monkeypatch):
     kernel = frobseries.series._times_dilations
     monkeypatch.setattr(frobseries.series, "_times_dilations", counted)
     monkeypatch.setattr(frobenius, "_times_dilations", counted)
-    builds = [lambda: phi_parity_series(4, n)]
+    # cphi builds its theta row packed: it never becomes a TruncatedSeries
+    made = []
+
+    def made_series(*args):
+        made.append(args)
+        return make_series(*args)
+
+    for module in (frobseries.series, frobenius):
+        monkeypatch.setattr(module, "make_series", made_series)
+    builds = [(False, lambda: phi_parity_series(4, n))]
     for ring in (MOD2, CoefficientRing(3), CoefficientRing(5)):
         builds += [
-            lambda ring=ring: phi_series_double_sum(4, n, ring),
-            lambda ring=ring: cphi_series(6, n, ring),
-            lambda ring=ring: cphi_series(7, n, ring),
+            (False, lambda ring=ring: phi_series_double_sum(4, n, ring)),
+            (True, lambda ring=ring: cphi_series(6, n, ring)),
+            (True, lambda ring=ring: cphi_series(7, n, ring)),
         ]
-    for build in builds:
+    for is_cphi, build in builds:
         calls.clear()
+        made.clear()
         build()
         assert len(calls) == 1
+        if is_cphi:
+            assert made == []
 
 
 def test_phi_parity_series_rejects_bad_arguments():
@@ -220,6 +232,69 @@ def test_cphi_series_matches_cg_product_reference():
                 assert cphi_series(k, n, CoefficientRing(m)) == want, (k, n, m)
     # the most slot headroom: T^8 with T = 22 theta terms
     assert cphi_series(8, 60) == cg_product(8, 60).constant_term()
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 6, 61, 120, 301])
+def test_cphi_series_over_small_primes_matches_all_row_reference(n):
+    # over Z/p for p <= 13 the theta row is built in the kernel's packed
+    # slots and divided without unpacking; the reference is every z row
+    # over Z, with no base-row recurrence and no kernel, reduced mod p
+    ks = [*range(1, 16), *((20, 30) if n <= 61 else ())]
+    for k in ks:
+        exact = cg_product(k, n).constant_term()
+        for p in SMALL_PRIMES:
+            got = cphi_series(k, n, CoefficientRing(p))
+            assert got == reduce_mod(exact, p), (k, n, p)
+
+
+def test_odd_p_theta_row_reduces_mid_sum(monkeypatch):
+    # a low slot limit makes the row (and the kernel) reduce mod p in the
+    # middle of a sum of shifted rows; the result must not change.  The
+    # limit is read in both modules, so it is lowered in both
+    n = 120
+    reductions = []
+
+    def counted(*args):
+        reductions.append(args)
+        return residues(*args)
+
+    residues = frobenius._slot_residues
+    monkeypatch.setattr(frobenius, "_slot_residues", counted)
+    want = {}
+    for k in (4, 9):
+        exact = cg_product(k, n).constant_term()
+        for p in SMALL_PRIMES[1:]:
+            want[k, p] = reduce_mod(exact, p)
+            assert cphi_series(k, n, CoefficientRing(p)) == want[k, p]
+    base_rows = len(reductions)  # one reduction per base row
+    reductions.clear()
+    for module in (frobseries.series, frobenius):
+        monkeypatch.setattr(module, "_SLOT_MAX", 40)
+    for (k, p), series in want.items():
+        assert cphi_series(k, n, CoefficientRing(p)) == series, (k, p)
+    assert len(reductions) > base_rows
+
+
+def test_z2_theta_row_is_computed():
+    # m -> -m pairs every point of the lattice sum but 0, so the z^0 row
+    # of theta^k is 1 mod 2; the route computes it and does not assume it
+    n = 1000
+    for k in range(1, 31):
+        assert _theta_constant_row(k, n, 2) == 1 << n, k
+
+
+def test_z2_cphi_route_reads_the_theta_terms(monkeypatch):
+    # without any one theta term of degree <= 15 the Z/2 route must change
+    full = cphi_series(4, 30, MOD2)
+    terms = frobenius._theta_terms
+    for i in range(12):
+        monkeypatch.setattr(
+            frobenius, "_theta_terms", lambda n: terms(n)[:i] + terms(n)[i + 1 :]
+        )
+        assert cphi_series(4, 30, MOD2) != full, terms(30)[i]
 
 
 def test_cphi_series_rejects_bad_arguments():
