@@ -165,12 +165,11 @@ def _wrap_rows(rows, ring, truncation) -> LaurentPolyOverSeries:
     nonzero = [z for z, row in rows.items() if any(row)]
     z_min = min(min(nonzero, default=0), 0)
     z_max = max(max(nonzero, default=0), 0)
-    entries = []
-    blank = (0,) * (truncation + 1)
-    for z in range(z_min, z_max + 1):
-        row = rows.get(z)
-        coeffs = tuple(row) if row is not None else blank
-        entries.append(TruncatedSeries(ring, truncation, coeffs))
+    blank = [0] * (truncation + 1)
+    entries = [
+        TruncatedSeries(ring, truncation, rows.get(z, blank))
+        for z in range(z_min, z_max + 1)
+    ]
     return LaurentPolyOverSeries(z_min, z_max, tuple(entries))
 
 
@@ -191,7 +190,7 @@ def cg_product(exponent: int, truncation: int) -> LaurentPolyOverSeries:
     n, e = truncation, exponent
     denominator = [pentagonal_series(EXACT, n)] * e
     rows = {
-        z: divide(TruncatedSeries(EXACT, n, tuple(row)), *denominator).coeffs
+        z: divide(TruncatedSeries(EXACT, n, row), *denominator).coeffs
         for z, row in _theta_rows(e, n).items()
     }
     return _wrap_rows(rows, EXACT, n)

@@ -8,32 +8,21 @@ error.
 
 Coefficients live either in the arbitrary-precision integers or in the
 integers mod m, selected by a :class:`CoefficientRing` tag fixed per
-series.
+series.  Over Z/m with m <= 256 they are stored as one bytes object of
+residues, which the kernels read and return as they are; in any other
+ring, as a tuple.
 
 Production routes build eta quotients from sparse pentagonal series
 (:func:`pentagonal_series`, placed from the one exponent list
 :func:`pentagonal_exponents`), the sparse cube
 :func:`triangular_cube_series` (from :func:`triangular_exponents`), and
-:func:`divide`, which takes a whole denominator b_1 ... b_r in one call.
-Over Z/p for a prime p <= 13 it runs no recurrence: there b^p = b(q^p),
-so a factor b (b_0 = 1) taken r times has 1/b^r = prod_t
-b(q^{p^t})^{d_t}, the d_t the base-p digits of p^T - r for p^T > N.
-Each distinct factor is scanned once, and one call of the private kernel
-:func:`_times_dilations` applies every dilation to the dividend, packed
-once into one int and unpacked once: one shifted add per term of
-b(q^{p^t}) up to q^N, on 1-bit slots with XOR over Z/2 and on 16-bit
-slots, reduced mod p by byte tables when a slot could overflow, for odd
-p.  In ``frobenius`` the parity route calls the same kernel with Jacobi's
-cube mod 2 as its factor, and cphi over Z/p with the plan of its
-denominator on a theta row built in the kernel's slots.  In Z, in Z/m
-for composite m and for primes p >= 17, where each level's p - 1
-products cost more than they save, :func:`divide` runs a recurrence per
-factor: for nnz nonzero terms taking g distinct values it reads
-O(N * nnz) coefficients but takes only O(N * g) Python steps, since each group of equal-valued terms is summed
-by one C-level gather.  The dense O(N^2) :func:`mul` and
-:func:`pochhammer` stay as the schoolbook and product-expansion
-references that the tests compare the sparse forms against, and the
-recurrence as the reference for the products.
+:func:`divide`, which takes a whole denominator b_1 ... b_r in one call:
+over Z/p for a prime p <= 13 as products of dilations on one packed int,
+by the kernel :func:`_times_dilations` that ``frobenius`` also calls,
+and in any other ring by a recurrence per factor.  The dense O(N^2)
+:func:`mul` and :func:`pochhammer` stay as the schoolbook and
+product-expansion references that the tests compare the sparse forms
+against, and the recurrence as the reference for the products.
 """
 
 from __future__ import annotations
@@ -65,6 +54,17 @@ class CoefficientRing:
     def normalize(self, x: int) -> int:
         return x if self.modulus is None else x % self.modulus
 
+    @property
+    def stores_bytes(self) -> bool:
+        """Whether a series over this ring keeps its coefficients as bytes:
+        over Z/m for m <= 256, where every residue fits one byte."""
+        return self.modulus is not None and self.modulus <= 256
+
+    def zeros(self, length: int) -> bytearray | list:
+        """A zero row to fill with residues and pass to TruncatedSeries:
+        a bytearray if ``stores_bytes``, else a list."""
+        return bytearray(length) if self.stores_bytes else [0] * length
+
     def unit_inverse(self, x: int) -> int:
         """Multiplicative inverse of a unit, or ValueError if x is no unit."""
         if self.modulus is None:
@@ -86,18 +86,35 @@ MOD2 = CoefficientRing(2)
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficient vector c_0..c_N; index n holds the coefficient of q^n."""
+    """Coefficients c_0..c_N of a series to q^N; coeffs[n] is that of q^n.
+
+    ``coeffs`` is stored by one rule, kept here.  Over Z/m with m <= 256
+    it is one bytes object of residues in [0, m): a bytes or bytearray
+    argument must already hold residues, which is checked in C, and any
+    other sequence is reduced mod m one by one.  Over Z it is a tuple, and
+    over Z/m with m > 256 a tuple reduced mod m.
+    """
 
     ring: CoefficientRing
     truncation: int
-    coeffs: tuple
+    coeffs: bytes | tuple
 
     def __post_init__(self):
         if self.truncation < 0:
             raise ValueError("truncation must be >= 0")
-        if len(self.coeffs) != self.truncation + 1:
+        coeffs, m = self.coeffs, self.ring.modulus
+        if not self.ring.stores_bytes:
+            coeffs = tuple(coeffs if m is None else [c % m for c in coeffs])
+        elif isinstance(coeffs, (bytes, bytearray)):
+            coeffs = bytes(coeffs)
+            if coeffs.translate(None, bytes(range(m))):  # the bytes left over
+                raise ValueError(f"coefficient bytes must be residues mod {m}")
+        else:
+            coeffs = bytes([c % m for c in coeffs])
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(coeffs) != self.truncation + 1:
             raise ValueError(
-                f"need {self.truncation + 1} coefficients, got {len(self.coeffs)}"
+                f"need {self.truncation + 1} coefficients, got {len(coeffs)}"
             )
 
     def coefficient(self, n: int) -> int:
@@ -128,10 +145,8 @@ def make_series(
         raise ValueError(
             f"{len(coeffs)} coefficients exceed truncation window {truncation}"
         )
-    m = ring.modulus
-    padded = list(coeffs) if m is None else [c % m for c in coeffs]
-    padded.extend([0] * (truncation + 1 - len(padded)))
-    return TruncatedSeries(ring, truncation, tuple(padded))
+    padding = [0] * (truncation + 1 - len(coeffs))
+    return TruncatedSeries(ring, truncation, [*coeffs, *padding])
 
 
 def zero_series(ring: CoefficientRing, truncation: int) -> TruncatedSeries:
@@ -149,12 +164,8 @@ def _check_compatible(a: TruncatedSeries, b: TruncatedSeries) -> None:
 
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     _check_compatible(a, b)
-    ring = a.ring
-    return TruncatedSeries(
-        ring,
-        a.truncation,
-        tuple(ring.normalize(x + y) for x, y in zip(a.coeffs, b.coeffs)),
-    )
+    sums = [x + y for x, y in zip(a.coeffs, b.coeffs)]
+    return TruncatedSeries(a.ring, a.truncation, sums)
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -170,11 +181,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             bj = bc[j]
             if bj:
                 out[i + j] += ai * bj
-    ring = a.ring
-    if ring.is_modular:
-        m = ring.modulus
-        out = [c % m for c in out]
-    return TruncatedSeries(ring, n, tuple(out))
+    return TruncatedSeries(a.ring, n, out)
 
 
 def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
@@ -191,8 +198,8 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     are the base-p digits of p^T - r.  :func:`_dilation_plan` scans each
     distinct divisor once and folds its multiplicity into those digits
     (over Z/2, 1/b^2 = 1/b(q^2)), and one call of
-    :func:`_times_dilations` applies every dilation to a, packed once and
-    unpacked once.
+    :func:`_times_dilations` applies every dilation to a: its residue
+    bytes are packed once into one int, and the result unpacked once.
 
     Why p <= 13: level t costs d_t <= p - 1 products, each one shifted
     add per term of b up to q^{N/p^t}, where the recurrence costs one
@@ -226,17 +233,16 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     modulus = ring.modulus
     inverses = [ring.unit_inverse(b.coeffs[0]) for b in divisors]
     if modulus in _FROBENIUS_PRIMES:
-        data = _residue_bytes(a, modulus)
         if modulus == 2:
-            packed = int(data.translate(_PARITY_DIGIT), 2)
+            packed = int(a.coeffs.translate(_BIT_DIGIT), 2)
         else:
-            packed = _pack_slots(data)
+            packed = _pack_slots(a.coeffs)
         plan = _dilation_plan(divisors, modulus, n)
         return _times_dilations(packed, plan, n, modulus)
     coeffs = a.coeffs
     for b, inv0 in zip(divisors, inverses):
         terms = [(i, c) for i, c in enumerate(b.coeffs) if c and i]
-        out: list[int] = []
+        out = ring.zeros(0)  # c_0, c_1, ... in the ring's storage
         # value -> negative indices of the active terms with that value; a
         # group of one is read directly, since itemgetter of one index
         # returns the item, not a tuple
@@ -261,37 +267,25 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
             ]
             singles = [(v, js[0]) for v, js in groups.items() if len(js) == 1]
         coeffs = out
-    return TruncatedSeries(ring, n, tuple(coeffs))
+    return TruncatedSeries(ring, n, coeffs)
 
 
 # the moduli whose quotients divide takes as products of dilations
 _FROBENIUS_PRIMES = (2, 3, 5, 7, 11, 13)
 _NONZERO_FLAG = bytes([0] + [1] * 255)  # byte x -> 1 if x else 0
-# byte value -> its parity as an ASCII digit '0'/'1', and ASCII '0'/'1' ->
-# byte 0/1: a Z/2 series packs and unpacks in a few C-level passes
-_PARITY_DIGIT = bytes(b"01"[i & 1] for i in range(256))
+# residue byte 0/1 <-> ASCII digit '0'/'1': a Z/2 series packs and
+# unpacks in a few C-level passes
+_BIT_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_BIT = bytes.maketrans(b"01", b"\x00\x01")
-# p -> the bytes x -> x mod p, and for odd p, whose coefficients take one
-# 16-bit slot each, x -> 256 x mod p: a slot's low and high byte reduced
-_RESIDUE_TABLES = {p: bytes(x % p for x in range(256)) for p in _FROBENIUS_PRIMES}
+# for odd p, whose coefficients take one 16-bit slot each, p -> the bytes
+# x -> x mod p and x -> 256 x mod p: a slot's low and high byte reduced
+_RESIDUE_TABLES = {
+    p: bytes(x % p for x in range(256)) for p in _FROBENIUS_PRIMES[1:]
+}
 _HIGH_BYTE_TABLES = {
     p: bytes(256 * x % p for x in range(256)) for p in _FROBENIUS_PRIMES[1:]
 }
 _SLOT_MAX = 0xFFFF
-
-
-def _residue_bytes(a: TruncatedSeries, p: int) -> bytes:
-    """a's coefficients reduced mod p, q^0 first, one byte each.
-
-    Series built by :func:`make_series` already hold residues; the table
-    also reduces a byte stored unreduced, and a coefficient outside
-    [0, 256) is reduced one by one.
-    """
-    try:
-        data = bytes(a.coeffs)
-    except ValueError:
-        return bytes(c % p for c in a.coeffs)
-    return data.translate(_RESIDUE_TABLES[p])
 
 
 def _dilation_plan(
@@ -317,7 +311,7 @@ def _dilation_plan(
         r = divisors.count(b)
         inv0 = pow(b.coeffs[0], -1, p)
         scale = scale * pow(inv0, r, p) % p
-        data = _residue_bytes(b, p)
+        data = b.coeffs
         flags = data.translate(_NONZERO_FLAG)
         exponents = []
         g = flags.find(1)
@@ -389,7 +383,7 @@ def _times_dilations(
                 product ^= packed >> step * g
             packed = product
         bits = format(packed, f"0{n + 1}b")
-        return TruncatedSeries(MOD2, n, tuple(bits.encode().translate(_DIGIT_BIT)))
+        return TruncatedSeries(MOD2, n, bits.encode().translate(_DIGIT_BIT))
     bound = p - 1  # no slot of packed exceeds it
     for terms, step in factors:
         # (g, c) <= (N // step, p) exactly when step * g <= N, since c < p
@@ -407,8 +401,7 @@ def _times_dilations(
             product += multiple >> 16 * step * g
             top += c * bound
         packed, bound = product, top
-    residues = _slot_residues(packed, n, p)
-    return TruncatedSeries(CoefficientRing(p), n, tuple(residues))
+    return TruncatedSeries(CoefficientRing(p), n, _slot_residues(packed, n, p))
 
 
 def invert(a: TruncatedSeries) -> TruncatedSeries:
@@ -439,7 +432,7 @@ def pochhammer(
         for i in range(n, e - 1, -1):
             out[i] = ring.normalize(out[i] - out[i - e])
         e += step
-    return TruncatedSeries(ring, n, tuple(out))
+    return TruncatedSeries(ring, n, out)
 
 
 def pentagonal_exponents(limit: int) -> list[tuple[int, int]]:
@@ -472,10 +465,10 @@ def pentagonal_series(
         raise ValueError(f"step must be >= 1, got {step}")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    out = [0] * (truncation + 1)
+    out = ring.zeros(truncation + 1)
     for e, sign in pentagonal_exponents(truncation // step):
         out[step * e] = ring.normalize(sign)
-    return TruncatedSeries(ring, truncation, tuple(out))
+    return TruncatedSeries(ring, truncation, out)
 
 
 def triangular_exponents(limit: int) -> list[tuple[int, int]]:
@@ -497,10 +490,10 @@ def triangular_cube_series(
     ring: CoefficientRing, truncation: int
 ) -> TruncatedSeries:
     """Sparse form of (q;q)_inf^3: each term of :func:`triangular_exponents`."""
-    out = [0] * (truncation + 1)
+    out = ring.zeros(truncation + 1)
     for e, c in triangular_exponents(truncation):
         out[e] = ring.normalize(c)
-    return TruncatedSeries(ring, truncation, tuple(out))
+    return TruncatedSeries(ring, truncation, out)
 
 
 def reduce_mod(a: TruncatedSeries, m: int) -> TruncatedSeries:
@@ -509,7 +502,4 @@ def reduce_mod(a: TruncatedSeries, m: int) -> TruncatedSeries:
         raise ValueError("reduce_mod expects an exact-integer series")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    ring = CoefficientRing(m)
-    return TruncatedSeries(
-        ring, a.truncation, tuple(c % m for c in a.coeffs)
-    )
+    return TruncatedSeries(CoefficientRing(m), a.truncation, a.coeffs)

@@ -111,6 +111,33 @@ def test_expand_text_header_names_truncation_and_ring(mod, ring, route, capsys):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_expand_mod_3_prints_the_residues_as_integers(fmt, capsys):
+    # the Z/3 series is stored as residue bytes; every format prints the
+    # integers of the exact series reduced mod 3
+    n = 40
+    code, out = run(
+        ["expand", "--family", "phi", "--k", "4", "--n", str(n), "--mod", "3",
+         "--format", fmt, "--no-timestamp"],
+        capsys,
+    )
+    want = [c % 3 for c in frobenius.phi_series_double_sum(4, n).coeffs]
+    pairs = list(enumerate(want))
+    expected = {
+        "json": json.dumps(
+            {"family": "phi", "k": 4, "truncation": n, "modulus": 3,
+             "route": "phi-double-sum", "coefficients": want}
+        ) + "\n",
+        "csv": "\n".join(["n,coefficient", *(f"{i},{c}" for i, c in pairs)]) + "\n",
+        "text": "\n".join(
+            [f"# family=phi k=4 n={n} ring=Z/3 route=phi-double-sum",
+             *(f"{i}\t{c}" for i, c in pairs)]
+        ) + "\n",
+    }[fmt]
+    assert code == 0
+    assert out == expected
+
+
 def test_json_payload_is_one_compact_line(capsys):
     expand = ["expand", "--family", "phi", "--k", "1", "--n", "2000",
               "--format", "json"]

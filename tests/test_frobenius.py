@@ -19,6 +19,7 @@ from frobseries.series import (
     EXACT,
     MOD2,
     CoefficientRing,
+    TruncatedSeries,
     divide,
     make_series,
     mul,
@@ -59,9 +60,9 @@ def test_phi_coefficients_nonnegative():
 
 
 def test_phi_parity_series_examples():
-    assert phi_parity_series(2, 3).coeffs == (1, 1, 1, 1)
-    assert phi_parity_series(4, 3).coeffs == (1, 1, 1, 0)
-    assert phi_parity_series(5, 0).coeffs == (1,)
+    assert phi_parity_series(2, 3).coeffs == bytes((1, 1, 1, 1))
+    assert phi_parity_series(4, 3).coeffs == bytes((1, 1, 1, 0))
+    assert phi_parity_series(5, 0).coeffs == bytes((1,))
 
 
 def test_phi_parity_bit_route_matches_sparse_division():
@@ -240,11 +241,13 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 6, 61, 120, 301])
 def test_cphi_series_over_small_primes_matches_all_row_reference(n):
     # over Z/p for p <= 13 the theta row is built in the kernel's packed
-    # slots and divided without unpacking; the reference is every z row
-    # over Z, with no base-row recurrence and no kernel, reduced mod p
+    # slots and divided without unpacking; the reference is the z^0 row of
+    # cg_product's all-row theta power over Z, with no base-row recurrence
+    # and no kernel, divided by k pentagonal factors and reduced mod p
     ks = [*range(1, 16), *((20, 30) if n <= 61 else ())]
     for k in ks:
-        exact = cg_product(k, n).constant_term()
+        row = TruncatedSeries(EXACT, n, _theta_rows(k, n)[0])
+        exact = divide(row, *[pentagonal_series(EXACT, n)] * k)
         for p in SMALL_PRIMES:
             got = cphi_series(k, n, CoefficientRing(p))
             assert got == reduce_mod(exact, p), (k, n, p)
@@ -374,6 +377,28 @@ def test_double_sum_in_modular_ring_matches_exact():
         exact = reduce_mod(phi_series_double_sum(k, 30), m)
         modular = phi_series_double_sum(k, 30, CoefficientRing(m))
         assert exact == modular, (k, m)
+
+
+@pytest.mark.parametrize(
+    "modulus, storage",
+    [(None, tuple), (2, bytes), (3, bytes), (4, bytes), (17, bytes),
+     (25, bytes), (256, bytes), (257, tuple)],
+)
+def test_routes_return_their_ring_storage(modulus, storage):
+    # over Z/m with m <= 256 every route returns one bytes object of
+    # residues, the kernel's output as it is; over Z and m > 256 a tuple
+    ring = EXACT if modulus is None else CoefficientRing(modulus)
+    n = 60
+    for k in (1, 4, 6):
+        for route in (phi_series_double_sum, cphi_series):
+            got = route(k, n, ring)
+            assert type(got.coeffs) is storage, (route, k)
+            if modulus is not None:
+                assert got == reduce_mod(route(k, n), modulus), (route, k)
+    if modulus == 2:
+        assert type(phi_parity_series(4, n).coeffs) is bytes
+        witness = cphi_parity_witness(2, 20)
+        assert all(type(row.coeffs) is bytes for row in witness.entries)
 
 
 def test_expand_rejects_unknown_family():

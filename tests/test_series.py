@@ -38,7 +38,7 @@ def test_make_series_constant_one():
 
 def test_make_series_modular_reduction():
     s = make_series(CoefficientRing(5), 2, [7, -1])
-    assert s.coeffs == (2, 4, 0)
+    assert s.coeffs == bytes((2, 4, 0))
 
 
 def test_make_series_empty_is_zero():
@@ -176,7 +176,7 @@ def test_divide_over_z2_matches_exact_route(n):
     for bs in denominators:
         got = divide(reduce_mod(a, 2), *(reduce_mod(b, 2) for b in bs))
         assert got == reduce_mod(divide(a, *bs), 2), bs
-    # coefficients stored unreduced, even or negative, give the same quotient
+    # coefficients given unreduced, even or negative, give the same quotient
     a2, euler2 = reduce_mod(a, 2), reduce_mod(euler, 2)
     for shift in (2, -2):
         unreduced = TruncatedSeries(MOD2, n, tuple(c + shift for c in a2.coeffs))
@@ -208,7 +208,7 @@ def test_divide_over_small_p_matches_exact_route(p):
         for bs in ([euler, euler, step5], [cube, cube, euler]):
             got = divide(reduce_mod(a, p), *(reduce_mod(b, p) for b in bs))
             assert got == reduce_mod(divide(a, *bs), p), (n, bs)
-        # coefficients stored unreduced, in [p, 2p) or below 0, give the
+        # coefficients given unreduced, in [p, 2p) or below 0, give the
         # same quotient
         e_p = reduce_mod(euler, p)
         for shift in (p, -p):
@@ -332,15 +332,15 @@ def test_triangular_cube_series():
 
 def test_triangular_cube_mod_two_is_theta():
     s = reduce_mod(triangular_cube_series(EXACT, 10), 2)
-    assert s.coeffs == (1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1)
+    assert s.coeffs == bytes((1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1))
 
 
 def test_reduce_mod():
     a = make_series(EXACT, 3, [1, -3, 0, 5])
-    assert reduce_mod(a, 2).coeffs == (1, 1, 0, 1)
+    assert reduce_mod(a, 2).coeffs == bytes((1, 1, 0, 1))
     assert reduce_mod(make_series(EXACT, 4), 7).is_zero()
     got = reduce_mod(triangular_cube_series(EXACT, 6), 5)
-    assert got.coeffs == (1, 2, 0, 0, 0, 0, 3)
+    assert got.coeffs == bytes((1, 2, 0, 0, 0, 0, 3))
 
 
 def test_reduce_mod_rejects_bad_inputs():
@@ -348,6 +348,58 @@ def test_reduce_mod_rejects_bad_inputs():
         reduce_mod(make_series(EXACT, 1, [1]), 1)
     with pytest.raises(ValueError):
         reduce_mod(make_series(CoefficientRing(3), 1, [1]), 2)
+
+
+@pytest.mark.parametrize(
+    "modulus, storage",
+    [(None, tuple), (2, bytes), (3, bytes), (4, bytes), (17, bytes),
+     (25, bytes), (256, bytes), (257, tuple)],
+)
+def test_every_producer_stores_its_ring_storage(modulus, storage):
+    # over Z/m with m <= 256 a series holds one bytes object of residues,
+    # over Z and Z/m with m > 256 a tuple; divide runs the kernel over Z/2
+    # and Z/3 and the recurrence over the other moduli
+    ring = EXACT if modulus is None else CoefficientRing(modulus)
+    n = 40
+    values = [(-1) ** i * (37 * i + 1) for i in range(n + 1)]
+    builds = {
+        "make_series": lambda r: make_series(r, n, values),
+        "pentagonal_series": lambda r: pentagonal_series(r, n, 3),
+        "triangular_cube_series": lambda r: triangular_cube_series(r, n),
+        "pochhammer": lambda r: pochhammer(r, n, 1, 2),
+        "add": lambda r: add(make_series(r, n, values), pentagonal_series(r, n)),
+        "mul": lambda r: mul(make_series(r, n, values), pentagonal_series(r, n)),
+        "divide": lambda r: divide(
+            make_series(r, n, values),
+            pentagonal_series(r, n),
+            make_series(r, n, [1, 5, -3]),
+        ),
+    }
+    for name, build in builds.items():
+        got = build(ring)
+        assert type(got.coeffs) is storage, name
+        if modulus is not None:
+            want = reduce_mod(build(EXACT), modulus)
+            assert type(want.coeffs) is storage, name
+            assert got == want, name
+
+
+def test_direct_series_over_small_modulus_is_stored_reduced():
+    ring = CoefficientRing(3)
+    s = TruncatedSeries(ring, 4, (5, -1, 3, 2, 0))
+    assert s.coeffs == bytes((2, 2, 0, 2, 0))
+    assert TruncatedSeries(ring, 4, [5, -1, 3, 2, 0]) == s
+    assert TruncatedSeries(ring, 4, bytearray((2, 2, 0, 2, 0))) == s
+    # bytes are taken as residues: one that is none is an error, not reduced
+    with pytest.raises(ValueError, match="residues mod 3"):
+        TruncatedSeries(ring, 4, bytes((2, 2, 3, 2, 0)))
+    with pytest.raises(ValueError, match="residues mod 2"):
+        TruncatedSeries(MOD2, 1, b"\x01\xff")
+    with pytest.raises(ValueError, match="need 5 coefficients"):
+        TruncatedSeries(ring, 4, bytes((2, 2, 0, 2)))
+    assert TruncatedSeries(CoefficientRing(256), 1, b"\xff\x00").coeffs == b"\xff\x00"
+    assert TruncatedSeries(CoefficientRing(257), 1, [257, -1]).coeffs == (0, 256)
+    assert TruncatedSeries(EXACT, 1, [257, -1]).coeffs == (257, -1)
 
 
 def test_coefficient_access():
@@ -424,7 +476,7 @@ def dividend_divisor(draw):
     """(a, b) in one ring and truncation; only b's constant must be a unit."""
     a, b = draw(series_pair(count=2, unit_constant=True))
     a0 = draw(st.integers(min_value=-1000, max_value=1000))
-    return make_series(a.ring, a.truncation, (a0,) + a.coeffs[1:]), b
+    return make_series(a.ring, a.truncation, (a0, *a.coeffs[1:])), b
 
 
 @settings(max_examples=60)
