@@ -20,18 +20,18 @@ Three independent routes are implemented:
   prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k = theta(z)^k / (q;q)_inf^k
   (Jacobi triple product).  (q;q)_inf^k does not depend on z, so only the
   z^0 row of theta(z)^k is divided, by floor(k/3) factors of Jacobi's
-  sparse cube (q;q)_inf^3 and k mod 3 factors of (q;q)_inf.  That row is
-  built on packed integers from t base rows per power theta^t, since
-  theta(zq) = z^-1 q^-1 theta(z) makes every other z row a q-shift of
-  one of them; over Z/p for p <= 13, mod p in the kernel's slots.
+  sparse cube (q;q)_inf^3 and k mod 3 factors of (q;q)_inf.  That row,
+  ``series.theta_constant_series``, is built on packed integers from t
+  base rows per power theta^t, since theta(zq) = z^-1 q^-1 theta(z)
+  makes every other z row a q-shift of one of them.
 
 The double sum and ``cphi_series`` take each Pochhammer factor (or cube)
-as a sparse series and divide by their whole denominator at once.  Over
-Z/p for a prime p <= 13 that is one call of the parity route's kernel
-(cphi's row is never unpacked, the double sum's packed once), and p - 1
-products by each distinct factor per power p^t <= N, at O(N / 64) word
-operations per term over Z/2 and O(N / 4) for odd p; a factor that
-repeats costs no more than once.  In other rings it is a recurrence per
+as a sparse series and divide by their whole denominator in one
+``divide`` call.  Over Z/p for a prime p <= 13 that is one call of the
+parity route's kernel, the dividend packed once, and p - 1 products by
+each distinct factor per power p^t <= N, at O(N / 64) word operations
+per term over Z/2 and O(N / 4) for odd p; a factor that repeats costs
+no more than once.  In other rings it is a recurrence per
 factor: O(N^1.5) element reads, gathered in C, and O(N) Python steps
 when the factor's terms take a bounded set of values (a pentagonal
 series has two over Z).  None expands a dense product or inverse.
@@ -51,17 +51,13 @@ and ``FAMILIES`` is the one place the family names are written.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .series import (
-    _FROBENIUS_PRIMES,
-    _SLOT_MAX,
     EXACT,
     MOD2,
     CoefficientRing,
     TruncatedSeries,
-    _dilation_plan,
-    _pack_slots,
-    _slot_residues,
     _times_dilations,
     divide,
     invert,
@@ -70,6 +66,8 @@ from .series import (
     pentagonal_exponents,
     pentagonal_series,
     pochhammer,
+    theta_constant_series,
+    theta_exponents,
     triangular_cube_series,
     triangular_exponents,
     zero_series,
@@ -118,31 +116,18 @@ class LaurentPolyOverSeries:
         return self.z_coefficient(0)
 
 
-def _theta_terms(truncation):
-    """(m, m(m+1)/2) for every integer m with m(m+1)/2 <= truncation.
+def _theta_rows(truncation):
+    """The z rows of theta(z)^1, theta(z)^2, ... over Z in turn, unpacked.
 
-    The terms of theta(z) = sum_m z^m q^{m(m+1)/2}, ordered by q-degree;
-    m and -1-m share a degree and sit next to each other.
-    """
-    terms = []
-    t = 0
-    while (dq := t * (t + 1) // 2) <= truncation:
-        terms += [(t, dq), (-1 - t, dq)]
-        t += 1
-    return terms
-
-
-def _theta_rows(exponent, truncation):
-    """The z rows of theta(z)^exponent over Z, unpacked: z -> q^0..q^N list.
-
+    Each power is one dict z -> q^0..q^N list, made from the one before.
     The all-row reference behind ``cg_product``; ``cphi_series`` uses
-    ``_theta_constant_row`` instead.  A z row is made only when some
+    ``theta_constant_series`` instead.  A z row is made only when some
     product term reaches it within the truncation.
     """
     n = truncation
-    terms = _theta_terms(n)
+    terms = theta_exponents(n)
     rows = {0: [1] + [0] * n}
-    for _ in range(exponent):
+    while True:
         new_rows: dict[int, list[int]] = {}
         for z, row in rows.items():
             low = next((i for i, v in enumerate(row) if v), n + 1)
@@ -158,7 +143,7 @@ def _theta_rows(exponent, truncation):
                     if ri:
                         target[i + dq] += ri
         rows = new_rows
-    return rows
+        yield rows
 
 
 def _wrap_rows(rows, ring, truncation) -> LaurentPolyOverSeries:
@@ -191,70 +176,9 @@ def cg_product(exponent: int, truncation: int) -> LaurentPolyOverSeries:
     denominator = [pentagonal_series(EXACT, n)] * e
     rows = {
         z: divide(TruncatedSeries(EXACT, n, row), *denominator).coeffs
-        for z, row in _theta_rows(e, n).items()
+        for z, row in next(islice(_theta_rows(n), e - 1, None)).items()
     }
     return _wrap_rows(rows, EXACT, n)
-
-
-def _theta_constant_row(k, truncation, p=None):
-    """The z^0 row of theta(z)^k to q^N: a list over Z, packed over Z/p.
-
-    theta(zq) = z^-1 q^-1 theta(z), so the z rows R_j of theta^t satisfy
-    R_{b+st} = q^{sb + ts(s+1)/2} R_b: only the t base rows b in (-t, 0]
-    are kept, and on that window every such shift is >= 0, so truncating
-    a base row loses nothing.  Step t -> t+1 builds its t+1 base rows as
-    R'_c = sum_m q^{m(m+1)/2} R_{c-m}, one shifted add per theta term; the
-    last step builds only c = 0.
-
-    A row is one int of B-bit slots, q^i in slot N - i, so the product
-    with q^s is a right shift.  For p in ``_FROBENIUS_PRIMES`` it is built
-    mod p as ``_times_dilations`` reads it: B = 1 and XOR over Z/2; for
-    odd p B = 16, and a sum is reduced before an add could pass
-    ``_SLOT_MAX`` and once when done.  Otherwise the list of q^0..q^N over
-    Z is returned: a slot of R'_c sums T shifted rows whose entries count
-    tuples of terms, so it is at most T^{t+1} <= T^k, and with B =
-    bits(T^k) + 1 (rounded up to whole bytes) no carry leaves its slot.
-    """
-    n = truncation
-    terms = _theta_terms(n)
-    bound = 0  # the most a base row adds to a slot, tracked for odd p only
-    if p == 2:
-        slot = 1
-    elif p in _FROBENIUS_PRIMES:
-        slot, bound = 16, p - 1
-    else:
-        slot = 8 * ((len(terms) ** k).bit_length() // 8 + 1)
-    rows = [1 << n * slot]  # rows[b + t - 1] is R_b of theta^t, b in (-t, 0]
-    for t in range(1, k):
-        new_rows = []
-        for c in range(-t if t + 1 < k else 0, 1):
-            row = top = 0
-            for m, dq in terms:
-                s = -((m - c) // t)  # c - m = b + s*t with b in (-t, 0]
-                b = c - m - s * t
-                shift = dq + s * b + t * s * (s + 1) // 2
-                if shift > n:
-                    continue
-                part = rows[b + t - 1] >> shift * slot
-                if p == 2:
-                    row ^= part
-                    continue
-                if top + bound > _SLOT_MAX:
-                    row, top = _pack_slots(_slot_residues(row, n, p)), bound
-                row += part
-                top += bound
-            if bound:
-                row = _pack_slots(_slot_residues(row, n, p))
-            new_rows.append(row)
-        rows = new_rows
-    if p in _FROBENIUS_PRIMES:
-        return rows[-1]
-    width = slot // 8
-    data = rows[-1].to_bytes((n + 1) * width, "big")
-    return [
-        int.from_bytes(data[i : i + width], "big")
-        for i in range(0, len(data), width)
-    ]
 
 
 def cphi_series(
@@ -262,27 +186,23 @@ def cphi_series(
 ) -> TruncatedSeries:
     """Sum of cphi_k(n) q^n: ([z^0] theta(z)^k) / (q;q)_inf^k.
 
-    The z^0 row comes from ``_theta_constant_row``.  It is divided by
-    floor(k/3) factors of Jacobi's sparse cube (q;q)_inf^3 = sum_j (-1)^j
-    (2j+1) q^{j(j+1)/2} and k mod 3 factors of the pentagonal series: for
-    k = 6, two factors instead of six.  Only the divisors used are built.
-    Over Z/p for p <= 13 the packed row goes straight to the kernel; in
-    other rings it is reduced once and goes to ``divide``.
+    The z^0 row, ``theta_constant_series``, is divided in one ``divide``
+    call by floor(k/3) factors of Jacobi's sparse cube (q;q)_inf^3 =
+    sum_j (-1)^j (2j+1) q^{j(j+1)/2} and k mod 3 factors of the pentagonal
+    series: for k = 6, two factors instead of six.  Only the divisors used
+    are built.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    n, p = truncation, ring.modulus
+    n = truncation
     denominator = []
     if k >= 3:
         denominator += [triangular_cube_series(ring, n)] * (k // 3)
     if k % 3:
         denominator += [pentagonal_series(ring, n)] * (k % 3)
-    row = _theta_constant_row(k, n, p)
-    if p in _FROBENIUS_PRIMES:
-        return _times_dilations(row, _dilation_plan(denominator, p, n), n, p)
-    return divide(make_series(ring, n, row), *denominator)
+    return divide(theta_constant_series(ring, n, k), *denominator)
 
 
 def cphi_parity_witness(k: int, truncation: int) -> LaurentPolyOverSeries:

@@ -19,7 +19,10 @@ Production routes build eta quotients from sparse pentagonal series
 :func:`divide`, which takes a whole denominator b_1 ... b_r in one call:
 over Z/p for a prime p <= 13 as products of dilations on one packed int,
 by the kernel :func:`_times_dilations` that ``frobenius`` also calls,
-and in any other ring by a recurrence per factor.  The dense O(N^2)
+and in any other ring by a recurrence per factor.  The packed layout has
+one owner, the pair :func:`_pack` / :func:`_unpack`; the z^0 theta row
+of cphi (:func:`theta_constant_series`) is built on it and returned as a
+series, which ``divide`` packs again.  The dense O(N^2)
 :func:`mul` and :func:`pochhammer` stay as the schoolbook and
 product-expansion references that the tests compare the sparse forms
 against, and the recurrence as the reference for the products.
@@ -233,12 +236,8 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     modulus = ring.modulus
     inverses = [ring.unit_inverse(b.coeffs[0]) for b in divisors]
     if modulus in _FROBENIUS_PRIMES:
-        if modulus == 2:
-            packed = int(a.coeffs.translate(_BIT_DIGIT), 2)
-        else:
-            packed = _pack_slots(a.coeffs)
         plan = _dilation_plan(divisors, modulus, n)
-        return _times_dilations(packed, plan, n, modulus)
+        return _times_dilations(_pack(a.coeffs, modulus), plan, n, modulus)
     coeffs = a.coeffs
     for b, inv0 in zip(divisors, inverses):
         terms = [(i, c) for i, c in enumerate(b.coeffs) if c and i]
@@ -329,26 +328,39 @@ def _dilation_plan(
     return factors if p == 2 else [([(0, scale)], 1), *factors]
 
 
-def _pack_slots(residues: bytes) -> int:
-    """Residues mod an odd p, q^0 first, as one int: q^i in 16-bit slot N - i."""
+def _pack(residues: bytes, p: int) -> int:
+    """Residues mod p, q^0 first, as one int with q^i in slot N - i.
+
+    A slot is 1 bit over Z/2 and 16 bits for odd p.
+    """
+    if p == 2:
+        return int(residues.translate(_BIT_DIGIT), 2)
     slots = bytearray(2 * len(residues))
     slots[1::2] = residues
     return int.from_bytes(slots, "big")
 
 
-def _slot_residues(packed: int, truncation: int, p: int) -> bytes:
-    """The 16-bit slots of ``packed`` reduced mod p, q^0 first, one byte each.
+def _unpack(packed: int, truncation: int, p: int) -> bytes:
+    """The slots of ``packed`` reduced mod p, q^0 first, one byte each.
 
-    A slot 256 h + l is congruent to (256 h mod p) + (l mod p), a sum of
-    two table lookups below 2p; one byte per slot holds it, and the low
-    table reduces it once more.
+    For odd p a slot 256 h + l is congruent to (256 h mod p) + (l mod p),
+    a sum of two table lookups below 2p; one byte per slot holds it, and
+    the low table reduces it once more.
     """
-    data = packed.to_bytes(2 * (truncation + 1), "big")
+    n = truncation
+    if p == 2:  # one expression: the digit str is freed before translate
+        return format(packed, f"0{n + 1}b").encode().translate(_DIGIT_BIT)
+    data = packed.to_bytes(2 * (n + 1), "big")
     low = _RESIDUE_TABLES[p]
     total = int.from_bytes(data[1::2].translate(low), "big") + int.from_bytes(
         data[::2].translate(_HIGH_BYTE_TABLES[p]), "big"
     )
-    return total.to_bytes(truncation + 1, "big").translate(low)
+    return total.to_bytes(n + 1, "big").translate(low)
+
+
+def _reduced(packed: int, truncation: int, p: int) -> int:
+    """``packed`` with every 16-bit slot reduced mod an odd p."""
+    return _pack(_unpack(packed, truncation, p), p)
 
 
 def _times_dilations(
@@ -358,20 +370,16 @@ def _times_dilations(
 
     ``factors`` holds the pairs (terms_i, step_i) of sparse factors b_i,
     whose terms ascend from g = 0 and may run past N.  ``packed`` holds a
-    series to q^N with q^i in slot N - i, so multiplying by q^s is a right
-    shift by s slots that drops every term past q^N, with no mask, and
-    each factor is one shifted add per term g with step * g <= N.  The
-    factors commute, so they are applied one after another to the one
-    packed int.
+    series to q^N as :func:`_pack` lays it out, so multiplying by q^s is
+    a right shift by s slots that drops every term past q^N, with no
+    mask, and each factor is one shifted add per term g with step * g <=
+    N, applied one after another to the one packed int.
 
-    Over Z/2 a slot is one bit, the terms are the exponents g and the add
-    is XOR; the binary digits of the result, most significant first, are
-    the coefficients of q^0..q^N.  For odd p a slot is 16 bits and the
-    terms are pairs (g, c) with 0 < c < p: c * packed is made once per
+    Over Z/2 the terms are the exponents g and the add is XOR.  For odd p
+    they are pairs (g, c) with 0 < c < p: c * packed is made once per
     factor and value c, then shifted per term.  A bound on the slots is
-    tracked, and whenever an add could pass 2^16 - 1 the sum so far is
-    reduced mod p by :func:`_slot_residues`, back to the bound p - 1; the
-    result is reduced once at the end.
+    tracked, and whenever an add could pass ``_SLOT_MAX`` the sum so far
+    is reduced mod p, back to the bound p - 1.
     """
     n = truncation
     if p == 2:
@@ -382,26 +390,25 @@ def _times_dilations(
                     break
                 product ^= packed >> step * g
             packed = product
-        bits = format(packed, f"0{n + 1}b")
-        return TruncatedSeries(MOD2, n, bits.encode().translate(_DIGIT_BIT))
+        return TruncatedSeries(MOD2, n, _unpack(packed, n, 2))
     bound = p - 1  # no slot of packed exceeds it
     for terms, step in factors:
         # (g, c) <= (N // step, p) exactly when step * g <= N, since c < p
         active = terms[: bisect_right(terms, (n // step, p))]
         if bound * sum(c for _, c in active) > _SLOT_MAX:
-            packed, bound = _pack_slots(_slot_residues(packed, n, p)), p - 1
+            packed, bound = _reduced(packed, n, p), p - 1
         multiples = {1: packed}
         product = top = 0
         for g, c in active:
             if top + c * bound > _SLOT_MAX:
-                product, top = _pack_slots(_slot_residues(product, n, p)), p - 1
+                product, top = _reduced(product, n, p), p - 1
             multiple = multiples.get(c)
             if multiple is None:
                 multiple = multiples[c] = c * packed
             product += multiple >> 16 * step * g
             top += c * bound
         packed, bound = product, top
-    return TruncatedSeries(CoefficientRing(p), n, _slot_residues(packed, n, p))
+    return TruncatedSeries(CoefficientRing(p), n, _unpack(packed, n, p))
 
 
 def invert(a: TruncatedSeries) -> TruncatedSeries:
@@ -494,6 +501,82 @@ def triangular_cube_series(
     for e, c in triangular_exponents(truncation):
         out[e] = ring.normalize(c)
     return TruncatedSeries(ring, truncation, out)
+
+
+def theta_exponents(limit: int) -> list[tuple[int, int]]:
+    """(m, m(m+1)/2) for every integer m with m(m+1)/2 <= limit.
+
+    The terms of theta(z) = sum_m z^m q^{m(m+1)/2}, ordered by q-degree;
+    m and -1-m share a degree and sit next to each other.
+    """
+    terms = []
+    t = 0
+    while (e := t * (t + 1) // 2) <= limit:
+        terms += [(t, e), (-1 - t, e)]
+        t += 1
+    return terms
+
+
+def theta_constant_series(
+    ring: CoefficientRing, truncation: int, k: int
+) -> TruncatedSeries:
+    """The z^0 row of theta(z)^k to q^N, the numerator of cphi_k.
+
+    theta(zq) = z^-1 q^-1 theta(z), so the z rows R_j of theta^t satisfy
+    R_{b+st} = q^{sb + ts(s+1)/2} R_b: only the t base rows b in (-t, 0]
+    are kept, and on that window every such shift is >= 0, so truncating
+    a base row loses nothing.  Step t -> t+1 builds its t+1 base rows as
+    R'_c = sum_m q^{m(m+1)/2} R_{c-m}, one shifted add per theta term; the
+    last step builds only c = 0.
+
+    A row is one int laid out as by :func:`_pack`.  Over Z/p for p <= 13
+    it is built mod p: XOR over Z/2; for odd p a sum is reduced before an
+    add could pass ``_SLOT_MAX`` and once when done.  In any other ring it
+    is built over Z in B-bit slots and reduced at the end: a slot of R'_c
+    is at most T^{t+1} <= T^k for T theta terms, so with B = bits(T^k) + 1
+    (rounded up to whole bytes) no carry leaves its slot.
+    """
+    n, p = truncation, ring.modulus
+    terms = theta_exponents(n)
+    # bound: the most a base row adds to a slot, tracked for odd p only
+    if p == 2:
+        slot, bound = 1, 0
+    elif p in _FROBENIUS_PRIMES:
+        slot, bound = 16, p - 1
+    else:
+        slot, bound = 8 * ((len(terms) ** k).bit_length() // 8 + 1), 0
+    rows = [1 << n * slot]  # rows[b + t - 1] is R_b of theta^t, b in (-t, 0]
+    for t in range(1, k):
+        new_rows = []
+        for c in range(-t if t + 1 < k else 0, 1):
+            row = top = 0
+            for m, dq in terms:
+                s = -((m - c) // t)  # c - m = b + s*t with b in (-t, 0]
+                b = c - m - s * t
+                shift = dq + s * b + t * s * (s + 1) // 2
+                if shift > n:
+                    continue
+                part = rows[b + t - 1] >> shift * slot
+                if p == 2:
+                    row ^= part
+                    continue
+                if top + bound > _SLOT_MAX:
+                    row, top = _reduced(row, n, p), bound
+                row += part
+                top += bound
+            if bound:
+                row = _reduced(row, n, p)
+            new_rows.append(row)
+        rows = new_rows
+    if p in _FROBENIUS_PRIMES:
+        return TruncatedSeries(ring, n, _unpack(rows[-1], n, p))
+    width = slot // 8
+    data = rows[-1].to_bytes((n + 1) * width, "big")
+    row = [
+        int.from_bytes(data[i : i + width], "big")
+        for i in range(0, len(data), width)
+    ]
+    return TruncatedSeries(ring, n, row)
 
 
 def reduce_mod(a: TruncatedSeries, m: int) -> TruncatedSeries:

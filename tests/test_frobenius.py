@@ -1,10 +1,11 @@
+import tracemalloc
+
 import pytest
 
 import frobseries.series
 from frobseries import frobenius
 from frobseries.frobenius import (
     LaurentPolyOverSeries,
-    _theta_constant_row,
     _theta_rows,
     cg_product,
     cphi_parity_witness,
@@ -25,6 +26,7 @@ from frobseries.series import (
     mul,
     pentagonal_series,
     reduce_mod,
+    theta_constant_series,
     triangular_cube_series,
 )
 
@@ -78,6 +80,21 @@ def test_phi_parity_bit_route_matches_sparse_division():
             assert phi_parity_series(k, n) == reduce_mod(quotient, 2), (k, n)
 
 
+def test_parity_route_warm_peak_memory():
+    # the Z/2 unpack frees the digit str before it translates the digits,
+    # so a call with the Euler table already grown peaks below 2.5 bytes
+    # per coefficient: the packed int, the digit bytes and the residues
+    n = 10**6
+    phi_parity_series(12, n)
+    tracemalloc.start()
+    try:
+        phi_parity_series(12, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (n + 1)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 120, 1000])
 def test_z2_routes_match_their_exact_forms(n):
     # the double sum and cphi divide over Z/2 by dilations of the divisor;
@@ -104,29 +121,17 @@ def test_each_z2_quotient_makes_one_kernel_call(n, monkeypatch):
     kernel = frobseries.series._times_dilations
     monkeypatch.setattr(frobseries.series, "_times_dilations", counted)
     monkeypatch.setattr(frobenius, "_times_dilations", counted)
-    # cphi builds its theta row packed: it never becomes a TruncatedSeries
-    made = []
-
-    def made_series(*args):
-        made.append(args)
-        return make_series(*args)
-
-    for module in (frobseries.series, frobenius):
-        monkeypatch.setattr(module, "make_series", made_series)
-    builds = [(False, lambda: phi_parity_series(4, n))]
+    builds = [lambda: phi_parity_series(4, n)]
     for ring in (MOD2, CoefficientRing(3), CoefficientRing(5)):
         builds += [
-            (False, lambda ring=ring: phi_series_double_sum(4, n, ring)),
-            (True, lambda ring=ring: cphi_series(6, n, ring)),
-            (True, lambda ring=ring: cphi_series(7, n, ring)),
+            lambda ring=ring: phi_series_double_sum(4, n, ring),
+            lambda ring=ring: cphi_series(6, n, ring),
+            lambda ring=ring: cphi_series(7, n, ring),
         ]
-    for is_cphi, build in builds:
+    for build in builds:
         calls.clear()
-        made.clear()
         build()
         assert len(calls) == 1
-        if is_cphi:
-            assert made == []
 
 
 def test_phi_parity_series_rejects_bad_arguments():
@@ -187,10 +192,10 @@ def test_cg_window_soundness():
 
 def test_theta_constant_row_matches_all_row_reference():
     # the base-row recurrence against every row built without it
-    for k in range(1, 12):
-        for n in (0, 1, 2, 5, 37, 77):
-            want = _theta_rows(k, n).get(0, [0] * (n + 1))
-            assert _theta_constant_row(k, n) == want, (k, n)
+    for n in (0, 1, 2, 5, 37, 77):
+        for k, rows in zip(range(1, 12), _theta_rows(n)):
+            want = tuple(rows.get(0, [0] * (n + 1)))
+            assert theta_constant_series(EXACT, n, k).coeffs == want, (k, n)
 
 
 def test_theta_constant_row_lattice_identities():
@@ -198,7 +203,7 @@ def test_theta_constant_row_lattice_identities():
     # pairs all but m = 0, so the row is 1 mod 2, and theta^k =
     # (theta^{k/p})^p = theta^{k/p}(z^p, q^p) mod p for a prime p | k
     n = 1000
-    rows = {k: _theta_constant_row(k, n) for k in range(1, 16)}
+    rows = {k: theta_constant_series(EXACT, n, k).coeffs for k in range(1, 16)}
     for k, row in rows.items():
         assert [c % 2 for c in row] == [1] + [0] * n, k
         for p in (2, 3, 5, 7, 11, 13):
@@ -240,13 +245,16 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 6, 61, 120, 301])
 def test_cphi_series_over_small_primes_matches_all_row_reference(n):
-    # over Z/p for p <= 13 the theta row is built in the kernel's packed
-    # slots and divided without unpacking; the reference is the z^0 row of
-    # cg_product's all-row theta power over Z, with no base-row recurrence
-    # and no kernel, divided by k pentagonal factors and reduced mod p
+    # over Z/p for p <= 13 the theta row is built mod p in the kernel's
+    # packed slots; the reference is the z^0 row of cg_product's all-row
+    # theta power over Z, with no base-row recurrence and no kernel,
+    # divided by k pentagonal factors and reduced mod p.  One pass of the
+    # reference builds each power once
     ks = [*range(1, 16), *((20, 30) if n <= 61 else ())]
-    for k in ks:
-        row = TruncatedSeries(EXACT, n, _theta_rows(k, n)[0])
+    for k, rows in zip(range(1, max(ks) + 1), _theta_rows(n)):
+        if k not in ks:
+            continue
+        row = TruncatedSeries(EXACT, n, rows[0])
         exact = divide(row, *[pentagonal_series(EXACT, n)] * k)
         for p in SMALL_PRIMES:
             got = cphi_series(k, n, CoefficientRing(p))
@@ -254,9 +262,8 @@ def test_cphi_series_over_small_primes_matches_all_row_reference(n):
 
 
 def test_odd_p_theta_row_reduces_mid_sum(monkeypatch):
-    # a low slot limit makes the row (and the kernel) reduce mod p in the
-    # middle of a sum of shifted rows; the result must not change.  The
-    # limit is read in both modules, so it is lowered in both
+    # a low slot limit makes the theta row (and the kernel) reduce mod p in
+    # the middle of a sum of shifted rows; the results must not change
     n = 120
     reductions = []
 
@@ -264,21 +271,25 @@ def test_odd_p_theta_row_reduces_mid_sum(monkeypatch):
         reductions.append(args)
         return residues(*args)
 
-    residues = frobenius._slot_residues
-    monkeypatch.setattr(frobenius, "_slot_residues", counted)
+    def row_reductions():
+        reductions.clear()
+        for k, p in want:
+            theta_constant_series(CoefficientRing(p), n, k)
+        return len(reductions)
+
+    residues = frobseries.series._unpack
+    monkeypatch.setattr(frobseries.series, "_unpack", counted)
     want = {}
     for k in (4, 9):
         exact = cg_product(k, n).constant_term()
         for p in SMALL_PRIMES[1:]:
             want[k, p] = reduce_mod(exact, p)
             assert cphi_series(k, n, CoefficientRing(p)) == want[k, p]
-    base_rows = len(reductions)  # one reduction per base row
-    reductions.clear()
-    for module in (frobseries.series, frobenius):
-        monkeypatch.setattr(module, "_SLOT_MAX", 40)
+    base_rows = row_reductions()  # one per base row, one final unpack
+    monkeypatch.setattr(frobseries.series, "_SLOT_MAX", 40)
     for (k, p), series in want.items():
         assert cphi_series(k, n, CoefficientRing(p)) == series, (k, p)
-    assert len(reductions) > base_rows
+    assert row_reductions() > base_rows
 
 
 def test_z2_theta_row_is_computed():
@@ -286,16 +297,18 @@ def test_z2_theta_row_is_computed():
     # of theta^k is 1 mod 2; the route computes it and does not assume it
     n = 1000
     for k in range(1, 31):
-        assert _theta_constant_row(k, n, 2) == 1 << n, k
+        assert theta_constant_series(MOD2, n, k).coeffs == bytes([1] + [0] * n), k
 
 
 def test_z2_cphi_route_reads_the_theta_terms(monkeypatch):
     # without any one theta term of degree <= 15 the Z/2 route must change
     full = cphi_series(4, 30, MOD2)
-    terms = frobenius._theta_terms
+    terms = frobseries.series.theta_exponents
     for i in range(12):
         monkeypatch.setattr(
-            frobenius, "_theta_terms", lambda n: terms(n)[:i] + terms(n)[i + 1 :]
+            frobseries.series,
+            "theta_exponents",
+            lambda n: terms(n)[:i] + terms(n)[i + 1 :],
         )
         assert cphi_series(4, 30, MOD2) != full, terms(30)[i]
 
