@@ -4,9 +4,9 @@ A claim is a statement "f_k(a*n + b) == 0 (mod m) for all n"; verification
 here is always over an explicit finite window [0, n_max], recorded in the
 report.  A Verified report means "no counterexample in the window", never
 an unbounded assertion.  Claims run one after another in the calling
-thread.  The suites take their series from :func:`default_series_provider`,
-looked up at call time, so rebinding it swaps the series for every suite;
-:func:`verify_claim` alone also accepts a provider argument.
+thread.  Every claim takes its series from :func:`default_series_provider`,
+looked up at call time, so rebinding it swaps the series for
+:func:`verify_claim` and every suite.
 """
 
 from __future__ import annotations
@@ -149,15 +149,17 @@ def default_series_provider(
     return frobenius.expand(claim.family, claim.k, truncation, claim.m)
 
 
-def verify_claim(
-    claim: CongruenceClaim, n_max: int, series_provider=None
-) -> VerificationReport:
+def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationReport:
     """Check coefficient(a*n + b) == 0 (mod m) for 0 <= n <= n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    provider = series_provider or default_series_provider
+    series, route = default_series_provider(claim, claim.a * n_max + claim.b)
+    return _report(claim, n_max, series, route)
+
+
+def _report(claim, n_max, series, route) -> VerificationReport:
+    """The claim's report over [0, n_max], read from a provided series."""
     needed = claim.a * n_max + claim.b
-    series, route = provider(claim, needed)
     if series.truncation < needed:
         raise TruncationError(
             f"truncation shortfall: have {series.truncation}, need {needed}"
@@ -177,10 +179,10 @@ def verify_claim(
     return VerificationReport(claim, n_max, REFUTED, counterexamples, route)
 
 
-def _run_claims(claims, n_max, series_provider=None):
+def _run_claims(claims, n_max):
     if not claims:
         raise ValueError("no claims to verify: a list argument is empty")
-    reports = [verify_claim(c, n_max, series_provider) for c in claims]
+    reports = [verify_claim(c, n_max) for c in claims]
     reports.sort(key=lambda r: r.claim)
     return reports
 
@@ -218,8 +220,8 @@ def andrews_p_squared_suite(p: int, n_max: int) -> list[VerificationReport]:
         raise ValueError("n_max must be >= 0")
     claims = [CongruenceClaim(CPHI, p, p, r, p * p) for r in range(1, p)]
     # one expansion, to the largest truncation, serves all p-1 progressions
-    shared = default_series_provider(claims[-1], p * n_max + p - 1)
-    return _run_claims(claims, n_max, lambda claim, truncation: shared)
+    series, route = default_series_provider(claims[-1], p * n_max + p - 1)
+    return [_report(claim, n_max, series, route) for claim in claims]
 
 
 def garvan_sellers_lift_check(

@@ -6,15 +6,8 @@ Three independent routes are implemented:
   numerator over pairs (j, r) with r >= (k+1)|j|, divided by
   (q;q)_inf^2 (q^{k+1};q^{k+1})_inf.
 * ``phi_parity_series`` -- the mod-2 collapse of the same function to the
-  eta quotient (q;q)_inf / (q^{k+1};q^{k+1})_inf, evaluated without
-  division: over Z/2, E(q)^3 = E(q) E(q^2) = J(q) = sum_{m>=0}
-  q^{m(m+1)/2}, so it is E(q) = (q;q)_inf times the about log4(N)
-  J-chain factors J(q^{(k+1) 4^u}), applied by shift-XOR to the series
-  held as one bit-packed int with q^i at bit N - i, so a product with q^s
-  is a right shift that drops the terms past q^N.  That loop is the Z/2
-  kernel of ``series.divide`` (``series._times_dilations``), called with
-  the triangular exponents at steps (k+1) 4^u.  E(q) and those exponents
-  come from one table per process, grown on demand (``_euler_bits``).
+  eta quotient (q;q)_inf / (q^{k+1};q^{k+1})_inf, which
+  ``series.eta_quotient_mod2`` evaluates without division.
 * ``cphi_series`` -- constant-term extraction: cphi_k(n) is the z^0
   coefficient of the two-variable product
   prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k = theta(z)^k / (q;q)_inf^k
@@ -28,10 +21,10 @@ Three independent routes are implemented:
 The double sum and ``cphi_series`` take each Pochhammer factor (or cube)
 as a sparse series and divide by their whole denominator in one
 ``divide`` call.  Over Z/p for a prime p <= 13 that is one call of the
-parity route's kernel, the dividend packed once, and p - 1 products by
-each distinct factor per power p^t <= N, at O(N / 64) word operations
-per term over Z/2 and O(N / 4) for odd p; a factor that repeats costs
-no more than once.  In other rings it is a recurrence per
+packed kernel that the parity route also runs, the dividend packed
+once, and p - 1 products by each distinct factor per power p^t <= N, at
+O(N / 64) word operations per term over Z/2 and O(N / 4) for odd p; a
+factor that repeats costs no more than once.  In other rings it is a recurrence per
 factor: O(N^1.5) element reads, gathered in C, and O(N) Python steps
 when the factor's terms take a bounded set of values (a pentagonal
 series has two over Z).  None expands a dense product or inverse.
@@ -58,18 +51,16 @@ from .series import (
     MOD2,
     CoefficientRing,
     TruncatedSeries,
-    _times_dilations,
     divide,
+    eta_quotient_mod2,
     invert,
     make_series,
     mul,  # unused here; perfbench/layers.py wraps frobenius.mul
-    pentagonal_exponents,
     pentagonal_series,
     pochhammer,
     theta_constant_series,
     theta_exponents,
     triangular_cube_series,
-    triangular_exponents,
     zero_series,
 )
 
@@ -260,59 +251,15 @@ def phi_series_double_sum(
     )
 
 
-# (limit, triangles, bits): the triangular exponents g <= limit and E(q)
-# to q^limit packed with q^g at bit limit - g.  One table per process,
-# grown on demand and never shrunk; every truncation reads a prefix, so
-# the results do not depend on the order of the calls.
-_euler_table = (-1, [], 0)
-
-
-def _euler_bits(truncation):
-    """(triangles, E(q) to q^N with q^g at bit N - g), from the table.
-
-    A truncation past the table rebuilds it at max(N, 2 * limit), so a
-    run of growing truncations rebuilds it O(log N) times.  The exponents
-    returned may run past N; callers stop at the first one too large.
-    """
-    global _euler_table
-    limit, triangles, bits = _euler_table
-    if truncation > limit:
-        limit = max(truncation, 2 * limit)
-        triangles = [g for g, _ in triangular_exponents(limit)]
-        # bits set in a buffer: one big-int OR per term costs O(N)
-        buffer = bytearray(limit // 8 + 1)
-        for g, _ in pentagonal_exponents(limit):
-            buffer[(limit - g) >> 3] |= 1 << ((limit - g) & 7)
-        bits = int.from_bytes(buffer, "little")
-        _euler_table = (limit, triangles, bits)
-    return triangles, bits >> (limit - truncation)
-
-
 def phi_parity_series(k: int, truncation: int) -> TruncatedSeries:
     """Sum of phi_k(n) q^n over Z/2: (q;q)_inf / (q^{k+1};q^{k+1})_inf mod 2.
 
-    Over Z/2, E(q)^2 = E(q^2) with E(q) = (q;q)_inf, and E(q)^3 = J(q) =
-    sum_{m>=0} q^{m(m+1)/2}, Jacobi's cube mod 2.  So 1/E(q^s) =
-    prod_{t>=0} E(q^{s 2^t}) = prod_{u>=0} E(q^{s 4^u})^3 = prod_{u>=0}
-    J(q^{s 4^u}), and the quotient is E(q) times about log4(N) sparse
-    triangular factors, with no division: half the factors of a chain of
-    E, each with about 0.87 times the terms.  E(q), packed with q^i at bit
-    N - i, and the triangular exponents come from the shared table of
-    ``_euler_bits``; ``series._times_dilations``, the kernel that
-    ``divide`` runs over Z/p, applies J(q^s) for s = (k + 1) 4^u <= N, one
-    shift-XOR per triangular exponent g with s * g <= N.
+    By Andrews' lemma phi_k is this quotient mod 2, which
+    ``eta_quotient_mod2`` builds.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    triangles, packed = _euler_bits(truncation)
-    factors = []
-    step = k + 1
-    while step <= truncation:
-        factors.append((triangles, step))
-        step *= 4
-    return _times_dilations(packed, factors, truncation, 2)
+    return eta_quotient_mod2(k + 1, truncation)
 
 
 def expand(

@@ -18,11 +18,12 @@ Production routes build eta quotients from sparse pentagonal series
 :func:`triangular_cube_series` (from :func:`triangular_exponents`), and
 :func:`divide`, which takes a whole denominator b_1 ... b_r in one call:
 over Z/p for a prime p <= 13 as products of dilations on one packed int,
-by the kernel :func:`_times_dilations` that ``frobenius`` also calls,
-and in any other ring by a recurrence per factor.  The packed layout has
-one owner, the pair :func:`_pack` / :func:`_unpack`; the z^0 theta row
-of cphi (:func:`theta_constant_series`) is built on it and returned as a
-series, which ``divide`` packs again.  The dense O(N^2)
+by the kernel :func:`_times_dilations`, and in any other ring by a
+recurrence per factor.  The packed kernel and its layout live here
+alone: the pair :func:`_pack` / :func:`_unpack` owns the layout, and the
+builders that work on it, the parity route's
+:func:`eta_quotient_mod2` and cphi's z^0 theta row
+:func:`theta_constant_series`, return series.  The dense O(N^2)
 :func:`mul` and :func:`pochhammer` stay as the schoolbook and
 product-expansion references that the tests compare the sparse forms
 against, and the recurrence as the reference for the products.
@@ -236,7 +237,7 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     modulus = ring.modulus
     inverses = [ring.unit_inverse(b.coeffs[0]) for b in divisors]
     if modulus in _FROBENIUS_PRIMES:
-        plan = _dilation_plan(divisors, modulus, n)
+        plan = _dilation_plan(divisors, inverses, modulus, n)
         return _times_dilations(_pack(a.coeffs, modulus), plan, n, modulus)
     coeffs = a.coeffs
     for b, inv0 in zip(divisors, inverses):
@@ -288,27 +289,26 @@ _SLOT_MAX = 0xFFFF
 
 
 def _dilation_plan(
-    divisors: Sequence[TruncatedSeries], p: int, truncation: int
+    divisors: Sequence[TruncatedSeries],
+    inverses: Sequence[int],
+    p: int,
+    truncation: int,
 ) -> list:
     """Factors (terms, step) with 1 / (b_1 ... b_r) = prod b(q^step) over Z/p.
 
-    For each distinct divisor b, taken r times, the coefficients are
-    scaled so that b_0 = 1, and the factors get d_t pairs (terms, p^t) for
-    each base-p digit d_t of p^T - r with p^t <= N < p^T; the dilations
+    ``inverses[i]`` is the inverse mod p of b_i's constant term.  For
+    each distinct divisor b, taken r times, the coefficients are scaled
+    so that b_0 = 1, and the factors get d_t pairs (terms, p^t) for each
+    base-p digit d_t of p^T - r with p^t <= N < p^T; the dilations
     past q^N are 1 and are left out.  ``terms`` lists b's nonzero terms in
     ascending order from g = 0: the exponents g over Z/2, (g, coefficient)
     pairs for odd p, whose first factor is the constant prod b_0^{-r}.
     Each distinct divisor is scanned once, as one bytes object.
     """
     n = truncation
-    distinct: list[TruncatedSeries] = []
-    for b in divisors:
-        if b not in distinct:
-            distinct.append(b)
     scale, factors = 1, []  # over Z/2 every b_0 is 1
-    for b in distinct:
+    for b, inv0 in dict(zip(divisors, inverses)).items():
         r = divisors.count(b)
-        inv0 = pow(b.coeffs[0], -1, p)
         scale = scale * pow(inv0, r, p) % p
         data = b.coeffs
         flags = data.translate(_NONZERO_FLAG)
@@ -501,6 +501,54 @@ def triangular_cube_series(
     for e, c in triangular_exponents(truncation):
         out[e] = ring.normalize(c)
     return TruncatedSeries(ring, truncation, out)
+
+
+# (limit, triangles, bits): the triangular exponents g <= limit and E(q)
+# to q^limit packed as by _pack.  One table per process, grown on demand
+# and never shrunk; every truncation reads a prefix, so the results do not
+# depend on the order of the calls.
+_euler_table = (-1, [], 0)
+
+
+def _euler_bits(truncation):
+    """(triangles, E(q) to q^N packed as by _pack), from the table.
+
+    A truncation past the table rebuilds it at max(N, 2 * limit), so a
+    run of growing truncations rebuilds it O(log N) times.  The exponents
+    returned may run past N; the kernel stops at the first one too large.
+    """
+    global _euler_table
+    limit, triangles, bits = _euler_table
+    if truncation > limit:
+        limit = max(truncation, 2 * limit)
+        triangles = [g for g, _ in triangular_exponents(limit)]
+        # bits set in a buffer: one big-int OR per term costs O(N)
+        buffer = bytearray(limit // 8 + 1)
+        for g, _ in pentagonal_exponents(limit):
+            buffer[(limit - g) >> 3] |= 1 << ((limit - g) & 7)
+        bits = int.from_bytes(buffer, "little")
+        _euler_table = (limit, triangles, bits)
+    return triangles, bits >> (limit - truncation)
+
+
+def eta_quotient_mod2(step: int, truncation: int) -> TruncatedSeries:
+    """(q;q)_inf / (q^step;q^step)_inf over Z/2, with no division.
+
+    Over Z/2, with E(q) = (q;q)_inf, E(q)^2 = E(q^2) and E(q)^3 = J(q) =
+    sum_{m>=0} q^{m(m+1)/2}, so 1/E(q^s) = prod_{u>=0} J(q^{s 4^u}): E(q)
+    from the shared table, times J(q^s) for s = step * 4^u <= N by
+    :func:`_times_dilations`.
+    """
+    if step < 1:
+        raise ValueError(f"step must be >= 1, got {step}")
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
+    triangles, packed = _euler_bits(truncation)
+    factors = []
+    while step <= truncation:
+        factors.append((triangles, step))
+        step *= 4
+    return _times_dilations(packed, factors, truncation, 2)
 
 
 def theta_exponents(limit: int) -> list[tuple[int, int]]:

@@ -122,15 +122,16 @@ def test_verify_claim_out_of_hypothesis_reports_without_asserting():
     assert report.status in (VERIFIED, REFUTED)
 
 
-def test_verify_claim_truncation_shortfall():
+def test_verify_claim_truncation_shortfall(monkeypatch):
     def short_provider(claim, truncation):
         return make_series(CoefficientRing(claim.m), 1, [0, 0]), "fake"
 
+    monkeypatch.setattr(congruences, "default_series_provider", short_provider)
     with pytest.raises(ValueError, match="shortfall"):
-        verify_claim(CongruenceClaim(PHI, 4, 5, 3, 2), 5, short_provider)
+        verify_claim(CongruenceClaim(PHI, 4, 5, 3, 2), 5)
 
 
-def test_verify_claim_alternate_route_agrees():
+def test_verify_claim_alternate_route_agrees(monkeypatch):
     def double_sum_provider(c, truncation):
         series = phi_series_double_sum(c.k, truncation, CoefficientRing(c.m))
         return series, "phi-double-sum"
@@ -141,7 +142,11 @@ def test_verify_claim_alternate_route_agrees():
     for r, status in ((3, VERIFIED), (1, REFUTED)):
         claim = CongruenceClaim(PHI, 4, 5, r, 2)
         a = verify_claim(claim, 40)
-        b = verify_claim(claim, 40, double_sum_provider)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                congruences, "default_series_provider", double_sum_provider
+            )
+            b = verify_claim(claim, 40)
         scan = tuple(
             (n, mod2[n]) for n in range(r, 5 * 40 + r + 1, 5) if mod2[n]
         )
@@ -150,7 +155,7 @@ def test_verify_claim_alternate_route_agrees():
         assert bool(scan) == (status == REFUTED)
 
 
-def test_verify_claim_reduces_exact_provider():
+def test_verify_claim_reduces_exact_provider(monkeypatch):
     # 24*1+1 == 0 mod 5, so phi_4(5n + 1) has odd values to report mod 2
     claim = CongruenceClaim(PHI, 4, 5, 1, 2)
 
@@ -158,19 +163,21 @@ def test_verify_claim_reduces_exact_provider():
         return phi_series_double_sum(c.k, truncation), "phi-double-sum"
 
     default = verify_claim(claim, 8)
-    exact = verify_claim(claim, 8, exact_provider)
+    monkeypatch.setattr(congruences, "default_series_provider", exact_provider)
+    exact = verify_claim(claim, 8)
     assert default.status == exact.status == REFUTED
     assert default.counterexamples == exact.counterexamples
     assert {v for _, v in exact.counterexamples} == {1}
 
 
-def test_verify_claim_rejects_provider_in_other_modulus():
+def test_verify_claim_rejects_provider_in_other_modulus(monkeypatch):
     def mod3_provider(c, truncation):
         series = phi_series_double_sum(c.k, truncation, CoefficientRing(3))
         return series, "phi-double-sum"
 
+    monkeypatch.setattr(congruences, "default_series_provider", mod3_provider)
     with pytest.raises(ValueError, match="does not match modulus 2"):
-        verify_claim(CongruenceClaim(PHI, 4, 5, 3, 2), 5, mod3_provider)
+        verify_claim(CongruenceClaim(PHI, 4, 5, 3, 2), 5)
 
 
 def test_main_theorem_suite_p5():

@@ -13,6 +13,7 @@ from frobseries.series import (
     TruncatedSeries,
     add,
     divide,
+    eta_quotient_mod2,
     invert,
     make_series,
     mul,
@@ -301,6 +302,7 @@ def test_negative_truncation_raises_value_error():
         lambda: pentagonal_series(EXACT, -1),
         lambda: pochhammer(EXACT, -1, 1, 1),
         lambda: phi_parity_series(1, -1),
+        lambda: eta_quotient_mod2(2, -1),
         lambda: partition_series(-1),
     ):
         with pytest.raises(ValueError, match="truncation must be >= 0"):
@@ -333,6 +335,24 @@ def test_triangular_cube_series():
 def test_triangular_cube_mod_two_is_theta():
     s = reduce_mod(triangular_cube_series(EXACT, 10), 2)
     assert s.coeffs == bytes((1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("step", [0, -1])
+def test_eta_quotient_mod2_rejects_bad_step(step):
+    # a step below 1 would never pass N when multiplied by 4
+    with pytest.raises(ValueError, match="step must be >= 1"):
+        eta_quotient_mod2(step, 10)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 300])
+def test_eta_quotient_mod2_matches_divide(n):
+    # divide over Z/2 plans E(q^{s 2^t}) dilations from the divisor's own
+    # terms; the builder multiplies by the Jacobi-cube chain J(q^{s 4^u})
+    assert eta_quotient_mod2(1, n) == make_series(MOD2, n, [1])
+    euler = pentagonal_series(MOD2, n)
+    for step in range(1, 10):
+        want = divide(euler, pentagonal_series(MOD2, n, step))
+        assert eta_quotient_mod2(step, n) == want, (step, n)
 
 
 def test_reduce_mod():
