@@ -3,7 +3,8 @@ and the theorem verification suites.
 
 Exit codes are a contract: 0 success/verified, 1 refuted or oracle
 disagreement, 2 usage error or an --out file that cannot be written, 3
-guard or truncation error.  stdout carries the payload, stderr the
+guard or truncation error, or a request too large to index or allocate
+(OverflowError, MemoryError).  stdout carries the payload, stderr the
 diagnostics; --out writes the payload to a file instead.  JSON payloads
 are one compact line; ``python3 -m json.tool`` pretty-prints them.  The
 text form of ``expand`` opens with a header naming the family, k, the
@@ -267,6 +268,10 @@ def main(argv=None) -> int:
         return code
     except (oracle.GuardError, TruncationError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
+        code = EXIT_GUARD
+    except (OverflowError, MemoryError) as exc:
+        # a request too large to index or allocate is refused, not refuted
+        print(f"guard: request too large: {exc!r}", file=sys.stderr)
         code = EXIT_GUARD
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

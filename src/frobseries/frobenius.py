@@ -54,7 +54,6 @@ from .series import (
     divide,
     eta_quotient_mod2,
     invert,
-    make_series,
     mul,  # unused here; perfbench/layers.py wraps frobenius.mul
     pentagonal_series,
     pochhammer,
@@ -247,7 +246,7 @@ def phi_series_double_sum(
         j += 1
     euler = pentagonal_series(ring, n)
     return divide(
-        make_series(ring, n, num), euler, euler, pentagonal_series(ring, n, k + 1)
+        TruncatedSeries(ring, n, num), euler, euler, pentagonal_series(ring, n, k + 1)
     )
 
 

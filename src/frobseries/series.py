@@ -20,8 +20,9 @@ Production routes build eta quotients from sparse pentagonal series
 over Z/p for a prime p <= 13 as products of dilations on one packed int,
 by the kernel :func:`_times_dilations`, and in any other ring by a
 recurrence per factor.  The packed kernel and its layout live here
-alone: the pair :func:`_pack` / :func:`_unpack` owns the layout, and the
-builders that work on it, the parity route's
+alone: the pair :func:`_pack` / :func:`_unpack` owns the layout, one bit
+per coefficient over Z/2 and one 16-bit slot over Z/m for 2 < m <= 128,
+and the builders that work on it, the parity route's
 :func:`eta_quotient_mod2` and cphi's z^0 theta row
 :func:`theta_constant_series`, return series.  The dense O(N^2)
 :func:`mul` and :func:`pochhammer` stay as the schoolbook and
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from operator import itemgetter
 from typing import Sequence
 
@@ -277,15 +279,17 @@ _NONZERO_FLAG = bytes([0] + [1] * 255)  # byte x -> 1 if x else 0
 # unpacks in a few C-level passes
 _BIT_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_BIT = bytes.maketrans(b"01", b"\x00\x01")
-# for odd p, whose coefficients take one 16-bit slot each, p -> the bytes
-# x -> x mod p and x -> 256 x mod p: a slot's low and high byte reduced
-_RESIDUE_TABLES = {
-    p: bytes(x % p for x in range(256)) for p in _FROBENIUS_PRIMES[1:]
-}
-_HIGH_BYTE_TABLES = {
-    p: bytes(256 * x % p for x in range(256)) for p in _FROBENIUS_PRIMES[1:]
-}
 _SLOT_MAX = 0xFFFF
+# the largest m for which a 16-bit slot 256 h + l, as (256 h mod m) +
+# (l mod m) < 2 m, fits one byte
+_PACKED_MODULUS_MAX = 128
+
+
+@cache
+def _byte_tables(m: int) -> tuple[bytes, bytes]:
+    """The bytes x -> x mod m and x -> 256 x mod m: a slot's low and high
+    byte reduced, made on the first use of m."""
+    return bytes(x % m for x in range(256)), bytes(256 * x % m for x in range(256))
 
 
 def _dilation_plan(
@@ -328,39 +332,39 @@ def _dilation_plan(
     return factors if p == 2 else [([(0, scale)], 1), *factors]
 
 
-def _pack(residues: bytes, p: int) -> int:
-    """Residues mod p, q^0 first, as one int with q^i in slot N - i.
+def _pack(residues: bytes, m: int) -> int:
+    """Residues mod m, q^0 first, as one int with q^i in slot N - i.
 
-    A slot is 1 bit over Z/2 and 16 bits for odd p.
+    A slot is 1 bit over Z/2 and 16 bits over Z/m for 2 < m <= 128.
     """
-    if p == 2:
+    if m == 2:
         return int(residues.translate(_BIT_DIGIT), 2)
     slots = bytearray(2 * len(residues))
     slots[1::2] = residues
     return int.from_bytes(slots, "big")
 
 
-def _unpack(packed: int, truncation: int, p: int) -> bytes:
-    """The slots of ``packed`` reduced mod p, q^0 first, one byte each.
+def _unpack(packed: int, truncation: int, m: int) -> bytes:
+    """The slots of ``packed`` reduced mod m, q^0 first, one byte each.
 
-    For odd p a slot 256 h + l is congruent to (256 h mod p) + (l mod p),
-    a sum of two table lookups below 2p; one byte per slot holds it, and
-    the low table reduces it once more.
+    For 2 < m <= 128 a slot 256 h + l is congruent to (256 h mod m) +
+    (l mod m), a sum of two table lookups below 2m <= 256; one byte per
+    slot holds it, and the low table reduces it once more.
     """
     n = truncation
-    if p == 2:  # one expression: the digit str is freed before translate
+    if m == 2:  # one expression: the digit str is freed before translate
         return format(packed, f"0{n + 1}b").encode().translate(_DIGIT_BIT)
     data = packed.to_bytes(2 * (n + 1), "big")
-    low = _RESIDUE_TABLES[p]
+    low, high = _byte_tables(m)
     total = int.from_bytes(data[1::2].translate(low), "big") + int.from_bytes(
-        data[::2].translate(_HIGH_BYTE_TABLES[p]), "big"
+        data[::2].translate(high), "big"
     )
     return total.to_bytes(n + 1, "big").translate(low)
 
 
-def _reduced(packed: int, truncation: int, p: int) -> int:
-    """``packed`` with every 16-bit slot reduced mod an odd p."""
-    return _pack(_unpack(packed, truncation, p), p)
+def _reduced(packed: int, truncation: int, m: int) -> int:
+    """``packed`` with every 16-bit slot reduced mod m, for 2 < m <= 128."""
+    return _pack(_unpack(packed, truncation, m), m)
 
 
 def _times_dilations(
@@ -577,20 +581,22 @@ def theta_constant_series(
     R'_c = sum_m q^{m(m+1)/2} R_{c-m}, one shifted add per theta term; the
     last step builds only c = 0.
 
-    A row is one int laid out as by :func:`_pack`.  Over Z/p for p <= 13
-    it is built mod p: XOR over Z/2; for odd p a sum is reduced before an
-    add could pass ``_SLOT_MAX`` and once when done.  In any other ring it
-    is built over Z in B-bit slots and reduced at the end: a slot of R'_c
-    is at most T^{t+1} <= T^k for T theta terms, so with B = bits(T^k) + 1
+    A row is one int laid out as by :func:`_pack`, and the layout follows
+    from the modulus alone.  Over Z/m for m <= 128 the row is built mod m:
+    XOR over Z/2; for 2 < m a sum is reduced before an add could pass
+    ``_SLOT_MAX`` and once when done.  Over Z and Z/m for m > 128 it is
+    built over Z in B-bit slots and reduced at the end: a slot of R'_c is
+    at most T^{t+1} <= T^k for T theta terms, so with B = bits(T^k) + 1
     (rounded up to whole bytes) no carry leaves its slot.
     """
-    n, p = truncation, ring.modulus
+    n, modulus = truncation, ring.modulus
     terms = theta_exponents(n)
-    # bound: the most a base row adds to a slot, tracked for odd p only
-    if p == 2:
+    packed = modulus is not None and modulus <= _PACKED_MODULUS_MAX
+    # bound: the most a base row adds to a slot, tracked in 16-bit slots only
+    if modulus == 2:
         slot, bound = 1, 0
-    elif p in _FROBENIUS_PRIMES:
-        slot, bound = 16, p - 1
+    elif packed:
+        slot, bound = 16, modulus - 1
     else:
         slot, bound = 8 * ((len(terms) ** k).bit_length() // 8 + 1), 0
     rows = [1 << n * slot]  # rows[b + t - 1] is R_b of theta^t, b in (-t, 0]
@@ -605,19 +611,19 @@ def theta_constant_series(
                 if shift > n:
                     continue
                 part = rows[b + t - 1] >> shift * slot
-                if p == 2:
+                if modulus == 2:
                     row ^= part
                     continue
                 if top + bound > _SLOT_MAX:
-                    row, top = _reduced(row, n, p), bound
+                    row, top = _reduced(row, n, modulus), bound
                 row += part
                 top += bound
             if bound:
-                row = _reduced(row, n, p)
+                row = _reduced(row, n, modulus)
             new_rows.append(row)
         rows = new_rows
-    if p in _FROBENIUS_PRIMES:
-        return TruncatedSeries(ring, n, _unpack(rows[-1], n, p))
+    if packed:
+        return TruncatedSeries(ring, n, _unpack(rows[-1], n, modulus))
     width = slot // 8
     data = rows[-1].to_bytes((n + 1) * width, "big")
     row = [

@@ -434,6 +434,27 @@ def test_failed_run_leaves_no_out_file(argv, code, tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "n",
+    [
+        "100000000000000000000",  # no index holds it: OverflowError
+        "10000000000000000",  # its list passes the address space: MemoryError
+    ],
+)
+def test_request_too_large_exits_three(n, tmp_path, capsys):
+    # each fails at once, before any memory is touched; exit 1 would read
+    # as a refuted claim
+    argv = ["expand", "--family", "phi", "--k", "1", "--n", n]
+    path = tmp_path / "new.txt"
+    for out in ([], ["--out", str(path)]):
+        assert cli.main(argv + out) == cli.EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("guard: ")
+        assert "Traceback" not in captured.err
+    assert not path.exists()
+
+
 def test_console_entry_point_exit_status(tmp_path):
     src = Path(frobseries.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -94,6 +94,19 @@ def test_parity_route_warm_peak_memory():
     assert peak < 2.5 * (n + 1)
 
 
+def test_double_sum_peak_memory():
+    # the numerator list goes to TruncatedSeries as it is, with no padded
+    # copy, so the double sum over Z/2 peaks below 20 bytes per coefficient
+    n = 10**5
+    tracemalloc.start()
+    try:
+        phi_series_double_sum(4, n, MOD2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * (n + 1)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 120, 1000])
 def test_z2_routes_match_their_exact_forms(n):
     # the double sum and cphi divide over Z/2 by dilations of the divisor;
@@ -239,28 +252,31 @@ def test_cphi_series_matches_cg_product_reference():
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+# the theta row is built mod m on packed slots for m <= 128 and over Z in
+# wide slots from 129 on
+ROW_MODULI = (*SMALL_PRIMES, 4, 9, 25, 128, 129)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 6, 61, 120, 301])
 def test_cphi_series_over_small_primes_matches_all_row_reference(n):
-    # over Z/p for p <= 13 the theta row is built mod p in the kernel's
-    # packed slots; the reference is the z^0 row of cg_product's all-row
-    # theta power over Z, with no base-row recurrence and no kernel,
-    # divided by k pentagonal factors and reduced mod p.  One pass of the
-    # reference builds each power once
+    # over Z/m for m <= 128 the theta row is built mod m in the kernel's
+    # packed slots, over Z/129 in wide ones; the reference is the z^0 row
+    # of cg_product's all-row theta power over Z, with no base-row
+    # recurrence and no kernel, divided by k pentagonal factors and
+    # reduced mod m.  One pass of the reference builds each power once
     ks = [*range(1, 16), *((20, 30) if n <= 61 else ())]
     for k, rows in zip(range(1, max(ks) + 1), _theta_rows(n)):
         if k not in ks:
             continue
         row = TruncatedSeries(EXACT, n, rows[0])
         exact = divide(row, *[pentagonal_series(EXACT, n)] * k)
-        for p in SMALL_PRIMES:
-            got = cphi_series(k, n, CoefficientRing(p))
-            assert got == reduce_mod(exact, p), (k, n, p)
+        for m in ROW_MODULI:
+            got = cphi_series(k, n, CoefficientRing(m))
+            assert got == reduce_mod(exact, m), (k, n, m)
 
 
 def test_odd_p_theta_row_reduces_mid_sum(monkeypatch):
-    # a low slot limit makes the theta row (and the kernel) reduce mod p in
+    # a low slot limit makes the theta row (and the kernel) reduce mod m in
     # the middle of a sum of shifted rows; the results must not change
     n = 120
     reductions = []
@@ -271,8 +287,8 @@ def test_odd_p_theta_row_reduces_mid_sum(monkeypatch):
 
     def row_reductions():
         reductions.clear()
-        for k, p in want:
-            theta_constant_series(CoefficientRing(p), n, k)
+        for k, m in want:
+            theta_constant_series(CoefficientRing(m), n, k)
         return len(reductions)
 
     residues = frobseries.series._unpack
@@ -280,13 +296,13 @@ def test_odd_p_theta_row_reduces_mid_sum(monkeypatch):
     want = {}
     for k in (4, 9):
         exact = cg_product(k, n).constant_term()
-        for p in SMALL_PRIMES[1:]:
-            want[k, p] = reduce_mod(exact, p)
-            assert cphi_series(k, n, CoefficientRing(p)) == want[k, p]
+        for m in (*SMALL_PRIMES[1:], 4, 9, 25, 128):
+            want[k, m] = reduce_mod(exact, m)
+            assert cphi_series(k, n, CoefficientRing(m)) == want[k, m]
     base_rows = row_reductions()  # one per base row, one final unpack
     monkeypatch.setattr(frobseries.series, "_SLOT_MAX", 40)
-    for (k, p), series in want.items():
-        assert cphi_series(k, n, CoefficientRing(p)) == series, (k, p)
+    for (k, m), series in want.items():
+        assert cphi_series(k, n, CoefficientRing(m)) == series, (k, m)
     assert row_reductions() > base_rows
 
 
@@ -393,7 +409,7 @@ def test_double_sum_in_modular_ring_matches_exact():
 @pytest.mark.parametrize(
     "modulus, storage",
     [(None, tuple), (2, bytes), (3, bytes), (4, bytes), (17, bytes),
-     (25, bytes), (256, bytes), (257, tuple)],
+     (25, bytes), (128, bytes), (129, bytes), (256, bytes), (257, tuple)],
 )
 def test_routes_return_their_ring_storage(modulus, storage):
     # over Z/m with m <= 256 every route returns one bytes object of

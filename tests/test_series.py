@@ -21,6 +21,7 @@ from frobseries.series import (
     pentagonal_series,
     pochhammer,
     reduce_mod,
+    theta_constant_series,
     triangular_cube_series,
 )
 
@@ -394,6 +395,7 @@ def test_every_producer_stores_its_ring_storage(modulus, storage):
             pentagonal_series(r, n),
             make_series(r, n, [1, 5, -3]),
         ),
+        "theta_constant_series": lambda r: theta_constant_series(r, n, 5),
     }
     for name, build in builds.items():
         got = build(ring)
@@ -402,6 +404,23 @@ def test_every_producer_stores_its_ring_storage(modulus, storage):
             want = reduce_mod(build(EXACT), modulus)
             assert type(want.coeffs) is storage, name
             assert got == want, name
+
+
+def test_unpack_reduces_every_16_bit_slot_up_to_modulus_128():
+    # a slot 256 h + l unpacks as (256 h mod m) + (l mod m), which fits one
+    # byte while 2m - 2 < 256: every m <= 128, prime or not, and not 129.
+    # The theta row packs exactly the moduli up to that bound
+    top = frobseries.series._PACKED_MODULUS_MAX
+    values = range(1 << 16)
+    packed = int.from_bytes(b"".join(v.to_bytes(2, "big") for v in values), "big")
+    n = len(values) - 1
+
+    def unpacks(m):
+        return frobseries.series._unpack(packed, n, m) == bytes(v % m for v in values)
+
+    for m in (3, 4, 9, 25, 64, top - 1, top):
+        assert unpacks(m), m
+    assert not unpacks(top + 1)
 
 
 def test_direct_series_over_small_modulus_is_stored_reduced():
