@@ -57,10 +57,6 @@ def _int_list(text: str) -> list[int]:
 
 def cmd_expand(args) -> tuple[str, int]:
     series, route = frobenius.expand(args.family, args.k, args.n, args.mod)
-    if args.format == "csv":
-        lines = ["n,coefficient"]
-        lines += [f"{n},{c}" for n, c in enumerate(series.coeffs)]
-        return "\n".join(lines) + "\n", EXIT_OK
     if args.format == "json":
         doc = {
             "family": args.family,
@@ -71,11 +67,12 @@ def cmd_expand(args) -> tuple[str, int]:
             "coefficients": list(series.coeffs),
         }
         return _json_payload(doc, args), EXIT_OK
-    lines = [
-        f"# family={args.family} k={args.k} n={series.truncation} "
-        f"ring={series.ring} route={route}"
-    ]
-    lines += [f"{n}\t{c}" for n, c in enumerate(series.coeffs)]
+    if args.format == "csv":
+        lines, sep = ["n,coefficient"], ","
+    else:
+        header = f"# family={args.family} k={args.k} n={series.truncation}"
+        lines, sep = [f"{header} ring={series.ring} route={route}"], "\t"
+    lines += [f"{n}{sep}{c}" for n, c in enumerate(series.coeffs)]
     return "\n".join(lines) + "\n", EXIT_OK
 
 
@@ -102,10 +99,9 @@ def cmd_oracle(args) -> tuple[str, int]:
 
 
 def cmd_residues(args) -> tuple[str, int]:
-    rows = sorted(
-        (r, congruences.residue_class(24 * r + 1, args.p))
-        for r in range(1, args.p)
-    )
+    rows = [
+        (r, congruences.residue_class(24 * r + 1, args.p)) for r in range(1, args.p)
+    ]
     eligible = congruences.eligible_residues(args.p)
     lines = [f"# p={args.p}  (class of 24r+1 mod p)"]
     for r, cls in rows:

@@ -235,20 +235,14 @@ def garvan_sellers_lift_check(
         raise ValueError(f"need 0 < r < p, got r={r}")
     if lift_count < 0:
         raise ValueError("lift_count must be >= 0")
-    hypothesis = CongruenceClaim(CPHI, k, p, r, p)
-    reports = [verify_claim(hypothesis, n_max)]
-    lifted = [
-        CongruenceClaim(CPHI, p * n + k, p, r, p)
-        for n in range(1, lift_count + 1)
-    ]
-    if reports[0].status == VERIFIED:
-        for claim in lifted:
+    hypothesis = verify_claim(CongruenceClaim(CPHI, k, p, r, p), n_max)
+    reports = [hypothesis]
+    for n in range(1, lift_count + 1):
+        claim = CongruenceClaim(CPHI, p * n + k, p, r, p)
+        if hypothesis.status == VERIFIED:
             reports.append(verify_claim(claim, n_max))
-    else:
-        route = reports[0].route
-        for claim in lifted:
-            reports.append(
-                VerificationReport(claim, n_max, SKIPPED, (), route)
-            )
+        else:
+            route = hypothesis.route
+            reports.append(VerificationReport(claim, n_max, SKIPPED, (), route))
     return reports
 

@@ -54,13 +54,13 @@ from .series import (
     divide,
     eta_quotient_mod2,
     invert,
+    make_series,
     mul,  # unused here; perfbench/layers.py wraps frobenius.mul
     pentagonal_series,
     pochhammer,
     theta_constant_series,
     theta_exponents,
     triangular_cube_series,
-    zero_series,
 )
 
 FAMILIES = ("phi", "cphi")
@@ -100,7 +100,7 @@ class LaurentPolyOverSeries:
     def z_coefficient(self, j: int) -> TruncatedSeries:
         if self.z_min <= j <= self.z_max:
             return self.entries[j - self.z_min]
-        return zero_series(self.ring, self.truncation)
+        return make_series(self.ring, self.truncation)
 
     def constant_term(self) -> TruncatedSeries:
         return self.z_coefficient(0)
@@ -220,9 +220,10 @@ def phi_series_double_sum(
     """Sum of phi_k(n) q^n via Andrews' double-sum formula.
 
     Numerator: sum over integers j and r >= (k+1)|j| of
-    (-1)^{r+kj} q^{binom(r+1,2) - binom(k+1,2) j^2}, assembled sparsely.
-    j and -j give the same exponent and sign (kj = -kj mod 2), so each
-    j > 0 is added once with weight 2.  Denominator: (q;q)_inf^2
+    (-1)^{r+kj} q^{binom(r+1,2) - binom(k+1,2) j^2}, each term added,
+    reduced, into one zero row in the ring's storage.  j and -j give the
+    same exponent and sign (kj = -kj mod 2), so each j > 0 is added once
+    with weight 2.  Denominator: (q;q)_inf^2
     (q^{k+1};q^{k+1})_inf, three sparse pentagonal factors in one
     ``divide`` call in the requested ring.  Over Z/p for p <= 13 the
     repeated (q;q)_inf is one divisor taken twice, which costs no more
@@ -231,7 +232,7 @@ def phi_series_double_sum(
     if k < 1:
         raise ValueError("k must be >= 1")
     n = truncation
-    num = [0] * (n + 1)
+    num = ring.zeros(n + 1)  # before any term: a huge n fails here, at once
     half_kk1 = k * (k + 1) // 2
     j = 0
     while (k + 1) * j * (j + 1) // 2 <= n:
@@ -241,7 +242,8 @@ def phi_series_double_sum(
             exp = r * (r + 1) // 2 - half_kk1 * j * j
             if exp > n:
                 break
-            num[exp] += -weight if (r + k * j) % 2 else weight
+            sign = -weight if (r + k * j) % 2 else weight
+            num[exp] = ring.normalize(num[exp] + sign)
             r += 1
         j += 1
     euler = pentagonal_series(ring, n)

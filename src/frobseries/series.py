@@ -155,10 +155,6 @@ def make_series(
     return TruncatedSeries(ring, truncation, [*coeffs, *padding])
 
 
-def zero_series(ring: CoefficientRing, truncation: int) -> TruncatedSeries:
-    return make_series(ring, truncation)
-
-
 def _check_compatible(a: TruncatedSeries, b: TruncatedSeries) -> None:
     if a.ring != b.ring:
         raise ValueError(f"ring mismatch: {a.ring} vs {b.ring}")
@@ -562,10 +558,8 @@ def theta_exponents(limit: int) -> list[tuple[int, int]]:
     m and -1-m share a degree and sit next to each other.
     """
     terms = []
-    t = 0
-    while (e := t * (t + 1) // 2) <= limit:
+    for t, (e, _) in enumerate(triangular_exponents(limit)):
         terms += [(t, e), (-1 - t, e)]
-        t += 1
     return terms
 
 
@@ -584,10 +578,12 @@ def theta_constant_series(
     A row is one int laid out as by :func:`_pack`, and the layout follows
     from the modulus alone.  Over Z/m for m <= 128 the row is built mod m:
     XOR over Z/2; for 2 < m a sum is reduced before an add could pass
-    ``_SLOT_MAX`` and once when done.  Over Z and Z/m for m > 128 it is
-    built over Z in B-bit slots and reduced at the end: a slot of R'_c is
-    at most T^{t+1} <= T^k for T theta terms, so with B = bits(T^k) + 1
-    (rounded up to whole bytes) no carry leaves its slot.
+    ``_SLOT_MAX``, each base row at the end of its step, and the last row
+    by :func:`_unpack`, which reduces any 16-bit slot.  Over Z and Z/m
+    for m > 128 it is built over Z in B-bit slots and reduced at the end:
+    a slot of R'_c is at most T^{t+1} <= T^k for T theta terms, so with
+    B = bits(T^k) + 1 (rounded up to whole bytes) no carry leaves its
+    slot.
     """
     n, modulus = truncation, ring.modulus
     terms = theta_exponents(n)
@@ -618,7 +614,7 @@ def theta_constant_series(
                     row, top = _reduced(row, n, modulus), bound
                 row += part
                 top += bound
-            if bound:
+            if bound and t + 1 < k:  # _unpack reduces the last row
                 row = _reduced(row, n, modulus)
             new_rows.append(row)
         rows = new_rows
