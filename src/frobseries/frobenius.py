@@ -4,7 +4,8 @@ Three independent routes are implemented:
 
 * ``phi_series_double_sum`` -- Andrews' double-sum formula: a sparse signed
   numerator over pairs (j, r) with r >= (k+1)|j|, divided by
-  (q;q)_inf^2 (q^{k+1};q^{k+1})_inf.
+  (q;q)_inf^2 (q^{k+1};q^{k+1})_inf, with (q;q)_inf^2 in the form
+  ``series.euler_square_factors`` picks for the ring.
 * ``phi_parity_series`` -- the mod-2 collapse of the same function to the
   eta quotient (q;q)_inf / (q^{k+1};q^{k+1})_inf, which
   ``series.eta_quotient_mod2`` evaluates without division.
@@ -13,7 +14,8 @@ Three independent routes are implemented:
   prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k = theta(z)^k / (q;q)_inf^k
   (Jacobi triple product).  (q;q)_inf^k does not depend on z, so only the
   z^0 row of theta(z)^k is divided, by floor(k/3) factors of Jacobi's
-  sparse cube (q;q)_inf^3 and k mod 3 factors of (q;q)_inf.  That row,
+  sparse cube (q;q)_inf^3 and k mod 3 factors of (q;q)_inf, two of them
+  as ``series.euler_square_factors``.  That row,
   ``series.theta_constant_series``, is built on packed integers from t
   base rows per power theta^t, since theta(zq) = z^-1 q^-1 theta(z)
   makes every other z row a q-shift of one of them.
@@ -24,10 +26,12 @@ as a sparse series and divide by their whole denominator in one
 packed kernel that the parity route also runs, the dividend packed
 once, and p - 1 products by each distinct factor per power p^t <= N, at
 O(N / 64) word operations per term over Z/2 and O(N / 4) for odd p; a
-factor that repeats costs no more than once.  In other rings it is a recurrence per
-factor: O(N^1.5) element reads, gathered in C, and O(N) Python steps
-when the factor's terms take a bounded set of values (a pentagonal
-series has two over Z).  None expands a dense product or inverse.
+factor that repeats costs no more than once, so (q;q)_inf^2 is E E
+there.  In other rings it is a recurrence per factor: O(N^1.5) element
+reads, gathered in C, and O(N) Python steps when the factor's terms
+take a bounded set of values (a pentagonal series has two over Z).
+There (q;q)_inf^2 is Gauss's (q^2;q^2)_inf phi(-q), with about two
+thirds of the terms of E E.  None expands a dense product or inverse.
 
 ``cg_product`` builds every z row of the colored product over Z,
 unpacked, in a :class:`LaurentPolyOverSeries` (a finite window of
@@ -53,6 +57,7 @@ from .series import (
     TruncatedSeries,
     divide,
     eta_quotient_mod2,
+    euler_square_factors,
     invert,
     make_series,
     mul,  # unused here; perfbench/layers.py wraps frobenius.mul
@@ -179,8 +184,10 @@ def cphi_series(
     The z^0 row, ``theta_constant_series``, is divided in one ``divide``
     call by floor(k/3) factors of Jacobi's sparse cube (q;q)_inf^3 =
     sum_j (-1)^j (2j+1) q^{j(j+1)/2} and k mod 3 factors of the pentagonal
-    series: for k = 6, two factors instead of six.  Only the divisors used
-    are built.
+    series: for k = 6, two factors instead of six.  For k = 2 (mod 3) the
+    two pentagonal factors are ``euler_square_factors``: E E over Z/p for
+    p <= 13, Gauss's E(q^2) phi(-q) where ``divide`` runs the recurrence.
+    Only the divisors used are built.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -190,8 +197,10 @@ def cphi_series(
     denominator = []
     if k >= 3:
         denominator += [triangular_cube_series(ring, n)] * (k // 3)
-    if k % 3:
-        denominator += [pentagonal_series(ring, n)] * (k % 3)
+    if k % 3 == 2:
+        denominator += euler_square_factors(ring, n)
+    elif k % 3:
+        denominator.append(pentagonal_series(ring, n))
     return divide(theta_constant_series(ring, n, k), *denominator)
 
 
@@ -224,10 +233,12 @@ def phi_series_double_sum(
     reduced, into one zero row in the ring's storage.  j and -j give the
     same exponent and sign (kj = -kj mod 2), so each j > 0 is added once
     with weight 2.  Denominator: (q;q)_inf^2
-    (q^{k+1};q^{k+1})_inf, three sparse pentagonal factors in one
-    ``divide`` call in the requested ring.  Over Z/p for p <= 13 the
-    repeated (q;q)_inf is one divisor taken twice, which costs no more
-    than once (over Z/2, 1/E(q)^2 = 1/E(q^2)).
+    (q^{k+1};q^{k+1})_inf, three sparse factors in one ``divide`` call in
+    the requested ring, (q;q)_inf^2 as ``euler_square_factors``.  Over
+    Z/p for p <= 13 it is one divisor E taken twice, which costs no more
+    than once (over Z/2, 1/E(q)^2 = 1/E(q^2)); in every other ring it is
+    Gauss's E(q^2) phi(-q), which the recurrence reads in about two
+    thirds of the terms.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -246,9 +257,10 @@ def phi_series_double_sum(
             num[exp] = ring.normalize(num[exp] + sign)
             r += 1
         j += 1
-    euler = pentagonal_series(ring, n)
     return divide(
-        TruncatedSeries(ring, n, num), euler, euler, pentagonal_series(ring, n, k + 1)
+        TruncatedSeries(ring, n, num),
+        *euler_square_factors(ring, n),
+        pentagonal_series(ring, n, k + 1),
     )
 
 

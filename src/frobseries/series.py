@@ -15,14 +15,16 @@ ring, as a tuple.
 Production routes build eta quotients from sparse pentagonal series
 (:func:`pentagonal_series`, placed from the one exponent list
 :func:`pentagonal_exponents`), the sparse cube
-:func:`triangular_cube_series` (from :func:`triangular_exponents`), and
-:func:`divide`, which takes a whole denominator b_1 ... b_r in one call:
-over Z/p for a prime p <= 13 as products of dilations on one packed int,
-by the kernel :func:`_times_dilations`, and in any other ring by a
-recurrence per factor.  The packed kernel and its layout live here
-alone: the pair :func:`_pack` / :func:`_unpack` owns the layout, one bit
-per coefficient over Z/2 and one 16-bit slot over Z/m for 2 < m <= 128,
-and the builders that work on it, the parity route's
+:func:`triangular_cube_series` (from :func:`triangular_exponents`),
+Gauss's :func:`gauss_theta_series`, and :func:`divide`, which takes a
+whole denominator b_1 ... b_r in one call: over Z/p for a prime p <= 13
+as products of dilations on one packed int, by the kernel
+:func:`_times_dilations`, and in any other ring by a recurrence per
+factor; :func:`euler_square_factors` picks the factors of (q;q)_inf^2
+cheapest on each side of that split.  The packed kernel and its layout
+live here alone: the pair :func:`_pack` / :func:`_unpack` owns the
+layout, one bit per coefficient over Z/2 and one 16-bit slot over Z/m
+for 2 < m <= 128, and the builders that work on it, the parity route's
 :func:`eta_quotient_mod2` and cphi's z^0 theta row
 :func:`theta_constant_series`, return series.  The dense O(N^2)
 :func:`mul` and :func:`pochhammer` stay as the schoolbook and
@@ -222,6 +224,12 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     differ over Z, so there each is a group of one.  The recurrence is
     also the reference that the tests compare the products against.
 
+    The factors go in a stable order, the one whose first nonconstant
+    term comes latest first, so E(q^{k+1}) before E(q): the quotient is
+    unique, and the partial quotients stay machine-sized ints, which
+    CPython's ``sum`` adds fastest, for longer.  A route passes
+    (q;q)_inf^2 as the pair :func:`euler_square_factors` picks.
+
     The recurrence costs O(N * nnz(b)) element reads per factor, done in
     C, and per coefficient one Python step per group, then one
     multiplication by b_0^{-1} and, in a modular ring only, one
@@ -238,8 +246,12 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
         plan = _dilation_plan(divisors, inverses, modulus, n)
         return _times_dilations(_pack(a.coeffs, modulus), plan, n, modulus)
     coeffs = a.coeffs
-    for b, inv0 in zip(divisors, inverses):
-        terms = [(i, c) for i, c in enumerate(b.coeffs) if c and i]
+    factors = [
+        ([(i, c) for i, c in enumerate(b.coeffs) if c and i], inv0)
+        for b, inv0 in zip(divisors, inverses)
+    ]
+    factors.sort(key=lambda f: f[0][0][0] if f[0] else n + 1, reverse=True)
+    for terms, inv0 in factors:
         out = ring.zeros(0)  # c_0, c_1, ... in the ring's storage
         # value -> negative indices of the active terms with that value; a
         # group of one is read directly, since itemgetter of one index
@@ -478,6 +490,40 @@ def pentagonal_series(
     return TruncatedSeries(ring, truncation, out)
 
 
+def gauss_theta_series(ring: CoefficientRing, truncation: int) -> TruncatedSeries:
+    """Sparse form of Gauss's phi(-q) = sum_{n in Z} (-1)^n q^{n^2}.
+
+    By Gauss, phi(-q) = (q;q)_inf^2 / (q^2;q^2)_inf: 1 at q^0 and
+    2 (-1)^n at each square n^2 <= N, about sqrt(N) terms in two values.
+    """
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
+    out = ring.zeros(truncation + 1)
+    out[0] = 1
+    j = 1
+    while j * j <= truncation:
+        out[j * j] = ring.normalize(-2 if j % 2 else 2)
+        j += 1
+    return TruncatedSeries(ring, truncation, out)
+
+
+def euler_square_factors(
+    ring: CoefficientRing, truncation: int
+) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """Two sparse factors of (q;q)_inf^2, the pair cheapest to divide by.
+
+    Over Z/p for the kernel's primes p <= 13 it is (E, E), E = (q;q)_inf:
+    :func:`divide` folds a divisor taken twice into one plan, at the cost
+    of one.  In every ring where it runs the recurrence it is Gauss's
+    (E(q^2), phi(-q)), whose terms to q^N number about 1.15 sqrt(N) +
+    sqrt(N) = 2.15 sqrt(N), against 3.26 sqrt(N) for E twice.
+    """
+    if ring.modulus in _FROBENIUS_PRIMES:
+        euler = pentagonal_series(ring, truncation)
+        return euler, euler
+    return pentagonal_series(ring, truncation, 2), gauss_theta_series(ring, truncation)
+
+
 def triangular_exponents(limit: int) -> list[tuple[int, int]]:
     """(e, (-1)^m (2m+1)) for each triangular e = m(m+1)/2 <= limit, m >= 0.
 
@@ -521,9 +567,10 @@ def _euler_bits(truncation):
     limit, triangles, bits = _euler_table
     if truncation > limit:
         limit = max(truncation, 2 * limit)
-        triangles = [g for g, _ in triangular_exponents(limit)]
-        # bits set in a buffer: one big-int OR per term costs O(N)
+        # bits set in a buffer: one big-int OR per term costs O(N).  It is
+        # made first, so a huge N fails at once, not after its exponents
         buffer = bytearray(limit // 8 + 1)
+        triangles = [g for g, _ in triangular_exponents(limit)]
         for g, _ in pentagonal_exponents(limit):
             buffer[(limit - g) >> 3] |= 1 << ((limit - g) & 7)
         bits = int.from_bytes(buffer, "little")

@@ -10,6 +10,7 @@ import pytest
 from jsonschema import validate
 
 import frobseries
+import frobseries.series
 from frobseries import cli, congruences, frobenius
 from frobseries.congruences import VerificationReport
 from frobseries.series import CoefficientRing, make_series
@@ -453,6 +454,36 @@ def test_request_too_large_exits_three(n, tmp_path, capsys):
         assert captured.err.startswith("guard: ")
         assert "Traceback" not in captured.err
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "main", "--primes", "5", "--ells", "1",
+         "--nmax", "100000000000000000000"],
+        ["expand", "--family", "phi", "--k", "4", "--mod", "2",
+         "--n", "100000000000000000000"],
+    ],
+)
+def test_parity_route_refuses_a_huge_truncation_at_once(argv, monkeypatch, capsys):
+    # the Euler table's bit buffer is allocated before its exponents are
+    # listed, so a truncation near 10^20 fails at that allocation instead
+    # of walking ~10^10 triangular numbers first, and the table is kept
+    huge = []
+    listing = frobseries.series.triangular_exponents
+
+    def guarded(limit):
+        if limit > 10**9:
+            huge.append(limit)
+            raise AssertionError(f"exponents listed to {limit}")
+        return listing(limit)
+
+    monkeypatch.setattr(frobseries.series, "triangular_exponents", guarded)
+    table = frobseries.series._euler_table
+    assert cli.main(argv) == cli.EXIT_GUARD
+    assert capsys.readouterr().err.startswith("guard: ")
+    assert huge == []
+    assert frobseries.series._euler_table is table
 
 
 def test_console_entry_point_exit_status(tmp_path):

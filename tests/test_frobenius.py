@@ -410,6 +410,15 @@ def test_double_sum_in_modular_ring_matches_exact():
         exact = reduce_mod(phi_series_double_sum(k, 30), m)
         modular = phi_series_double_sum(k, 30, CoefficientRing(m))
         assert exact == modular, (k, m)
+    # over Z the denominator is E(q^2) phi(-q) E(q^{k+1}) by the
+    # recurrence; over Z/3, Z/7 and Z/13 it is E E E(q^{k+1}) by dilations,
+    # and over Z/25 and Z/257 Gauss's form again by the recurrence
+    n = 1500
+    for k in (1, 2, 4):
+        exact = phi_series_double_sum(k, n)
+        for m in (3, 7, 13, 25, 257):
+            modular = phi_series_double_sum(k, n, CoefficientRing(m))
+            assert modular == reduce_mod(exact, m), (k, m)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,8 @@ from frobseries.series import (
     add,
     divide,
     eta_quotient_mod2,
+    euler_square_factors,
+    gauss_theta_series,
     invert,
     make_series,
     mul,
@@ -304,6 +306,7 @@ def test_negative_truncation_raises_value_error():
         lambda: pochhammer(EXACT, -1, 1, 1),
         lambda: phi_parity_series(1, -1),
         lambda: eta_quotient_mod2(2, -1),
+        lambda: gauss_theta_series(EXACT, -1),
         lambda: partition_series(-1),
     ):
         with pytest.raises(ValueError, match="truncation must be >= 0"):
@@ -325,6 +328,56 @@ def test_pentagonal_support_is_signed_units():
         assert pentagonal_exponents(n) == [
             (g, s.coefficient(g)) for g in sorted(pentagonals)
         ]
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 3, 4, 25, 257])
+def test_gauss_theta_times_dilated_euler_is_euler_squared(modulus):
+    # Gauss: phi(-q) = (q;q)^2 / (q^2;q^2), checked by the dense references
+    ring = EXACT if modulus is None else CoefficientRing(modulus)
+    for n in (0, 1, 2, 7, 61, 300):
+        euler = pochhammer(ring, n, 1, 1)
+        got = mul(gauss_theta_series(ring, n), pochhammer(ring, n, 2, 2))
+        assert got == mul(euler, euler), n
+        assert mul(*euler_square_factors(ring, n)) == mul(euler, euler), n
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 5, 7, 11, 13, None, 4, 17, 25, 257])
+def test_euler_square_factors_follow_the_division_split(modulus):
+    # divide folds E taken twice into one dilation plan over Z/p, p <= 13;
+    # where it runs the recurrence, E(q^2) and phi(-q) have fewer terms
+    ring = EXACT if modulus is None else CoefficientRing(modulus)
+    n = 100
+    euler = pentagonal_series(ring, n)
+    if modulus in (2, 3, 5, 7, 11, 13):
+        want = (euler, euler)
+    else:
+        want = (pentagonal_series(ring, n, 2), gauss_theta_series(ring, n))
+    assert euler_square_factors(ring, n) == want
+
+
+@pytest.mark.parametrize("modulus", [None, 4, 17, 257])
+def test_recurrence_quotient_does_not_depend_on_divisor_order(modulus):
+    # the recurrence divides by the factor whose first term past q^0 comes
+    # latest first; any order of the same divisors gives the same quotient
+    ring = EXACT if modulus is None else CoefficientRing(modulus)
+    n = 120
+    rng = random.Random(n)
+    a = make_series(ring, n, [rng.randint(-9, 9) for _ in range(n + 1)])
+    divisors = [
+        pentagonal_series(ring, n),
+        gauss_theta_series(ring, n),
+        pentagonal_series(ring, n, 5),
+        make_series(ring, n, [-1]),
+        triangular_cube_series(ring, n),
+        pentagonal_series(ring, n, 2),
+    ]
+    want = divide(a, *divisors)
+    for order in ([5, 0, 3, 1, 4, 2], [3, 2, 1, 0, 5, 4], [1, 4, 0, 2, 5, 3]):
+        assert divide(a, *(divisors[i] for i in order)) == want, order
+    product = make_series(ring, n, [1])
+    for b in divisors:
+        product = mul(product, b)
+    assert mul(want, product) == a
 
 
 def test_triangular_cube_series():
@@ -387,6 +440,7 @@ def test_every_producer_stores_its_ring_storage(modulus, storage):
         "make_series": lambda r: make_series(r, n, values),
         "pentagonal_series": lambda r: pentagonal_series(r, n, 3),
         "triangular_cube_series": lambda r: triangular_cube_series(r, n),
+        "gauss_theta_series": lambda r: gauss_theta_series(r, n),
         "pochhammer": lambda r: pochhammer(r, n, 1, 2),
         "add": lambda r: add(make_series(r, n, values), pentagonal_series(r, n)),
         "mul": lambda r: mul(make_series(r, n, values), pentagonal_series(r, n)),
