@@ -155,16 +155,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="write payload to file")
-    common.add_argument(
+    # every command takes --out; only the JSON writers take --no-timestamp
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="write payload to file")
+    stamped = argparse.ArgumentParser(add_help=False, parents=[output])
+    stamped.add_argument(
         "--no-timestamp",
         action="store_true",
         help="suppress the timestamp field in JSON output",
     )
 
     p_expand = sub.add_parser(
-        "expand", parents=[common], help="expand a generating function"
+        "expand", parents=[stamped], help="expand a generating function"
     )
     p_expand.add_argument("--family", choices=frobenius.FAMILIES, required=True)
     p_expand.add_argument("--k", type=int, required=True)
@@ -179,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
     # no abbreviations, so main's foreign --p is not read as --primes; each
     # run looks up congruences.<suite> at call time, so it sees a rebinding
-    shared = argparse.ArgumentParser(add_help=False, parents=[common])
+    shared = argparse.ArgumentParser(add_help=False, parents=[stamped])
     shared.add_argument("--nmax", type=int, default=10)
     shared.add_argument(
         "--jobs",
@@ -219,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser(
         "oracle",
-        parents=[common],
+        parents=[output],
         help="brute-force count with series cross-check",
     )
     p_oracle.add_argument("--family", choices=frobenius.FAMILIES, required=True)
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_res = sub.add_parser(
-        "residues", parents=[common], help="eligible residue table for a prime"
+        "residues", parents=[output], help="eligible residue table for a prime"
     )
     p_res.add_argument("--p", type=int, required=True)
     p_res.set_defaults(func=cmd_residues)

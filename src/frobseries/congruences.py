@@ -128,19 +128,6 @@ class VerificationReport:
             "route": self.route,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerificationReport":
-        c = data["claim"]
-        return cls(
-            claim=CongruenceClaim(c["family"], c["k"], c["a"], c["b"], c["m"]),
-            n_max=data["n_max"],
-            status=data["status"],
-            counterexamples=tuple(
-                (e["n"], e["value"]) for e in data["counterexamples"]
-            ),
-            route=data["route"],
-        )
-
 
 def default_series_provider(
     claim: CongruenceClaim, truncation: int
@@ -189,14 +176,13 @@ def _run_claims(claims, n_max):
 
 def main_theorem_suite(primes, ells, n_max: int) -> list[VerificationReport]:
     """phi_{p*ell - 1}(p*n + r) == 0 (mod 2) for every eligible residue r."""
+    ells = sorted(set(ells))
+    if any(ell < 1 for ell in ells):
+        raise ValueError("ell must be >= 1")
     claims = []
     for p in sorted(set(primes)):
-        residues = None  # once per prime, after its first ell is checked
-        for ell in sorted(set(ells)):
-            if ell < 1:
-                raise ValueError("ell must be >= 1")
-            if residues is None:
-                residues = sorted(eligible_residues(p))
+        residues = sorted(eligible_residues(p))
+        for ell in ells:
             for r in residues:
                 claims.append(CongruenceClaim(PHI, p * ell - 1, p, r, 2))
     return _run_claims(claims, n_max)

@@ -5,7 +5,7 @@ Three independent routes are implemented:
 * ``phi_series_double_sum`` -- Andrews' double-sum formula: a sparse signed
   numerator over pairs (j, r) with r >= (k+1)|j|, divided by
   (q;q)_inf^2 (q^{k+1};q^{k+1})_inf, with (q;q)_inf^2 in the form
-  ``series.euler_square_factors`` picks for the ring.
+  ``series.euler_power_factors`` picks for the ring.
 * ``phi_parity_series`` -- the mod-2 collapse of the same function to the
   eta quotient (q;q)_inf / (q^{k+1};q^{k+1})_inf, which
   ``series.eta_quotient_mod2`` evaluates without division.
@@ -13,20 +13,21 @@ Three independent routes are implemented:
   coefficient of the two-variable product
   prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k = theta(z)^k / (q;q)_inf^k
   (Jacobi triple product).  (q;q)_inf^k does not depend on z, so only the
-  z^0 row of theta(z)^k is divided, by floor(k/3) factors of Jacobi's
-  sparse cube (q;q)_inf^3 and k mod 3 factors of (q;q)_inf, two of them
-  as ``series.euler_square_factors``.  That row,
+  z^0 row of theta(z)^k is divided, by the factors
+  ``series.euler_power_factors`` picks: floor(k/3) of Jacobi's sparse
+  cube (q;q)_inf^3 and k mod 3 of (q;q)_inf.  That row,
   ``series.theta_constant_series``, is built on packed integers from t
   base rows per power theta^t, since theta(zq) = z^-1 q^-1 theta(z)
   makes every other z row a q-shift of one of them.
 
-The double sum and ``cphi_series`` take each Pochhammer factor (or cube)
-as a sparse series and divide by their whole denominator in one
-``divide`` call.  Over Z/p for a prime p <= 13 that is one call of the
-packed kernel that the parity route also runs, the dividend packed
-once, and p - 1 products by each distinct factor per power p^t <= N, at
-O(N / 64) word operations per term over Z/2 and O(N / 4) for odd p; a
-factor that repeats costs no more than once, so (q;q)_inf^2 is E E
+The double sum and ``cphi_series`` take their power of (q;q)_inf from
+``series.euler_power_factors``, every factor (or cube) a sparse series,
+and divide by their whole denominator in one ``divide`` call.  Over Z/p
+for a prime p <= 13 that is one call of the packed kernel that the
+parity route also runs, the dividend packed once, and p - 1 products
+by each distinct factor per power p^t <= N, at O(N / 64) word
+operations per term over Z/2 and O(N / 4) for odd p; a factor that
+repeats costs no more than once, so (q;q)_inf^2 is E E
 there.  In other rings it is a recurrence per factor: O(N^1.5) element
 reads, gathered in C, and O(N) Python steps when the factor's terms
 take a bounded set of values (a pentagonal series has two over Z).
@@ -57,7 +58,7 @@ from .series import (
     TruncatedSeries,
     divide,
     eta_quotient_mod2,
-    euler_square_factors,
+    euler_power_factors,
     invert,
     make_series,
     mul,  # unused here; perfbench/layers.py wraps frobenius.mul
@@ -65,7 +66,6 @@ from .series import (
     pochhammer,
     theta_constant_series,
     theta_exponents,
-    triangular_cube_series,
 )
 
 FAMILIES = ("phi", "cphi")
@@ -182,26 +182,19 @@ def cphi_series(
     """Sum of cphi_k(n) q^n: ([z^0] theta(z)^k) / (q;q)_inf^k.
 
     The z^0 row, ``theta_constant_series``, is divided in one ``divide``
-    call by floor(k/3) factors of Jacobi's sparse cube (q;q)_inf^3 =
-    sum_j (-1)^j (2j+1) q^{j(j+1)/2} and k mod 3 factors of the pentagonal
-    series: for k = 6, two factors instead of six.  For k = 2 (mod 3) the
-    two pentagonal factors are ``euler_square_factors``: E E over Z/p for
-    p <= 13, Gauss's E(q^2) phi(-q) where ``divide`` runs the recurrence.
-    Only the divisors used are built.
+    call by ``euler_power_factors(ring, N, k)``: floor(k/3) factors of
+    Jacobi's sparse cube (q;q)_inf^3 = sum_j (-1)^j (2j+1) q^{j(j+1)/2},
+    then k mod 3 pentagonal factors, so two divisors for k = 6, not six.
+    The divisors are built first: each allocates its row before it lists
+    a term, so a huge N fails there at once, before the theta row walks
+    its exponents.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    n = truncation
-    denominator = []
-    if k >= 3:
-        denominator += [triangular_cube_series(ring, n)] * (k // 3)
-    if k % 3 == 2:
-        denominator += euler_square_factors(ring, n)
-    elif k % 3:
-        denominator.append(pentagonal_series(ring, n))
-    return divide(theta_constant_series(ring, n, k), *denominator)
+    denominator = euler_power_factors(ring, truncation, k)
+    return divide(theta_constant_series(ring, truncation, k), *denominator)
 
 
 def cphi_parity_witness(k: int, truncation: int) -> LaurentPolyOverSeries:
@@ -234,7 +227,8 @@ def phi_series_double_sum(
     same exponent and sign (kj = -kj mod 2), so each j > 0 is added once
     with weight 2.  Denominator: (q;q)_inf^2
     (q^{k+1};q^{k+1})_inf, three sparse factors in one ``divide`` call in
-    the requested ring, (q;q)_inf^2 as ``euler_square_factors``.  Over
+    the requested ring: (q;q)_inf^2 as ``euler_power_factors(ring, N,
+    2)`` writes it, then its own E(q^{k+1}).  Over
     Z/p for p <= 13 it is one divisor E taken twice, which costs no more
     than once (over Z/2, 1/E(q)^2 = 1/E(q^2)); in every other ring it is
     Gauss's E(q^2) phi(-q), which the recurrence reads in about two
@@ -259,7 +253,7 @@ def phi_series_double_sum(
         j += 1
     return divide(
         TruncatedSeries(ring, n, num),
-        *euler_square_factors(ring, n),
+        *euler_power_factors(ring, n, 2),
         pentagonal_series(ring, n, k + 1),
     )
 

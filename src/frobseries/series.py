@@ -20,7 +20,7 @@ Gauss's :func:`gauss_theta_series`, and :func:`divide`, which takes a
 whole denominator b_1 ... b_r in one call: over Z/p for a prime p <= 13
 as products of dilations on one packed int, by the kernel
 :func:`_times_dilations`, and in any other ring by a recurrence per
-factor; :func:`euler_square_factors` picks the factors of (q;q)_inf^2
+factor; :func:`euler_power_factors` picks the factors of (q;q)_inf^k
 cheapest on each side of that split.  The packed kernel and its layout
 live here alone: the pair :func:`_pack` / :func:`_unpack` owns the
 layout, one bit per coefficient over Z/2 and one 16-bit slot over Z/m
@@ -221,14 +221,13 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     indices, so c * sum(getter(out)) gathers and adds the whole group in
     C.  The groups change only at b's term indices and are rebuilt there.
     A pentagonal divisor gives two groups over Z; the cube's terms all
-    differ over Z, so there each is a group of one.  The recurrence is
-    also the reference that the tests compare the products against.
+    differ over Z, so there each is a group of one.
 
     The factors go in a stable order, the one whose first nonconstant
     term comes latest first, so E(q^{k+1}) before E(q): the quotient is
     unique, and the partial quotients stay machine-sized ints, which
     CPython's ``sum`` adds fastest, for longer.  A route passes
-    (q;q)_inf^2 as the pair :func:`euler_square_factors` picks.
+    (q;q)_inf^k as :func:`euler_power_factors` writes it.
 
     The recurrence costs O(N * nnz(b)) element reads per factor, done in
     C, and per coefficient one Python step per group, then one
@@ -507,23 +506,6 @@ def gauss_theta_series(ring: CoefficientRing, truncation: int) -> TruncatedSerie
     return TruncatedSeries(ring, truncation, out)
 
 
-def euler_square_factors(
-    ring: CoefficientRing, truncation: int
-) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Two sparse factors of (q;q)_inf^2, the pair cheapest to divide by.
-
-    Over Z/p for the kernel's primes p <= 13 it is (E, E), E = (q;q)_inf:
-    :func:`divide` folds a divisor taken twice into one plan, at the cost
-    of one.  In every ring where it runs the recurrence it is Gauss's
-    (E(q^2), phi(-q)), whose terms to q^N number about 1.15 sqrt(N) +
-    sqrt(N) = 2.15 sqrt(N), against 3.26 sqrt(N) for E twice.
-    """
-    if ring.modulus in _FROBENIUS_PRIMES:
-        euler = pentagonal_series(ring, truncation)
-        return euler, euler
-    return pentagonal_series(ring, truncation, 2), gauss_theta_series(ring, truncation)
-
-
 def triangular_exponents(limit: int) -> list[tuple[int, int]]:
     """(e, (-1)^m (2m+1)) for each triangular e = m(m+1)/2 <= limit, m >= 0.
 
@@ -547,6 +529,26 @@ def triangular_cube_series(
     for e, c in triangular_exponents(truncation):
         out[e] = ring.normalize(c)
     return TruncatedSeries(ring, truncation, out)
+
+
+def euler_power_factors(
+    ring: CoefficientRing, truncation: int, k: int
+) -> list[TruncatedSeries]:
+    """Sparse factors of (q;q)_inf^k, k >= 0, as :func:`divide` takes them.
+
+    floor(k/3) of Jacobi's cube, built once, only for k >= 3, then k
+    mod 3 of E = (q;q)_inf.  A pair is (E, E) over Z/p for p <= 13, where
+    the kernel folds a repeated divisor for free, and Gauss's (E(q^2),
+    phi(-q)) where ``divide`` runs the recurrence: 2.15 sqrt(N) terms to
+    read, not 3.26 sqrt(N).
+    """
+    n = truncation
+    factors = [triangular_cube_series(ring, n)] * (k // 3) if k >= 3 else []
+    if k % 3 == 2 and ring.modulus not in _FROBENIUS_PRIMES:
+        factors += [pentagonal_series(ring, n, 2), gauss_theta_series(ring, n)]
+    elif k % 3:
+        factors += [pentagonal_series(ring, n)] * (k % 3)
+    return factors
 
 
 # (limit, triangles, bits): the triangular exponents g <= limit and E(q)
@@ -680,6 +682,4 @@ def reduce_mod(a: TruncatedSeries, m: int) -> TruncatedSeries:
     """Coefficientwise reduction of an exact-integer series into Z/mZ."""
     if a.ring.is_modular:
         raise ValueError("reduce_mod expects an exact-integer series")
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
     return TruncatedSeries(CoefficientRing(m), a.truncation, a.coeffs)

@@ -12,7 +12,6 @@ from jsonschema import validate
 import frobseries
 import frobseries.series
 from frobseries import cli, congruences, frobenius
-from frobseries.congruences import VerificationReport
 from frobseries.series import CoefficientRing, make_series
 
 REPORT_SCHEMA = {
@@ -456,19 +455,30 @@ def test_request_too_large_exits_three(n, tmp_path, capsys):
     assert not path.exists()
 
 
+HUGE = "100000000000000000000"  # N = 10^20
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "main", "--primes", "5", "--ells", "1",
-         "--nmax", "100000000000000000000"],
-        ["expand", "--family", "phi", "--k", "4", "--mod", "2",
-         "--n", "100000000000000000000"],
+        ["verify", "main", "--primes", "5", "--ells", "1", "--nmax", HUGE],
+        ["expand", "--family", "phi", "--k", "4", "--mod", "2", "--n", HUGE],
+        ["expand", "--family", "cphi", "--k", "1", "--n", HUGE],
+        ["expand", "--family", "cphi", "--k", "2", "--n", HUGE],
+        ["expand", "--family", "cphi", "--k", "6", "--n", HUGE],
+        ["expand", "--family", "cphi", "--k", "6", "--mod", "2", "--n", HUGE],
+        ["expand", "--family", "cphi", "--k", "5", "--mod", "25", "--n", HUGE],
+        ["expand", "--family", "cphi", "--k", "4", "--mod", "3", "--n", HUGE],
+        ["expand", "--family", "phi", "--k", "4", "--mod", "3", "--n", HUGE],
+        ["expand", "--family", "phi", "--k", "4", "--mod", "25", "--n", HUGE],
     ],
 )
-def test_parity_route_refuses_a_huge_truncation_at_once(argv, monkeypatch, capsys):
-    # the Euler table's bit buffer is allocated before its exponents are
-    # listed, so a truncation near 10^20 fails at that allocation instead
-    # of walking ~10^10 triangular numbers first, and the table is kept
+def test_every_route_refuses_a_huge_truncation_at_once(argv, monkeypatch, capsys):
+    # each route allocates before it lists any exponent: the parity route's
+    # Euler table its bit buffer, the double sum its numerator row, and
+    # cphi its divisors before its theta row.  So a truncation near 10^20
+    # fails at that allocation instead of walking ~10^10 triangular numbers
+    # first, and the Euler table is kept
     huge = []
     listing = frobseries.series.triangular_exponents
 
@@ -481,7 +491,9 @@ def test_parity_route_refuses_a_huge_truncation_at_once(argv, monkeypatch, capsy
     monkeypatch.setattr(frobseries.series, "triangular_exponents", guarded)
     table = frobseries.series._euler_table
     assert cli.main(argv) == cli.EXIT_GUARD
-    assert capsys.readouterr().err.startswith("guard: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("guard: ")
     assert huge == []
     assert frobseries.series._euler_table is table
 
@@ -515,9 +527,8 @@ def test_verify_json_round_trip(tmp_path, capsys):
     )
     assert code == 0
     on_disk = json.loads(path.read_text())
-    reloaded = [VerificationReport.from_dict(r) for r in on_disk["reports"]]
     in_memory = congruences.main_theorem_suite([5], [1], 5)
-    assert reloaded == in_memory
+    assert on_disk["reports"] == [r.to_dict() for r in in_memory]
 
 
 def test_verify_deterministic_bytes(capsys):
@@ -616,6 +627,24 @@ def test_residues(capsys):
     assert code == 0
     eligible = [line for line in out.splitlines() if line.endswith("eligible")]
     assert len(eligible) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--family", "phi", "--k", "2", "--weight", "3"],
+        ["residues", "--p", "7"],
+    ],
+)
+def test_plain_text_commands_refuse_no_timestamp(argv, capsys):
+    # --no-timestamp stamps JSON only, so only expand and verify take it
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    code = cli.main(argv + ["--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert "unrecognized arguments: --no-timestamp" in captured.err
 
 
 def test_residues_composite_exit_two(capsys):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from frobseries import congruences
@@ -194,6 +196,15 @@ def test_main_theorem_suite_p7_two_ells():
     assert {r.claim.k for r in reports} == {6, 13}
 
 
+@pytest.mark.parametrize(
+    "primes, ells", [([5], [0]), ([5, 7], [2, -1]), ([], [0]), ([4], [0])]
+)
+def test_main_theorem_suite_rejects_ell_below_one(primes, ells):
+    # the ells are checked once, before any prime's residues
+    with pytest.raises(ValueError, match="ell must be >= 1"):
+        main_theorem_suite(primes, ells, 5)
+
+
 def test_main_theorem_suite_nmax_zero():
     reports = main_theorem_suite([5], [1], 0)
     assert all(r.status == VERIFIED for r in reports)
@@ -285,9 +296,19 @@ def test_garvan_sellers_failed_hypothesis_skips_lifts(monkeypatch):
     assert [r.status for r in reports[1:]] == [SKIPPED, SKIPPED]
 
 
-def test_report_round_trip():
+def test_report_round_trip(tmp_path):
+    # every field of a report reaches its JSON, and reads back unchanged
+    path = tmp_path / "report.json"
     report = verify_claim(CongruenceClaim(PHI, 4, 5, 3, 2), 5)
-    assert VerificationReport.from_dict(report.to_dict()) == report
+    refuted = VerificationReport(report.claim, 5, REFUTED, ((8, 1),), "fake")
+    path.write_text(json.dumps([report.to_dict(), refuted.to_dict()]))
+    claim = {"family": "phi", "k": 4, "a": 5, "b": 3, "m": 2}
+    assert json.loads(path.read_text()) == [
+        {"claim": claim, "n_max": 5, "status": VERIFIED,
+         "counterexamples": [], "route": "phi-parity-series"},
+        {"claim": claim, "n_max": 5, "status": REFUTED,
+         "counterexamples": [{"n": 8, "value": 1}], "route": "fake"},
+    ]
 
 
 def test_default_provider_routes():

@@ -14,7 +14,7 @@ from frobseries.series import (
     add,
     divide,
     eta_quotient_mod2,
-    euler_square_factors,
+    euler_power_factors,
     gauss_theta_series,
     invert,
     make_series,
@@ -338,21 +338,41 @@ def test_gauss_theta_times_dilated_euler_is_euler_squared(modulus):
         euler = pochhammer(ring, n, 1, 1)
         got = mul(gauss_theta_series(ring, n), pochhammer(ring, n, 2, 2))
         assert got == mul(euler, euler), n
-        assert mul(*euler_square_factors(ring, n)) == mul(euler, euler), n
+        assert mul(*euler_power_factors(ring, n, 2)) == mul(euler, euler), n
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 5, 7, 11, 13, None, 4, 17, 25, 257])
-def test_euler_square_factors_follow_the_division_split(modulus):
-    # divide folds E taken twice into one dilation plan over Z/p, p <= 13;
-    # where it runs the recurrence, E(q^2) and phi(-q) have fewer terms
+def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
+    # (q;q)^k is floor(k/3) cubes, then k mod 3 factors of E.  divide folds
+    # E taken twice into one dilation plan over Z/p, p <= 13; where it runs
+    # the recurrence, E(q^2) and phi(-q) have fewer terms
     ring = EXACT if modulus is None else CoefficientRing(modulus)
     n = 100
-    euler = pentagonal_series(ring, n)
+    cube, euler = triangular_cube_series(ring, n), pentagonal_series(ring, n)
     if modulus in (2, 3, 5, 7, 11, 13):
-        want = (euler, euler)
+        pair = [euler, euler]
     else:
-        want = (pentagonal_series(ring, n, 2), gauss_theta_series(ring, n))
-    assert euler_square_factors(ring, n) == want
+        pair = [pentagonal_series(ring, n, 2), gauss_theta_series(ring, n)]
+    cubes = []
+    building = frobseries.series.triangular_cube_series
+
+    def counted(*args):
+        cubes.append(args)
+        return building(*args)
+
+    monkeypatch.setattr(frobseries.series, "triangular_cube_series", counted)
+    for k in range(1, 8):
+        cubes.clear()
+        got = euler_power_factors(ring, n, k)
+        assert got == [cube] * (k // 3) + [[], [euler], pair][k % 3], k
+        assert len(cubes) == (k >= 3), k  # one cube, and none for k < 3
+        for m in (0, 1, 7, 61):
+            product = power = make_series(ring, m, [1])
+            for b in euler_power_factors(ring, m, k):
+                product = mul(product, b)
+            for _ in range(k):
+                power = mul(power, pochhammer(ring, m, 1, 1))
+            assert product == power, (k, m)
 
 
 @pytest.mark.parametrize("modulus", [None, 4, 17, 257])
