@@ -4,8 +4,7 @@ Three independent routes are implemented:
 
 * ``phi_series_double_sum`` -- Andrews' double-sum formula: a sparse signed
   numerator over pairs (j, r) with r >= (k+1)|j|, divided by
-  (q;q)_inf^2 (q^{k+1};q^{k+1})_inf, with (q;q)_inf^2 in the form
-  ``series.euler_power_factors`` picks for the ring.
+  (q;q)_inf^2 (q^{k+1};q^{k+1})_inf.
 * ``phi_parity_series`` -- the mod-2 collapse of the same function to the
   eta quotient (q;q)_inf / (q^{k+1};q^{k+1})_inf, which
   ``series.eta_quotient_mod2`` evaluates without division.
@@ -13,26 +12,23 @@ Three independent routes are implemented:
   coefficient of the two-variable product
   prod_{n>=0} (1 + z q^{n+1})^k (1 + z^{-1} q^n)^k = theta(z)^k / (q;q)_inf^k
   (Jacobi triple product).  (q;q)_inf^k does not depend on z, so only the
-  z^0 row of theta(z)^k is divided, by the factors
-  ``series.euler_power_factors`` picks: floor(k/3) of Jacobi's sparse
-  cube (q;q)_inf^3 and k mod 3 of (q;q)_inf.  That row,
+  z^0 row of theta(z)^k is divided.  That row,
   ``series.theta_constant_series``, is built on packed integers from t
   base rows per power theta^t, since theta(zq) = z^-1 q^-1 theta(z)
   makes every other z row a q-shift of one of them.
 
-The double sum and ``cphi_series`` take their power of (q;q)_inf from
-``series.euler_power_factors``, every factor (or cube) a sparse series,
-and divide by their whole denominator in one ``divide`` call.  Over Z/p
-for a prime p <= 13 that is one call of the packed kernel that the
-parity route also runs, the dividend packed once, and p - 1 products
-by each distinct factor per power p^t <= N, at O(N / 64) word
-operations per term over Z/2 and O(N / 4) for odd p; a factor that
-repeats costs no more than once, so (q;q)_inf^2 is E E
-there.  In other rings it is a recurrence per factor: O(N^1.5) element
-reads, gathered in C, and O(N) Python steps when the factor's terms
-take a bounded set of values (a pentagonal series has two over Z).
-There (q;q)_inf^2 is Gauss's (q^2;q^2)_inf phi(-q), with about two
-thirds of the terms of E E.  None expands a dense product or inverse.
+Both exact routes hand their denominator to ``series.eta_quotient`` as
+powers of E(q^s) = (q^s;q^s)_inf, {1: 2, k+1: 1} and {1: k}, and
+``eta_quotient_mod2`` plans the parity route's {k+1: 1} the same way, so
+one planner in ``series`` writes every denominator.  Over Z/p for a
+prime p <= 13 it is one call of the packed kernel: a product of sparse
+factors E and Jacobi's cube J = E^3 at Frobenius steps s p^t <= N, at
+O(N / 64) word operations per term over Z/2 and O(N / 4) for odd p.  In
+other rings it is a recurrence per sparse divisor, cubes and Gauss's
+phi(-q^s) E(q^{2s}) pairs: O(N^1.5) element reads, gathered in C, and
+O(N) Python steps when the divisor's terms take a bounded set of values
+(a pentagonal series has two over Z).  None expands a dense product or
+inverse.
 
 ``cg_product`` builds every z row of the colored product over Z,
 unpacked, in a :class:`LaurentPolyOverSeries` (a finite window of
@@ -48,6 +44,7 @@ and ``FAMILIES`` is the one place the family names are written.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
@@ -57,8 +54,8 @@ from .series import (
     CoefficientRing,
     TruncatedSeries,
     divide,
+    eta_quotient,
     eta_quotient_mod2,
-    euler_power_factors,
     invert,
     make_series,
     mul,  # unused here; perfbench/layers.py wraps frobenius.mul
@@ -66,6 +63,7 @@ from .series import (
     pochhammer,
     theta_constant_series,
     theta_exponents,
+    triangular_exponents,
 )
 
 FAMILIES = ("phi", "cphi")
@@ -181,20 +179,15 @@ def cphi_series(
 ) -> TruncatedSeries:
     """Sum of cphi_k(n) q^n: ([z^0] theta(z)^k) / (q;q)_inf^k.
 
-    The z^0 row, ``theta_constant_series``, is divided in one ``divide``
-    call by ``euler_power_factors(ring, N, k)``: floor(k/3) factors of
-    Jacobi's sparse cube (q;q)_inf^3 = sum_j (-1)^j (2j+1) q^{j(j+1)/2},
-    then k mod 3 pentagonal factors, so two divisors for k = 6, not six.
-    The divisors are built first: each allocates its row before it lists
-    a term, so a huge N fails there at once, before the theta row walks
-    its exponents.
+    The z^0 row, ``theta_constant_series``, is divided by E(q)^k in one
+    ``eta_quotient`` call.  The row allocates before it lists a term, so a
+    huge N fails there at once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    denominator = euler_power_factors(ring, truncation, k)
-    return divide(theta_constant_series(ring, truncation, k), *denominator)
+    return eta_quotient(theta_constant_series(ring, truncation, k), {1: k})
 
 
 def cphi_parity_witness(k: int, truncation: int) -> LaurentPolyOverSeries:
@@ -222,40 +215,36 @@ def phi_series_double_sum(
     """Sum of phi_k(n) q^n via Andrews' double-sum formula.
 
     Numerator: sum over integers j and r >= (k+1)|j| of
-    (-1)^{r+kj} q^{binom(r+1,2) - binom(k+1,2) j^2}, each term added,
-    reduced, into one zero row in the ring's storage.  j and -j give the
-    same exponent and sign (kj = -kj mod 2), so each j > 0 is added once
-    with weight 2.  Denominator: (q;q)_inf^2
-    (q^{k+1};q^{k+1})_inf, three sparse factors in one ``divide`` call in
-    the requested ring: (q;q)_inf^2 as ``euler_power_factors(ring, N,
-    2)`` writes it, then its own E(q^{k+1}).  Over
-    Z/p for p <= 13 it is one divisor E taken twice, which costs no more
-    than once (over Z/2, 1/E(q)^2 = 1/E(q^2)); in every other ring it is
-    Gauss's E(q^2) phi(-q), which the recurrence reads in about two
-    thirds of the terms.
+    (-1)^{r+kj} q^{binom(r+1,2) - binom(k+1,2) j^2}, added, reduced, into
+    one zero row in the ring's storage.  j and -j give the same exponent
+    and sign (kj = -kj mod 2), so each j > 0 is one block of weight 2,
+    skipped over Z/2; block j reads the triangular numbers binom(r+1,2)
+    from one list, by two strided slices, one per sign.  Denominator:
+    E(q)^2 E(q^{k+1}), E(q) = (q;q)_inf, in one ``eta_quotient`` call.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = truncation
+    n, modulus = truncation, ring.modulus
     num = ring.zeros(n + 1)  # before any term: a huge n fails here, at once
     half_kk1 = k * (k + 1) // 2
-    j = 0
-    while (k + 1) * j * (j + 1) // 2 <= n:
-        weight = 2 if j else 1
-        r = (k + 1) * j
-        while True:
-            exp = r * (r + 1) // 2 - half_kk1 * j * j
-            if exp > n:
-                break
-            sign = -weight if (r + k * j) % 2 else weight
-            num[exp] = ring.normalize(num[exp] + sign)
-            r += 1
-        j += 1
-    return divide(
-        TruncatedSeries(ring, n, num),
-        *euler_power_factors(ring, n, 2),
-        pentagonal_series(ring, n, k + 1),
-    )
+    blocks = 1  # block j starts at r = (k+1) j, at exponent (k+1) j(j+1)/2
+    while modulus != 2 and (k + 1) * blocks * (blocks + 1) // 2 <= n:
+        blocks += 1
+    last_shift = half_kk1 * (blocks - 1) ** 2
+    triangles = [e for e, _ in triangular_exponents(n + last_shift)]
+    for j in range(blocks):
+        shift, start = half_kk1 * j * j, (k + 1) * j
+        stop = bisect_right(triangles, n + shift, start)
+        sign = (-1) ** (start + k * j) * (2 if j else 1)
+        for r, value in ((start, sign), (start + 1, -sign)):
+            if modulus is None:
+                for e in triangles[r:stop:2]:
+                    num[e - shift] += value
+            else:
+                value %= modulus
+                for e in triangles[r:stop:2]:
+                    num[e - shift] = (num[e - shift] + value) % modulus
+    return eta_quotient(TruncatedSeries(ring, n, num), {1: 2, k + 1: 1})
 
 
 def phi_parity_series(k: int, truncation: int) -> TruncatedSeries:

@@ -12,31 +12,37 @@ series.  Over Z/m with m <= 256 they are stored as one bytes object of
 residues, which the kernels read and return as they are; in any other
 ring, as a tuple.
 
-Production routes build eta quotients from sparse pentagonal series
-(:func:`pentagonal_series`, placed from the one exponent list
-:func:`pentagonal_exponents`), the sparse cube
-:func:`triangular_cube_series` (from :func:`triangular_exponents`),
-Gauss's :func:`gauss_theta_series`, and :func:`divide`, which takes a
-whole denominator b_1 ... b_r in one call: over Z/p for a prime p <= 13
-as products of dilations on one packed int, by the kernel
-:func:`_times_dilations`, and in any other ring by a recurrence per
-factor; :func:`euler_power_factors` picks the factors of (q;q)_inf^k
-cheapest on each side of that split.  The packed kernel and its layout
-live here alone: the pair :func:`_pack` / :func:`_unpack` owns the
-layout, one bit per coefficient over Z/2 and one 16-bit slot over Z/m
-for 2 < m <= 128, and the builders that work on it, the parity route's
+Every route's denominator is an eta product prod_s E(q^s)^{e_s}, E(q) =
+(q;q)_inf, and :func:`eta_quotient` divides by it from the powers
+alone.  Over Z/p for a prime p <= 13 it plans products of dilations,
+with no recurrence, from Frobenius E(q^{s p^j}) = E(q^s)^{p^j} and
+Jacobi's cube E^3 = J, and runs them on one packed int in one call of
+the kernel :func:`_times_dilations`.  In any other ring it lists the
+denominator's sparse divisors, three copies of E as one cube and a pair
+as Gauss's phi(-q^s) E(q^{2s}), for :func:`_recurrence`, one recurrence
+per divisor.  Neither builds a divisor series: the terms come from the
+exponent lists :func:`pentagonal_exponents`, :func:`triangular_exponents`
+and :func:`gauss_exponents`, from which the sparse builders
+:func:`pentagonal_series`, :func:`triangular_cube_series` and
+:func:`gauss_theta_series` place theirs.  The packed kernel and its
+layout live here alone: the pair :func:`_pack` / :func:`_unpack` owns
+the layout, one bit per coefficient over Z/2 and one 16-bit slot over
+Z/m for 2 < m <= 128, and the builders that work on it, the parity
+route's
 :func:`eta_quotient_mod2` and cphi's z^0 theta row
-:func:`theta_constant_series`, return series.  The dense O(N^2)
-:func:`mul` and :func:`pochhammer` stay as the schoolbook and
-product-expansion references that the tests compare the sparse forms
-against, and the recurrence as the reference for the products.
+:func:`theta_constant_series`, return series.  :func:`divide` by any
+divisors, with its digit plan :func:`_dilation_plan`, stays as the
+generic reference the planned quotients are tested against, and the
+dense O(N^2) :func:`mul` and :func:`pochhammer` as the schoolbook and
+product-expansion references for the sparse forms.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
+from math import isqrt
 from operator import itemgetter
 from typing import Sequence
 
@@ -214,7 +220,30 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     lone factor about ties.  The bound is fixed, not a setting.
 
     In any other ring (Z, composite m, primes p >= 17), one recurrence
-    per factor, c_m = b_0^{-1} (a_m - sum_{i>=1, b_i != 0} b_i c_{m-i}),
+    per divisor, by :func:`_recurrence` on each divisor's nonzero terms.
+    The routes reach both through :func:`eta_quotient`.
+    """
+    for b in divisors:
+        _check_compatible(a, b)
+    ring, n = a.ring, a.truncation
+    modulus = ring.modulus
+    inverses = [ring.unit_inverse(b.coeffs[0]) for b in divisors]
+    if modulus in _FROBENIUS_PRIMES:
+        plan = _dilation_plan(divisors, inverses, modulus, n)
+        return _times_dilations(_pack(a.coeffs, modulus), plan, n, modulus)
+    factors = [
+        ([(i, c) for i, c in enumerate(b.coeffs) if c and i], inv0)
+        for b, inv0 in zip(divisors, inverses)
+    ]
+    return _recurrence(a, factors)
+
+
+def _recurrence(a: TruncatedSeries, factors: list) -> TruncatedSeries:
+    """a / (b_1 * ... * b_r) by one recurrence per factor, in any ring.
+
+    ``factors`` holds a pair (terms, b_0^{-1}) per b_i, ``terms`` the
+    nonzero terms (i, b_i) with 1 <= i <= N in ascending order.  Each
+    factor is c_m = b_0^{-1} (a_m - sum_{i>=1, b_i != 0} b_i c_{m-i}),
     over b's nonzero terms only.  ``out`` grows by append, so c_{m-i} is
     ``out[-i]``, and b's active terms (i <= m) are grouped by coefficient
     value: each group of two or more is one ``itemgetter`` of negative
@@ -226,8 +255,7 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     The factors go in a stable order, the one whose first nonconstant
     term comes latest first, so E(q^{k+1}) before E(q): the quotient is
     unique, and the partial quotients stay machine-sized ints, which
-    CPython's ``sum`` adds fastest, for longer.  A route passes
-    (q;q)_inf^k as :func:`euler_power_factors` writes it.
+    CPython's ``sum`` adds fastest, for longer.
 
     The recurrence costs O(N * nnz(b)) element reads per factor, done in
     C, and per coefficient one Python step per group, then one
@@ -236,20 +264,12 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     N = 2000; below N ~ 120 building the getters costs a few microseconds
     more than it saves.
     """
-    for b in divisors:
-        _check_compatible(a, b)
     ring, n = a.ring, a.truncation
     modulus = ring.modulus
-    inverses = [ring.unit_inverse(b.coeffs[0]) for b in divisors]
-    if modulus in _FROBENIUS_PRIMES:
-        plan = _dilation_plan(divisors, inverses, modulus, n)
-        return _times_dilations(_pack(a.coeffs, modulus), plan, n, modulus)
     coeffs = a.coeffs
-    factors = [
-        ([(i, c) for i, c in enumerate(b.coeffs) if c and i], inv0)
-        for b, inv0 in zip(divisors, inverses)
-    ]
-    factors.sort(key=lambda f: f[0][0][0] if f[0] else n + 1, reverse=True)
+    factors = sorted(
+        factors, key=lambda f: f[0][0][0] if f[0] else n + 1, reverse=True
+    )
     for terms, inv0 in factors:
         out = ring.zeros(0)  # c_0, c_1, ... in the ring's storage
         # value -> negative indices of the active terms with that value; a
@@ -489,20 +509,24 @@ def pentagonal_series(
     return TruncatedSeries(ring, truncation, out)
 
 
-def gauss_theta_series(ring: CoefficientRing, truncation: int) -> TruncatedSeries:
-    """Sparse form of Gauss's phi(-q) = sum_{n in Z} (-1)^n q^{n^2}.
+def gauss_exponents(limit: int) -> list[tuple[int, int]]:
+    """(e, c) for each term of Gauss's phi(-q) = sum_{n in Z} (-1)^n q^{n^2}
+    with e <= limit: 1 at q^0 and 2 (-1)^n at each square n^2, in
+    ascending order; O(sqrt(limit)) steps."""
+    return [(0, 1)] + [(j * j, 2 * (-1) ** j) for j in range(1, isqrt(limit) + 1)]
 
-    By Gauss, phi(-q) = (q;q)_inf^2 / (q^2;q^2)_inf: 1 at q^0 and
-    2 (-1)^n at each square n^2 <= N, about sqrt(N) terms in two values.
+
+def gauss_theta_series(ring: CoefficientRing, truncation: int) -> TruncatedSeries:
+    """Sparse form of Gauss's phi(-q): each term of :func:`gauss_exponents`.
+
+    By Gauss, phi(-q) = (q;q)_inf^2 / (q^2;q^2)_inf: about sqrt(N) terms
+    in two values.
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     out = ring.zeros(truncation + 1)
-    out[0] = 1
-    j = 1
-    while j * j <= truncation:
-        out[j * j] = ring.normalize(-2 if j % 2 else 2)
-        j += 1
+    for e, c in gauss_exponents(truncation):
+        out[e] = ring.normalize(c)
     return TruncatedSeries(ring, truncation, out)
 
 
@@ -531,24 +555,127 @@ def triangular_cube_series(
     return TruncatedSeries(ring, truncation, out)
 
 
-def euler_power_factors(
-    ring: CoefficientRing, truncation: int, k: int
-) -> list[TruncatedSeries]:
-    """Sparse factors of (q;q)_inf^k, k >= 0, as :func:`divide` takes them.
+def eta_quotient(a: TruncatedSeries, powers: dict[int, int]) -> TruncatedSeries:
+    """a / prod_s E(q^s)^{powers[s]}, with E(q) = (q;q)_inf: an eta quotient.
 
-    floor(k/3) of Jacobi's cube, built once, only for k >= 3, then k
-    mod 3 of E = (q;q)_inf.  A pair is (E, E) over Z/p for p <= 13, where
-    the kernel folds a repeated divisor for free, and Gauss's (E(q^2),
-    phi(-q)) where ``divide`` runs the recurrence: 2.15 sqrt(N) terms to
-    read, not 3.26 sqrt(N).
+    The routes' one entry point for a denominator that is a product of
+    powers of E(q^s).  Over Z/p for a prime p <= 13 it is one call of
+    :func:`_times_dilations` on the factors :func:`_eta_plan` lists; in
+    any other ring one :func:`_recurrence` call on the divisors
+    :func:`_eta_divisors` lists.  Neither builds a full-length divisor
+    series.  Steps past N divide by 1 and are left out.
+    """
+    for s, e in powers.items():
+        if s < 1 or e < 0:
+            raise ValueError(f"need steps >= 1 and powers >= 0, got {s}: {e}")
+    ring, n = a.ring, a.truncation
+    p = ring.modulus
+    if p in _FROBENIUS_PRIMES:
+        return _times_dilations(_pack(a.coeffs, p), _eta_plan(powers, p, n), n, p)
+    return _recurrence(a, _eta_divisors(ring, n, powers))
+
+
+@lru_cache(maxsize=256)
+def _eta_levels(powers: tuple, p: int, bits: int) -> tuple:
+    """(step, cube) per factor of prod_s E(q^s)^{-e_s} over Z/p, p <= 13,
+    for the pairs (s, e_s) in ``powers``, at every step below 2^bits:
+    Jacobi's cube J(q^step) = E(q^step)^3 if ``cube``, else E(q^step).
+
+    Over F_p, E(q^{s p^j}) = E(q^s)^{p^j}, so each step is first written
+    as a p-free step s, and the powers of one s add up to e.  Then, as in
+    :func:`_dilation_plan`, E(q^s)^{-e} = prod_t E(q^{s p^t})^{d_t} for
+    the base-p digits d_t of -e.  For p >= 5 each three copies at one
+    level are one J, so a digit d is d // 3 factors J and d mod 3
+    factors E (over Z/3 a digit never reaches 3).  Over Z/2,
+    E^{2^t} E^{2^{t+1}} = E(q^{2^t})^3, so two 1-digits in a row are one
+    J(q^{s 2^t}), paired from the lowest level up: the digits of -2^j are
+    j zeros and then all ones, so 1/E(q^s) is the chain J(q^{s 4^u})
+    alone.  A truncation N keeps the factors with step <= N; routes plan
+    one power map for many truncations, so the plan for each bit length
+    of N is made once.
+    """
+    limit = 1 << bits
+    folded: dict[int, int] = {}
+    for s, e in powers:
+        while s % p == 0:
+            s, e = s // p, e * p
+        folded[s] = folded.get(s, 0) + e
+    levels = []
+    for s, e in sorted(folded.items()):
+        digits, step = -e, s  # shifts, % and // give the digits of -e
+        if p == 2:
+            while step < limit:
+                if digits & 3 == 3:
+                    levels.append((step, True))
+                    digits >>= 2
+                    step *= 4
+                else:
+                    if digits & 1:
+                        levels.append((step, False))
+                    digits >>= 1
+                    step *= 2
+            continue
+        while step < limit:
+            d = digits % p
+            levels += [(step, True)] * (d // 3) + [(step, False)] * (d % 3)
+            digits, step = digits // p, step * p
+    return tuple(levels)
+
+
+def _eta_plan(powers: dict[int, int], p: int, truncation: int) -> list:
+    """The factors (terms, step) of :func:`_eta_levels` with step <= N, in
+    the layout :func:`_times_dilations` reads: exponents over Z/2, pairs
+    (g, c mod p) with c mod p != 0 for odd p.  The terms of J and E are
+    listed once each, to N over the smallest step that uses them."""
+    n = truncation
+    key = tuple(sorted(powers.items()))
+    levels = [(s, c) for s, c in _eta_levels(key, p, n.bit_length()) if s <= n]
+    terms = {}
+    for step, cube in levels:
+        if cube not in terms:
+            limit = n // min(s for s, c in levels if c == cube)
+            listed = (triangular_exponents if cube else pentagonal_exponents)(limit)
+            if p == 2:
+                terms[cube] = [g for g, _ in listed]
+            else:
+                terms[cube] = [(g, c % p) for g, c in listed if c % p]
+    return [(terms[cube], step) for step, cube in levels]
+
+
+def _eta_divisors(
+    ring: CoefficientRing, truncation: int, powers: dict[int, int]
+) -> list:
+    """Divisors whose product is prod_s E(q^s)^{powers[s]}, as
+    :func:`_recurrence` takes them: (terms, 1), with no series built.
+
+    The recurrence reads every term of a divisor for each coefficient,
+    so fewer terms cost less.  Steps go in ascending order.  Each three
+    copies of E(q^s) are Jacobi's cube J(q^s), listed once per step and
+    only when used; a pair is Gauss's phi(-q^s) E(q^{2s}), whose
+    E(q^{2s}) joins step 2s; a single copy is E(q^s).  So E(q)^2 E(q^2)
+    is phi(-q) phi(-q^2) E(q^4): about 2.53 sqrt(m) terms to read for
+    q^m, not 3.31 sqrt(m).
     """
     n = truncation
-    factors = [triangular_cube_series(ring, n)] * (k // 3) if k >= 3 else []
-    if k % 3 == 2 and ring.modulus not in _FROBENIUS_PRIMES:
-        factors += [pentagonal_series(ring, n, 2), gauss_theta_series(ring, n)]
-    elif k % 3:
-        factors += [pentagonal_series(ring, n)] * (k % 3)
-    return factors
+
+    def terms(listed, s):  # the nonzero terms past q^0, at q^{s e}
+        pairs = ((s * e, ring.normalize(c)) for e, c in listed[1:])
+        return [(i, c) for i, c in pairs if c], 1
+
+    pending = {s: e for s, e in powers.items() if s <= n and e}
+    divisors = []
+    while pending:
+        s = min(pending)
+        e = pending.pop(s)
+        if e >= 3:
+            divisors += [terms(triangular_exponents(n // s), s)] * (e // 3)
+        if e % 3 == 2:
+            divisors.append(terms(gauss_exponents(n // s), s))
+            if 2 * s <= n:
+                pending[2 * s] = pending.get(2 * s, 0) + 1
+        elif e % 3:
+            divisors.append(terms(pentagonal_exponents(n // s), s))
+    return divisors
 
 
 # (limit, triangles, bits): the triangular exponents g <= limit and E(q)
@@ -583,9 +710,9 @@ def _euler_bits(truncation):
 def eta_quotient_mod2(step: int, truncation: int) -> TruncatedSeries:
     """(q;q)_inf / (q^step;q^step)_inf over Z/2, with no division.
 
-    Over Z/2, with E(q) = (q;q)_inf, E(q)^2 = E(q^2) and E(q)^3 = J(q) =
-    sum_{m>=0} q^{m(m+1)/2}, so 1/E(q^s) = prod_{u>=0} J(q^{s 4^u}): E(q)
-    from the shared table, times J(q^s) for s = step * 4^u <= N by
+    E(q) from the shared table, times the factors :func:`_eta_levels`
+    plans for 1/E(q^step), the chain J(q^{step 4^u}) for step 4^u <= N,
+    each reading the table's triangular exponents, in one call of
     :func:`_times_dilations`.
     """
     if step < 1:
@@ -593,10 +720,8 @@ def eta_quotient_mod2(step: int, truncation: int) -> TruncatedSeries:
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
     triangles, packed = _euler_bits(truncation)
-    factors = []
-    while step <= truncation:
-        factors.append((triangles, step))
-        step *= 4
+    levels = _eta_levels(((step, 1),), 2, truncation.bit_length())
+    factors = [(triangles, s) for s, _ in levels if s <= truncation]
     return _times_dilations(packed, factors, truncation, 2)
 
 
@@ -635,16 +760,18 @@ def theta_constant_series(
     slot.
     """
     n, modulus = truncation, ring.modulus
-    terms = theta_exponents(n)
     packed = modulus is not None and modulus <= _PACKED_MODULUS_MAX
     # bound: the most a base row adds to a slot, tracked in 16-bit slots only
     if modulus == 2:
         slot, bound = 1, 0
     elif packed:
         slot, bound = 16, modulus - 1
-    else:
-        slot, bound = 8 * ((len(terms) ** k).bit_length() // 8 + 1), 0
+    else:  # T = 2 (M + 1) theta terms, M the largest m with m(m+1)/2 <= N
+        count = 2 * ((isqrt(8 * n + 1) + 1) // 2)
+        slot, bound = 8 * ((count**k).bit_length() // 8 + 1), 0
+    # allocated before any term is listed, so a huge N fails here, at once
     rows = [1 << n * slot]  # rows[b + t - 1] is R_b of theta^t, b in (-t, 0]
+    terms = theta_exponents(n)
     for t in range(1, k):
         new_rows = []
         for c in range(-t if t + 1 < k else 0, 1):

@@ -471,12 +471,16 @@ HUGE = "100000000000000000000"  # N = 10^20
         ["expand", "--family", "cphi", "--k", "4", "--mod", "3", "--n", HUGE],
         ["expand", "--family", "phi", "--k", "4", "--mod", "3", "--n", HUGE],
         ["expand", "--family", "phi", "--k", "4", "--mod", "25", "--n", HUGE],
+        ["expand", "--family", "phi", "--k", "4", "--mod", "5", "--n", HUGE],
+        ["expand", "--family", "phi", "--k", "4", "--mod", "13", "--n", HUGE],
+        ["expand", "--family", "cphi", "--k", "5", "--mod", "5", "--n", HUGE],
+        ["expand", "--family", "cphi", "--k", "13", "--mod", "13", "--n", HUGE],
     ],
 )
 def test_every_route_refuses_a_huge_truncation_at_once(argv, monkeypatch, capsys):
     # each route allocates before it lists any exponent: the parity route's
     # Euler table its bit buffer, the double sum its numerator row, and
-    # cphi its divisors before its theta row.  So a truncation near 10^20
+    # cphi its theta row.  So a truncation near 10^20
     # fails at that allocation instead of walking ~10^10 triangular numbers
     # first, and the Euler table is kept
     huge = []

@@ -146,6 +146,28 @@ def test_each_z2_quotient_makes_one_kernel_call(n, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 300, 5000])
+def test_parity_route_factor_list(n, monkeypatch):
+    # E(q) from the table times the J-chain J(q^{(k+1) 4^u}), (k+1) 4^u <= N,
+    # every factor reading the table's own triangular exponents
+    calls = []
+
+    def spy(packed, factors, truncation, p):
+        calls.append(factors)
+        return kernel(packed, factors, truncation, p)
+
+    kernel = frobseries.series._times_dilations
+    monkeypatch.setattr(frobseries.series, "_times_dilations", spy)
+    for k in (1, 3, 4, 7, 24):
+        calls.clear()
+        phi_parity_series(k, n)
+        (factors,) = calls
+        chain = [(k + 1) * 4**u for u in range(12) if (k + 1) * 4**u <= n]
+        assert [step for _, step in factors] == chain, (k, n)
+        table = frobseries.series._euler_table[1]
+        assert all(terms is table for terms, _ in factors), (k, n)
+
+
 def test_phi_parity_series_rejects_bad_arguments():
     with pytest.raises(ValueError, match="k must be >= 1"):
         phi_parity_series(0, 5)

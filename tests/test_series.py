@@ -5,7 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frobseries.series
-from frobseries.frobenius import partition_series, phi_parity_series
+from frobseries.frobenius import (
+    partition_series,
+    phi_parity_series,
+    phi_series_double_sum,
+)
 from frobseries.series import (
     EXACT,
     MOD2,
@@ -13,8 +17,8 @@ from frobseries.series import (
     TruncatedSeries,
     add,
     divide,
+    eta_quotient,
     eta_quotient_mod2,
-    euler_power_factors,
     gauss_theta_series,
     invert,
     make_series,
@@ -338,41 +342,110 @@ def test_gauss_theta_times_dilated_euler_is_euler_squared(modulus):
         euler = pochhammer(ring, n, 1, 1)
         got = mul(gauss_theta_series(ring, n), pochhammer(ring, n, 2, 2))
         assert got == mul(euler, euler), n
-        assert mul(*euler_power_factors(ring, n, 2)) == mul(euler, euler), n
+
+
+POWER_MAPS = (
+    [{1: k} for k in range(1, 16)]
+    + [{1: 2, s: 1} for s in range(1, 15)]
+    + [{2: 3, 4: 1}, {3: 5}]
+)
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 5, 7, 11, 13, None, 4, 17, 25, 257])
-def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
-    # (q;q)^k is floor(k/3) cubes, then k mod 3 factors of E.  divide folds
-    # E taken twice into one dilation plan over Z/p, p <= 13; where it runs
-    # the recurrence, E(q^2) and phi(-q) have fewer terms
+def test_eta_quotient_matches_divide_by_its_factors(modulus):
+    # eta_quotient plans its denominator from the powers of E(q^s): over
+    # Z/p, p <= 13, Frobenius digits with Jacobi cubes, elsewhere cubes and
+    # Gauss pairs for the recurrence.  divide by every E(q^s) as a separate
+    # pentagonal factor is the reference
+    ring = EXACT if modulus is None else CoefficientRing(modulus)
+    rng = random.Random(modulus)
+    for n in (0, 1, 7, 61, 300):
+        a = make_series(ring, n, [rng.randint(-9, 9) for _ in range(n + 1)])
+        for powers in POWER_MAPS:
+            factors = [
+                pentagonal_series(ring, n, s)
+                for s, e in powers.items()
+                for _ in range(e)
+            ]
+            assert eta_quotient(a, powers) == divide(a, *factors), (n, powers)
+
+
+def _terms(series, step=1):
+    """The nonzero terms past q^0 of series(q^step), as (exponent, value)."""
+    return [(step * i, c) for i, c in enumerate(series.coeffs) if c and i]
+
+
+def test_eta_quotient_rejects_bad_powers():
+    one = make_series(EXACT, 5, [1])
+    for powers in ({0: 1}, {-2: 1}, {1: -1}):
+        with pytest.raises(ValueError, match="steps >= 1 and powers >= 0"):
+            eta_quotient(one, powers)
+
+
+@pytest.mark.parametrize("modulus", [None, 4, 17, 25, 257])
+def test_recurrence_divisors_fold_cubes_and_gauss_pairs(modulus, monkeypatch):
+    # where divide runs the recurrence, E^k is floor(k/3) cubes (listed once,
+    # only for k >= 3), then E, or phi(-q) E(q^2); and the double sum's
+    # E(q)^2 E(q^2) for phi_1 is phi(-q) phi(-q^2) E(q^4)
     ring = EXACT if modulus is None else CoefficientRing(modulus)
     n = 100
-    cube, euler = triangular_cube_series(ring, n), pentagonal_series(ring, n)
-    if modulus in (2, 3, 5, 7, 11, 13):
-        pair = [euler, euler]
-    else:
-        pair = [pentagonal_series(ring, n, 2), gauss_theta_series(ring, n)]
-    cubes = []
-    building = frobseries.series.triangular_cube_series
+    seen, cubes = [], []
+    recurrence = frobseries.series._recurrence
+    listing = frobseries.series.triangular_exponents
 
-    def counted(*args):
-        cubes.append(args)
-        return building(*args)
+    def spy(a, factors):
+        seen.append([terms for terms, _ in factors])
+        return recurrence(a, factors)
 
-    monkeypatch.setattr(frobseries.series, "triangular_cube_series", counted)
+    def counted(limit):
+        cubes.append(limit)
+        return listing(limit)
+
+    monkeypatch.setattr(frobseries.series, "_recurrence", spy)
+    monkeypatch.setattr(frobseries.series, "triangular_exponents", counted)
+    one = make_series(ring, n, [1])
+    cube = _terms(triangular_cube_series(ring, n))
+    euler = _terms(pentagonal_series(ring, n))
+    pair = [
+        _terms(gauss_theta_series(ring, n)),
+        _terms(pentagonal_series(ring, n, 2)),
+    ]
     for k in range(1, 8):
+        seen.clear()
         cubes.clear()
-        got = euler_power_factors(ring, n, k)
-        assert got == [cube] * (k // 3) + [[], [euler], pair][k % 3], k
-        assert len(cubes) == (k >= 3), k  # one cube, and none for k < 3
-        for m in (0, 1, 7, 61):
-            product = power = make_series(ring, m, [1])
-            for b in euler_power_factors(ring, m, k):
-                product = mul(product, b)
-            for _ in range(k):
-                power = mul(power, pochhammer(ring, m, 1, 1))
-            assert product == power, (k, m)
+        eta_quotient(one, {1: k})
+        assert seen == [[cube] * (k // 3) + [[], [euler], pair][k % 3]], k
+        assert len(cubes) == (k >= 3), k
+    seen.clear()
+    phi_series_double_sum(1, n, ring)
+    assert seen == [[
+        _terms(gauss_theta_series(ring, n)),
+        _terms(gauss_theta_series(ring, n // 2), 2),
+        _terms(pentagonal_series(ring, n, 4)),
+    ]]
+
+
+def test_kernel_plan_folds_frobenius_steps_into_jacobi_cubes():
+    # over Z/5, E(q)^2 E(q^5) is E(q)^7: the digits of -7 are 3, 3, 4, 4,
+    # ..., so 1/E^7 is J(q), J(q^5), then J E at each q^{5^t}; over Z/13,
+    # E^13 is E(q^13), digits 0, 12, 12, ...: four J per level from q^13;
+    # over Z/2, 1/E(q^6) is J(q^6) J(q^24) ... and 1/E^6 is E(q^2) J(q^8)
+    # J(q^32) ...
+    def plan(powers, p, n):
+        named = []
+        for terms, step in frobseries.series._eta_plan(powers, p, n):
+            exponents = [t if p == 2 else t[0] for t in terms[:3]]
+            # E's first exponents are 0, 1, 2 and J's 0, 1, 3
+            named.append(("E" if exponents == [0, 1, 2] else "J", step))
+        return named
+
+    assert plan({1: 2, 5: 1}, 5, 200) == [
+        ("J", 1), ("J", 5), ("J", 25), ("E", 25), ("J", 125), ("E", 125)
+    ]
+    assert plan({1: 13}, 13, 200) == [("J", 13)] * 4 + [("J", 169)] * 4
+    assert plan({6: 1}, 2, 200) == [("J", 6), ("J", 24), ("J", 96)]
+    assert plan({1: 6}, 2, 200) == [("E", 2), ("J", 8), ("J", 32), ("J", 128)]
+    assert plan({1: 2}, 3, 20) == [("E", 1)] + [("E", 3)] * 2 + [("E", 9)] * 2
 
 
 @pytest.mark.parametrize("modulus", [None, 4, 17, 257])
@@ -427,6 +500,27 @@ def test_eta_quotient_mod2_matches_divide(n):
     for step in range(1, 10):
         want = divide(euler, pentagonal_series(MOD2, n, step))
         assert eta_quotient_mod2(step, n) == want, (step, n)
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 25])
+def test_theta_row_refuses_a_huge_truncation_at_once(modulus, monkeypatch):
+    # the row is allocated before any theta exponent is listed, so N = 10^20
+    # fails there instead of walking ~10^10 triangular numbers first
+    ring = EXACT if modulus is None else CoefficientRing(modulus)
+    huge = []
+    listing = frobseries.series.triangular_exponents
+
+    def guarded(limit):
+        if limit > 10**9:
+            huge.append(limit)
+            raise AssertionError(f"exponents listed to {limit}")
+        return listing(limit)
+
+    monkeypatch.setattr(frobseries.series, "triangular_exponents", guarded)
+    for k in (1, 5):
+        with pytest.raises((OverflowError, MemoryError)):
+            theta_constant_series(ring, 10**20, k)
+    assert huge == []
 
 
 def test_reduce_mod():
