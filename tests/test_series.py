@@ -382,28 +382,38 @@ def test_eta_quotient_rejects_bad_powers():
             eta_quotient(one, powers)
 
 
-@pytest.mark.parametrize("modulus", [None, 4, 17, 25, 257])
-def test_recurrence_divisors_fold_cubes_and_gauss_pairs(modulus, monkeypatch):
-    # where divide runs the recurrence, E^k is floor(k/3) cubes (listed once,
-    # only for k >= 3), then E, or phi(-q) E(q^2); and the double sum's
-    # E(q)^2 E(q^2) for phi_1 is phi(-q) phi(-q^2) E(q^4)
+@pytest.mark.parametrize("modulus", [2, 3, 5, 7, 11, 13, None, 4, 17, 25, 257])
+def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
+    # eta_quotient divides by (q;q)^k on either side of the split.  Over
+    # Z/p, p <= 13, the kernel gets the factors E(q^s) and J(q^s) of the
+    # plan, whose product is 1/E^k, at most two E per step and J's terms
+    # listed once.  Where divide runs the recurrence, E^k is floor(k/3)
+    # cubes (listed once, only for k >= 3), then E, or phi(-q) E(q^2); and
+    # the double sum's E(q)^2 E(q^2) for phi_1 is phi(-q) phi(-q^2) E(q^4)
     ring = EXACT if modulus is None else CoefficientRing(modulus)
     n = 100
     seen, cubes = [], []
     recurrence = frobseries.series._recurrence
+    kernel = frobseries.series._times_dilations
     listing = frobseries.series.triangular_exponents
 
     def spy(a, factors):
         seen.append([terms for terms, _ in factors])
         return recurrence(a, factors)
 
+    def kernel_spy(packed, factors, truncation, p):
+        seen.append([step for _, step in factors])
+        return kernel(packed, factors, truncation, p)
+
     def counted(limit):
         cubes.append(limit)
         return listing(limit)
 
     monkeypatch.setattr(frobseries.series, "_recurrence", spy)
+    monkeypatch.setattr(frobseries.series, "_times_dilations", kernel_spy)
     monkeypatch.setattr(frobseries.series, "triangular_exponents", counted)
     one = make_series(ring, n, [1])
+    euler_k = one
     cube = _terms(triangular_cube_series(ring, n))
     euler = _terms(pentagonal_series(ring, n))
     pair = [
@@ -411,11 +421,32 @@ def test_recurrence_divisors_fold_cubes_and_gauss_pairs(modulus, monkeypatch):
         _terms(pentagonal_series(ring, n, 2)),
     ]
     for k in range(1, 8):
+        euler_k = mul(euler_k, pochhammer(ring, n, 1, 1))
         seen.clear()
         cubes.clear()
-        eta_quotient(one, {1: k})
-        assert seen == [[cube] * (k // 3) + [[], [euler], pair][k % 3]], k
-        assert len(cubes) == (k >= 3), k
+        assert eta_quotient(euler_k, {1: k}) == one, k
+        if modulus in (2, 3, 5, 7, 11, 13):
+            levels = frobseries.series._eta_levels(((1, k),), modulus, n.bit_length())
+            levels = [(s, c) for s, c in levels if s <= n]
+            assert seen == [[s for s, _ in levels]], k
+            assert len(cubes) == any(c for _, c in levels), k
+            eulers = [s for s, c in levels if not c]
+            assert all(eulers.count(s) <= 2 for s in eulers), k
+            product = euler_k
+            for s, c in levels:
+                for _ in range(3 if c else 1):
+                    product = mul(product, pochhammer(ring, n, s, s))
+            assert product == one, k
+        else:
+            assert seen == [[cube] * (k // 3) + [[], [euler], pair][k % 3]], k
+            assert len(cubes) == (k >= 3), k
+        for m in (0, 1, 7, 61):
+            power = make_series(ring, m, [1])
+            for _ in range(k):
+                power = mul(power, pochhammer(ring, m, 1, 1))
+            assert eta_quotient(power, {1: k}) == make_series(ring, m, [1])
+    if modulus in (2, 3, 5, 7, 11, 13):
+        return
     seen.clear()
     phi_series_double_sum(1, n, ring)
     assert seen == [[
