@@ -181,12 +181,8 @@ def cphi_series(
 
     The z^0 row, ``theta_constant_series``, is divided by E(q)^k in one
     ``eta_quotient`` call.  The row allocates before it lists a term, so a
-    huge N fails there at once.
+    huge N fails there at once; the row also checks k and N.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
     return eta_quotient(theta_constant_series(ring, truncation, k), {1: k})
 
 

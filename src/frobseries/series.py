@@ -28,13 +28,12 @@ and :func:`gauss_exponents`, from which the sparse builders
 layout live here alone: the pair :func:`_pack` / :func:`_unpack` owns
 the layout, one bit per coefficient over Z/2 and one 16-bit slot over
 Z/m for 2 < m <= 128, and the builders that work on it, the parity
-route's
-:func:`eta_quotient_mod2` and cphi's z^0 theta row
+route's :func:`eta_quotient_mod2` and cphi's z^0 theta row
 :func:`theta_constant_series`, return series.  :func:`divide` by any
-divisors, with its digit plan :func:`_dilation_plan`, stays as the
-generic reference the planned quotients are tested against, and the
-dense O(N^2) :func:`mul` and :func:`pochhammer` as the schoolbook and
-product-expansion references for the sparse forms.
+divisor series is the recurrence in every ring, with no plan and no
+kernel: the independent reference the planned quotients are tested
+against.  The dense O(N^2) :func:`mul` and :func:`pochhammer` stay as
+the schoolbook and product-expansion references for the sparse forms.
 """
 
 from __future__ import annotations
@@ -201,36 +200,14 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     product (q^{s_1};q^{s_1})_inf ... (q^{s_r};q^{s_r})_inf; a factor may
     repeat.  Each b_i must have a unit constant coefficient.
 
-    Over Z/p for a prime p <= 13 the quotient is a product, with no
-    recurrence.  Over F_p, b^p = b(q^p), so for b_0 = 1 and p^T > N,
-    b^{p^T} = b(q^{p^T}) = 1 + O(q^{N+1}); a factor b taken r times then
-    has 1/b^r = b^{p^T - r} = prod_{t<T} b(q^{p^t})^{d_t}, where the d_t
-    are the base-p digits of p^T - r.  :func:`_dilation_plan` scans each
-    distinct divisor once and folds its multiplicity into those digits
-    (over Z/2, 1/b^2 = 1/b(q^2)), and one call of
-    :func:`_times_dilations` applies every dilation to a: its residue
-    bytes are packed once into one int, and the result unpacked once.
-
-    Why p <= 13: level t costs d_t <= p - 1 products, each one shifted
-    add per term of b up to q^{N/p^t}, where the recurrence costs one
-    pass.  At N = 10^4 1/E(q) took 34-44 ms by products against 38-41 ms
-    by the recurrence at p = 13, and 54-56 against 38-42 ms at p = 17
-    (CPython 3.11.7, 2-core machine; the README has more primes and the
-    double sum's denominator).  So p = 13 is the last prime at which a
-    lone factor about ties.  The bound is fixed, not a setting.
-
-    In any other ring (Z, composite m, primes p >= 17), one recurrence
-    per divisor, by :func:`_recurrence` on each divisor's nonzero terms.
-    The routes reach both through :func:`eta_quotient`.
+    In every ring it is one :func:`_recurrence` call on the divisors'
+    nonzero terms, one recurrence per divisor, with no kernel and no
+    plan: the independent reference that :func:`eta_quotient`, which the
+    routes call, is tested against.
     """
     for b in divisors:
         _check_compatible(a, b)
-    ring, n = a.ring, a.truncation
-    modulus = ring.modulus
-    inverses = [ring.unit_inverse(b.coeffs[0]) for b in divisors]
-    if modulus in _FROBENIUS_PRIMES:
-        plan = _dilation_plan(divisors, inverses, modulus, n)
-        return _times_dilations(_pack(a.coeffs, modulus), plan, n, modulus)
+    inverses = [a.ring.unit_inverse(b.coeffs[0]) for b in divisors]
     factors = [
         ([(i, c) for i, c in enumerate(b.coeffs) if c and i], inv0)
         for b, inv0 in zip(divisors, inverses)
@@ -299,9 +276,11 @@ def _recurrence(a: TruncatedSeries, factors: list) -> TruncatedSeries:
     return TruncatedSeries(ring, n, coeffs)
 
 
-# the moduli whose quotients divide takes as products of dilations
+# the moduli whose eta quotients eta_quotient plans for the packed kernel.
+# The bound 13 was set for a generic plan of up to p - 1 products per
+# level, since deleted; it stays until the benchmark harness measures it
+# (ROADMAP.md, item 12)
 _FROBENIUS_PRIMES = (2, 3, 5, 7, 11, 13)
-_NONZERO_FLAG = bytes([0] + [1] * 255)  # byte x -> 1 if x else 0
 # residue byte 0/1 <-> ASCII digit '0'/'1': a Z/2 series packs and
 # unpacks in a few C-level passes
 _BIT_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
@@ -317,46 +296,6 @@ def _byte_tables(m: int) -> tuple[bytes, bytes]:
     """The bytes x -> x mod m and x -> 256 x mod m: a slot's low and high
     byte reduced, made on the first use of m."""
     return bytes(x % m for x in range(256)), bytes(256 * x % m for x in range(256))
-
-
-def _dilation_plan(
-    divisors: Sequence[TruncatedSeries],
-    inverses: Sequence[int],
-    p: int,
-    truncation: int,
-) -> list:
-    """Factors (terms, step) with 1 / (b_1 ... b_r) = prod b(q^step) over Z/p.
-
-    ``inverses[i]`` is the inverse mod p of b_i's constant term.  For
-    each distinct divisor b, taken r times, the coefficients are scaled
-    so that b_0 = 1, and the factors get d_t pairs (terms, p^t) for each
-    base-p digit d_t of p^T - r with p^t <= N < p^T; the dilations
-    past q^N are 1 and are left out.  ``terms`` lists b's nonzero terms in
-    ascending order from g = 0: the exponents g over Z/2, (g, coefficient)
-    pairs for odd p, whose first factor is the constant prod b_0^{-r}.
-    Each distinct divisor is scanned once, as one bytes object.
-    """
-    n = truncation
-    scale, factors = 1, []  # over Z/2 every b_0 is 1
-    for b, inv0 in dict(zip(divisors, inverses)).items():
-        r = divisors.count(b)
-        scale = scale * pow(inv0, r, p) % p
-        data = b.coeffs
-        flags = data.translate(_NONZERO_FLAG)
-        exponents = []
-        g = flags.find(1)
-        while g >= 0:
-            exponents.append(g)
-            g = flags.find(1, g + 1)
-        terms = exponents if p == 2 else [(g, data[g] * inv0 % p) for g in exponents]
-        # the base-p digits of p^T - r for t < T are those of -r, which %
-        # and // by p give (floor division); p^T past N is never formed
-        digits, step = -r, 1
-        while step <= n:
-            factors += [(terms, step)] * (digits % p)
-            digits //= p
-            step *= p
-    return factors if p == 2 else [([(0, scale)], 1), *factors]
 
 
 def _pack(residues: bytes, m: int) -> int:
@@ -398,6 +337,9 @@ def _times_dilations(
     packed: int, factors: Sequence[tuple[Sequence, int]], truncation: int, p: int
 ) -> TruncatedSeries:
     """packed * prod_i b_i(q^{step_i}) over Z/p, for p = 2 or an odd prime.
+
+    The packed kernel of :func:`eta_quotient` and
+    :func:`eta_quotient_mod2`, its two callers, which plan the factors.
 
     ``factors`` holds the pairs (terms_i, step_i) of sparse factors b_i,
     whose terms ascend from g = 0 and may run past N.  ``packed`` holds a
@@ -582,11 +524,12 @@ def _eta_levels(powers: tuple, p: int, bits: int) -> tuple:
     Jacobi's cube J(q^step) = E(q^step)^3 if ``cube``, else E(q^step).
 
     Over F_p, E(q^{s p^j}) = E(q^s)^{p^j}, so each step is first written
-    as a p-free step s, and the powers of one s add up to e.  Then, as in
-    :func:`_dilation_plan`, E(q^s)^{-e} = prod_t E(q^{s p^t})^{d_t} for
-    the base-p digits d_t of -e.  For p >= 5 each three copies at one
-    level are one J, so a digit d is d // 3 factors J and d mod 3
-    factors E (over Z/3 a digit never reaches 3).  Over Z/2,
+    as a p-free step s, and the powers of one s add up to e.  For p^T >
+    N, E(q^s)^{p^T} = E(q^{s p^T}) = 1 to q^N, so E(q^s)^{-e} =
+    E(q^s)^{p^T - e} = prod_t E(q^{s p^t})^{d_t} for the base-p digits
+    d_t of -e, those of p^T - e below level T.  For p >= 5 each three
+    copies at one level are one J, so a digit d is d // 3 factors J and
+    d mod 3 factors E (over Z/3 a digit never reaches 3).  Over Z/2,
     E^{2^t} E^{2^{t+1}} = E(q^{2^t})^3, so two 1-digits in a row are one
     J(q^{s 2^t}), paired from the lowest level up: the digits of -2^j are
     j zeros and then all ones, so 1/E(q^s) is the chain J(q^{s 4^u})
@@ -759,6 +702,10 @@ def theta_constant_series(
     B = bits(T^k) + 1 (rounded up to whole bytes) no carry leaves its
     slot.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
     n, modulus = truncation, ring.modulus
     packed = modulus is not None and modulus <= _PACKED_MODULUS_MAX
     # bound: the most a base row adds to a slot, tracked in 16-bit slots only

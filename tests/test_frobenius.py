@@ -68,9 +68,8 @@ def test_phi_parity_series_examples():
 
 def test_phi_parity_bit_route_matches_sparse_division():
     # the eta quotient by the recurrence over Z, reduced mod 2, as the
-    # reference: over Z/2 divide runs the parity route's own kernel.  The
-    # route multiplies by J(q^{(k+1) 4^u}); the truncations include the
-    # edges of that chain
+    # reference.  The route multiplies by J(q^{(k+1) 4^u}); the
+    # truncations include the edges of that chain
     for n in (0, 1, 2, 3, 5, 7, 17, 50, 129, 256, 301, 1000, 3001, 4097):
         for k in range(1, 31):
             quotient = divide(
@@ -110,8 +109,8 @@ def test_double_sum_peak_memory():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 120, 1000])
 def test_z2_routes_match_their_exact_forms(n):
-    # the double sum and cphi divide over Z/2 by dilations of the divisor;
-    # their exact forms divide by the recurrence over Z
+    # the double sum and cphi divide over Z/2 by dilations of Jacobi cubes
+    # and E; their exact forms divide by the recurrence over Z
     for k in range(1, 14):
         exact = phi_series_double_sum(k, n)
         assert phi_series_double_sum(k, n, MOD2) == reduce_mod(exact, 2), k
@@ -121,9 +120,9 @@ def test_z2_routes_match_their_exact_forms(n):
 
 @pytest.mark.parametrize("n", [0, 7, 300])
 def test_each_z2_quotient_makes_one_kernel_call(n, monkeypatch):
-    # each route states its whole denominator in one divide call, so over
-    # Z/2 and over Z/p for small odd p the dividend is packed once, runs
-    # one kernel call that applies every factor's dilations, and is
+    # each route states its whole denominator in one eta_quotient call, so
+    # over Z/2 and over Z/p for small odd p the dividend is packed once,
+    # runs one kernel call that applies every factor's dilations, and is
     # unpacked once
     calls = []
 

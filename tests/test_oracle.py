@@ -60,6 +60,16 @@ def test_guard_override(monkeypatch):
     assert count_cphi(4, 2) == 68
 
 
+@pytest.mark.parametrize("value", ["0", ""])
+def test_guard_override_other_than_one_keeps_the_guards(value, monkeypatch):
+    # only "1" lifts the guards; "0" and an empty value do not
+    monkeypatch.setenv("FROBSERIES_GUARD_OVERRIDE", value)
+    with pytest.raises(GuardError):
+        count_phi(2, 21)
+    with pytest.raises(GuardError):
+        count_cphi(4, 3)
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         count_phi(0, 3)

@@ -162,9 +162,9 @@ def test_divide_undoes_mul_on_sparse_and_dense_divisors(modulus, n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 63, 64, 65, 300])
 def test_divide_over_z2_matches_exact_route(n):
-    # over Z/2 divide multiplies by b(q^s) for s = 1, 2, 4, .. <= N; the
-    # truncations sit at the edges of that doubling, and the recurrence over
-    # Z, reduced mod 2, is the reference; an odd a_0 lets the last step show
+    # the recurrence over Z/2 against the recurrence over Z, reduced mod
+    # 2: the truncations sit at the powers of 2 and beside them, and a_0 = 1
+    # makes the quotient a unit
     rng = random.Random(n)
     a = make_series(EXACT, n, [1] + [rng.randint(-9, 9) for _ in range(n)])
     euler, cube = pentagonal_series(EXACT, n), triangular_cube_series(EXACT, n)
@@ -177,7 +177,7 @@ def test_divide_over_z2_matches_exact_route(n):
         [pochhammer(EXACT, n, 1, 1)],
         [make_series(EXACT, n, [1] + [rng.randint(-9, 9) for _ in range(n)])],
         [make_series(EXACT, n, [1])],
-        # the routes' own: one pack, every factor's dilations, one unpack
+        # the routes' own denominators, every factor in one call
         [euler, euler, step5],
         [cube, cube, euler],
     ]
@@ -194,10 +194,9 @@ def test_divide_over_z2_matches_exact_route(n):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_divide_over_small_p_matches_exact_route(p):
-    # over Z/p, p <= 13, divide multiplies by b(q^{p^t}) d_t times, d_t the
-    # base-p digits of p^T - r for a factor taken r times; the truncations
-    # sit at the edges of that plan, and the recurrence over Z, reduced mod
-    # p, is the reference.  2E has b_0 = 2, a unit other than 1 mod p
+    # the recurrence over Z/p against the recurrence over Z, reduced mod
+    # p, for a factor taken r times: the truncations sit at the powers of p
+    # and beside them.  2E has b_0 = 2, a unit other than 1 mod p
     for n in sorted({0, 1, 2, p - 1, p, p * p, 300}):
         rng = random.Random(n * p)
         a = make_series(EXACT, n, [rng.randint(-9, 9) for _ in range(n + 1)])
@@ -227,11 +226,11 @@ def test_divide_over_small_p_matches_exact_route(p):
             assert divide(unreduced, b) == divide(reduce_mod(a, p), e_p), n
 
 
-@pytest.mark.parametrize("modulus", [4, 17, 25])
-def test_divide_past_small_primes_runs_the_recurrence(modulus, monkeypatch):
-    # composite moduli and primes p >= 17 keep the recurrence: the
-    # dilation kernel is never called, and the quotients are the exact
-    # ones reduced mod m
+@pytest.mark.parametrize("modulus", [2, 3, 5, 7, 11, 13, 4, 17, 25])
+def test_divide_runs_the_recurrence_in_every_ring(modulus, monkeypatch):
+    # divide is the reference the packed kernel is checked against, so it
+    # never calls the kernel, over the small primes included, and the
+    # quotients are the exact ones reduced mod m
     def kernel(*args):
         raise AssertionError("dilation kernel called")
 
@@ -312,9 +311,21 @@ def test_negative_truncation_raises_value_error():
         lambda: eta_quotient_mod2(2, -1),
         lambda: gauss_theta_series(EXACT, -1),
         lambda: partition_series(-1),
+        lambda: theta_constant_series(EXACT, -1, 3),
+        lambda: theta_constant_series(MOD2, -1, 3),
     ):
         with pytest.raises(ValueError, match="truncation must be >= 0"):
             build()
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 3, 257])
+@pytest.mark.parametrize("k", [0, -1])
+def test_theta_row_rejects_k_below_one(modulus, k):
+    # the row checks k itself, in each of its slot layouts: wide exact,
+    # 1-bit, 16-bit and wide reduced
+    ring = EXACT if modulus is None else CoefficientRing(modulus)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        theta_constant_series(ring, 10, k)
 
 
 def test_pentagonal_support_is_signed_units():
@@ -387,7 +398,7 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
     # eta_quotient divides by (q;q)^k on either side of the split.  Over
     # Z/p, p <= 13, the kernel gets the factors E(q^s) and J(q^s) of the
     # plan, whose product is 1/E^k, at most two E per step and J's terms
-    # listed once.  Where divide runs the recurrence, E^k is floor(k/3)
+    # listed once.  Where it runs the recurrence, E^k is floor(k/3)
     # cubes (listed once, only for k >= 3), then E, or phi(-q) E(q^2); and
     # the double sum's E(q)^2 E(q^2) for phi_1 is phi(-q) phi(-q^2) E(q^4)
     ring = EXACT if modulus is None else CoefficientRing(modulus)
@@ -524,8 +535,8 @@ def test_eta_quotient_mod2_rejects_bad_step(step):
 
 @pytest.mark.parametrize("n", [0, 1, 7, 300])
 def test_eta_quotient_mod2_matches_divide(n):
-    # divide over Z/2 plans E(q^{s 2^t}) dilations from the divisor's own
-    # terms; the builder multiplies by the Jacobi-cube chain J(q^{s 4^u})
+    # divide over Z/2 runs the recurrence on the divisor's own terms; the
+    # builder multiplies by the Jacobi-cube chain J(q^{s 4^u})
     assert eta_quotient_mod2(1, n) == make_series(MOD2, n, [1])
     euler = pentagonal_series(MOD2, n)
     for step in range(1, 10):
@@ -576,8 +587,8 @@ def test_reduce_mod_rejects_bad_inputs():
 )
 def test_every_producer_stores_its_ring_storage(modulus, storage):
     # over Z/m with m <= 256 a series holds one bytes object of residues,
-    # over Z and Z/m with m > 256 a tuple; divide runs the kernel over Z/2
-    # and Z/3 and the recurrence over the other moduli
+    # over Z and Z/m with m > 256 a tuple; divide runs the recurrence in
+    # every ring
     ring = EXACT if modulus is None else CoefficientRing(modulus)
     n = 40
     values = [(-1) ** i * (37 * i + 1) for i in range(n + 1)]
