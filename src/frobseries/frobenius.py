@@ -53,6 +53,7 @@ from .series import (
     MOD2,
     CoefficientRing,
     TruncatedSeries,
+    check_truncation,
     divide,
     eta_quotient,
     eta_quotient_mod2,
@@ -163,8 +164,7 @@ def cg_product(exponent: int, truncation: int) -> LaurentPolyOverSeries:
     """
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
+    check_truncation(truncation)
     n, e = truncation, exponent
     denominator = [pentagonal_series(EXACT, n)] * e
     rows = {
@@ -220,6 +220,7 @@ def phi_series_double_sum(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    check_truncation(truncation)
     n, modulus = truncation, ring.modulus
     num = ring.zeros(n + 1)  # before any term: a huge n fails here, at once
     half_kk1 = k * (k + 1) // 2

@@ -29,9 +29,12 @@ layout live here alone: the pair :func:`_pack` / :func:`_unpack` owns
 the layout, one bit per coefficient over Z/2 and one 16-bit slot over
 Z/m for 2 < m <= 128, and the builders that work on it, the parity
 route's :func:`eta_quotient_mod2` and cphi's z^0 theta row
-:func:`theta_constant_series`, return series.  :func:`divide` by any
-divisor series is the recurrence in every ring, with no plan and no
-kernel: the independent reference the planned quotients are tested
+:func:`theta_constant_series`, return series.  Only the parity route
+reuses work, per bit length b of N: memos keyed by ints hold E(q) to
+q^{2^b - 1} and each step's J-chain, and a call reads a shift and a cut
+of them, so its result depends on its arguments alone.  :func:`divide`
+by any divisor series is the recurrence in every ring, with no plan and
+no kernel: the independent reference the planned quotients are tested
 against.  The dense O(N^2) :func:`mul` and :func:`pochhammer` stay as
 the schoolbook and product-expansion references for the sparse forms.
 """
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from math import isqrt
 from operator import itemgetter
 from typing import Sequence
@@ -48,6 +51,12 @@ from typing import Sequence
 
 class TruncationError(ValueError):
     """A series stops short of the coefficients a computation needs."""
+
+
+def check_truncation(truncation: int) -> None:
+    """Refuse a truncation N < 0, with the message every builder shares."""
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -113,8 +122,7 @@ class TruncatedSeries:
     coeffs: bytes | tuple
 
     def __post_init__(self):
-        if self.truncation < 0:
-            raise ValueError("truncation must be >= 0")
+        check_truncation(self.truncation)
         coeffs, m = self.coeffs, self.ring.modulus
         if not self.ring.stores_bytes:
             coeffs = tuple(coeffs if m is None else [c % m for c in coeffs])
@@ -154,6 +162,7 @@ def make_series(
     Missing trailing coefficients are zero; modular values are reduced
     into [0, m).  More than truncation+1 entries is an error.
     """
+    check_truncation(truncation)
     if len(coeffs) > truncation + 1:
         raise ValueError(
             f"{len(coeffs)} coefficients exceed truncation window {truncation}"
@@ -401,8 +410,7 @@ def pochhammer(
     """
     if start < 1 or step < 1:
         raise ValueError("start and step must be >= 1")
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
+    check_truncation(truncation)
     n = truncation
     out = [0] * (n + 1)
     out[0] = 1
@@ -413,6 +421,20 @@ def pochhammer(
             out[i] = ring.normalize(out[i] - out[i - e])
         e += step
     return TruncatedSeries(ring, n, out)
+
+
+def _sparse_series(
+    ring: CoefficientRing, truncation: int, exponents, step: int = 1
+) -> TruncatedSeries:
+    """The sparse builders' one placement loop: ring.normalize(c) at
+    q^{step e} for each term (e, c) of ``exponents(N // step)``.  N is
+    checked and the row allocated before any term is listed, so a
+    negative or huge N fails at once."""
+    check_truncation(truncation)
+    out = ring.zeros(truncation + 1)
+    for e, c in exponents(truncation // step):
+        out[step * e] = ring.normalize(c)
+    return TruncatedSeries(ring, truncation, out)
 
 
 def pentagonal_exponents(limit: int) -> list[tuple[int, int]]:
@@ -443,12 +465,7 @@ def pentagonal_series(
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    out = ring.zeros(truncation + 1)
-    for e, sign in pentagonal_exponents(truncation // step):
-        out[step * e] = ring.normalize(sign)
-    return TruncatedSeries(ring, truncation, out)
+    return _sparse_series(ring, truncation, pentagonal_exponents, step)
 
 
 def gauss_exponents(limit: int) -> list[tuple[int, int]]:
@@ -464,12 +481,7 @@ def gauss_theta_series(ring: CoefficientRing, truncation: int) -> TruncatedSerie
     By Gauss, phi(-q) = (q;q)_inf^2 / (q^2;q^2)_inf: about sqrt(N) terms
     in two values.
     """
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    out = ring.zeros(truncation + 1)
-    for e, c in gauss_exponents(truncation):
-        out[e] = ring.normalize(c)
-    return TruncatedSeries(ring, truncation, out)
+    return _sparse_series(ring, truncation, gauss_exponents)
 
 
 def triangular_exponents(limit: int) -> list[tuple[int, int]]:
@@ -491,10 +503,7 @@ def triangular_cube_series(
     ring: CoefficientRing, truncation: int
 ) -> TruncatedSeries:
     """Sparse form of (q;q)_inf^3: each term of :func:`triangular_exponents`."""
-    out = ring.zeros(truncation + 1)
-    for e, c in triangular_exponents(truncation):
-        out[e] = ring.normalize(c)
-    return TruncatedSeries(ring, truncation, out)
+    return _sparse_series(ring, truncation, triangular_exponents)
 
 
 def eta_quotient(a: TruncatedSeries, powers: dict[int, int]) -> TruncatedSeries:
@@ -517,11 +526,10 @@ def eta_quotient(a: TruncatedSeries, powers: dict[int, int]) -> TruncatedSeries:
     return _recurrence(a, _eta_divisors(ring, n, powers))
 
 
-@lru_cache(maxsize=256)
-def _eta_levels(powers: tuple, p: int, bits: int) -> tuple:
-    """(step, cube) per factor of prod_s E(q^s)^{-e_s} over Z/p, p <= 13,
-    for the pairs (s, e_s) in ``powers``, at every step below 2^bits:
-    Jacobi's cube J(q^step) = E(q^step)^3 if ``cube``, else E(q^step).
+def _eta_levels(powers: dict[int, int], p: int, truncation: int) -> list:
+    """(step, cube) per factor of prod_s E(q^s)^{-powers[s]} over Z/p, p
+    <= 13, at every step <= N: Jacobi's cube J(q^step) = E(q^step)^3 if
+    ``cube``, else E(q^step).
 
     Over F_p, E(q^{s p^j}) = E(q^s)^{p^j}, so each step is first written
     as a p-free step s, and the powers of one s add up to e.  For p^T >
@@ -533,13 +541,10 @@ def _eta_levels(powers: tuple, p: int, bits: int) -> tuple:
     E^{2^t} E^{2^{t+1}} = E(q^{2^t})^3, so two 1-digits in a row are one
     J(q^{s 2^t}), paired from the lowest level up: the digits of -2^j are
     j zeros and then all ones, so 1/E(q^s) is the chain J(q^{s 4^u})
-    alone.  A truncation N keeps the factors with step <= N; routes plan
-    one power map for many truncations, so the plan for each bit length
-    of N is made once.
+    alone.  The walk is O(log N) steps per s, so nothing is cached.
     """
-    limit = 1 << bits
     folded: dict[int, int] = {}
-    for s, e in powers:
+    for s, e in powers.items():
         while s % p == 0:
             s, e = s // p, e * p
         folded[s] = folded.get(s, 0) + e
@@ -547,7 +552,7 @@ def _eta_levels(powers: tuple, p: int, bits: int) -> tuple:
     for s, e in sorted(folded.items()):
         digits, step = -e, s  # shifts, % and // give the digits of -e
         if p == 2:
-            while step < limit:
+            while step <= truncation:
                 if digits & 3 == 3:
                     levels.append((step, True))
                     digits >>= 2
@@ -558,21 +563,20 @@ def _eta_levels(powers: tuple, p: int, bits: int) -> tuple:
                     digits >>= 1
                     step *= 2
             continue
-        while step < limit:
+        while step <= truncation:
             d = digits % p
             levels += [(step, True)] * (d // 3) + [(step, False)] * (d % 3)
             digits, step = digits // p, step * p
-    return tuple(levels)
+    return levels
 
 
 def _eta_plan(powers: dict[int, int], p: int, truncation: int) -> list:
-    """The factors (terms, step) of :func:`_eta_levels` with step <= N, in
-    the layout :func:`_times_dilations` reads: exponents over Z/2, pairs
-    (g, c mod p) with c mod p != 0 for odd p.  The terms of J and E are
-    listed once each, to N over the smallest step that uses them."""
+    """The factors (terms, step) of :func:`_eta_levels`, in the layout
+    :func:`_times_dilations` reads: exponents over Z/2, pairs (g, c mod p)
+    with c mod p != 0 for odd p.  The terms of J and E are listed once
+    each, to N over the smallest step that uses them."""
     n = truncation
-    key = tuple(sorted(powers.items()))
-    levels = [(s, c) for s, c in _eta_levels(key, p, n.bit_length()) if s <= n]
+    levels = _eta_levels(powers, p, n)
     terms = {}
     for step, cube in levels:
         if cube not in terms:
@@ -621,51 +625,46 @@ def _eta_divisors(
     return divisors
 
 
-# (limit, triangles, bits): the triangular exponents g <= limit and E(q)
-# to q^limit packed as by _pack.  One table per process, grown on demand
-# and never shrunk; every truncation reads a prefix, so the results do not
-# depend on the order of the calls.
-_euler_table = (-1, [], 0)
+@cache
+def _euler_table(bits: int) -> tuple[int, list[int], int]:
+    """(L, triangles, E) for L = 2^bits - 1: the triangular exponents g <=
+    L and E(q) to q^L packed as by :func:`_pack`, which every N of that
+    bit length reads as E >> (L - N).  The bits are set in a buffer, one
+    big-int OR per term costing O(N), allocated first: a huge N fails at
+    once, before its exponents are listed, and leaves no memo entry."""
+    limit = (1 << bits) - 1
+    buffer = bytearray(limit // 8 + 1)
+    triangles = [g for g, _ in triangular_exponents(limit)]
+    for g, _ in pentagonal_exponents(limit):
+        buffer[(limit - g) >> 3] |= 1 << ((limit - g) & 7)
+    return limit, triangles, int.from_bytes(buffer, "little")
 
 
-def _euler_bits(truncation):
-    """(triangles, E(q) to q^N packed as by _pack), from the table.
-
-    A truncation past the table rebuilds it at max(N, 2 * limit), so a
-    run of growing truncations rebuilds it O(log N) times.  The exponents
-    returned may run past N; the kernel stops at the first one too large.
-    """
-    global _euler_table
-    limit, triangles, bits = _euler_table
-    if truncation > limit:
-        limit = max(truncation, 2 * limit)
-        # bits set in a buffer: one big-int OR per term costs O(N).  It is
-        # made first, so a huge N fails at once, not after its exponents
-        buffer = bytearray(limit // 8 + 1)
-        triangles = [g for g, _ in triangular_exponents(limit)]
-        for g, _ in pentagonal_exponents(limit):
-            buffer[(limit - g) >> 3] |= 1 << ((limit - g) & 7)
-        bits = int.from_bytes(buffer, "little")
-        _euler_table = (limit, triangles, bits)
-    return triangles, bits >> (limit - truncation)
+@cache
+def _parity_plan(step: int, bits: int) -> tuple[int, int, list]:
+    """(L, E, chain) for the parity route's 1/E(q^step) at the bit length
+    ``bits`` of N: L and E from :func:`_euler_table`, and the factors
+    (triangles, s) of the J-chain :func:`_eta_levels` plans to L."""
+    limit, triangles, euler = _euler_table(bits)
+    chain = [(triangles, s) for s, _ in _eta_levels({step: 1}, 2, limit)]
+    return limit, euler, chain
 
 
 def eta_quotient_mod2(step: int, truncation: int) -> TruncatedSeries:
     """(q;q)_inf / (q^step;q^step)_inf over Z/2, with no division.
 
-    E(q) from the shared table, times the factors :func:`_eta_levels`
-    plans for 1/E(q^step), the chain J(q^{step 4^u}) for step 4^u <= N,
-    each reading the table's triangular exponents, in one call of
-    :func:`_times_dilations`.
+    E(q) from the table for N's bit length, shifted right to q^N, times
+    the J-chain J(q^{step 4^u}), cut at step 4^u <= N, in one call of
+    :func:`_times_dilations`.  Both come from the memo of (step, bit
+    length of N), so the result depends on (step, N) alone.  The chain's
+    exponents may run past N; the kernel stops at the first too large.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    triangles, packed = _euler_bits(truncation)
-    levels = _eta_levels(((step, 1),), 2, truncation.bit_length())
-    factors = [(triangles, s) for s, _ in levels if s <= truncation]
-    return _times_dilations(packed, factors, truncation, 2)
+    check_truncation(truncation)
+    limit, euler, chain = _parity_plan(step, truncation.bit_length())
+    factors = [(terms, s) for terms, s in chain if s <= truncation]
+    return _times_dilations(euler >> (limit - truncation), factors, truncation, 2)
 
 
 def theta_exponents(limit: int) -> list[tuple[int, int]]:
@@ -704,8 +703,7 @@ def theta_constant_series(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
+    check_truncation(truncation)
     n, modulus = truncation, ring.modulus
     packed = modulus is not None and modulus <= _PACKED_MODULUS_MAX
     # bound: the most a base row adds to a slot, tracked in 16-bit slots only

@@ -183,6 +183,10 @@ def test_expand_invalid_flags(capsys):
     code, _ = run(["expand", "--family", "phi", "--k", "1", "--n", "-1",
                    "--mod", "2"], capsys)
     assert code == 2
+    for mod in ([], ["--mod", "3"]):
+        assert cli.main(["expand", "--family", "phi", "--k", "4", "--n", "-2",
+                         *mod]) == 2
+        assert capsys.readouterr().err == "error: truncation must be >= 0\n"
 
 
 def test_verify_main_exit_zero_and_schema(capsys):
@@ -482,7 +486,7 @@ def test_every_route_refuses_a_huge_truncation_at_once(argv, monkeypatch, capsys
     # Euler table its bit buffer, the double sum its numerator row, and
     # cphi its theta row.  So a truncation near 10^20
     # fails at that allocation instead of walking ~10^10 triangular numbers
-    # first, and the Euler table is kept
+    # first, and the parity route's memos gain no entry
     huge = []
     listing = frobseries.series.triangular_exponents
 
@@ -493,13 +497,14 @@ def test_every_route_refuses_a_huge_truncation_at_once(argv, monkeypatch, capsys
         return listing(limit)
 
     monkeypatch.setattr(frobseries.series, "triangular_exponents", guarded)
-    table = frobseries.series._euler_table
+    memos = (frobseries.series._euler_table, frobseries.series._parity_plan)
+    sizes = [memo.cache_info().currsize for memo in memos]
     assert cli.main(argv) == cli.EXIT_GUARD
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("guard: ")
     assert huge == []
-    assert frobseries.series._euler_table is table
+    assert [memo.cache_info().currsize for memo in memos] == sizes
 
 
 def test_console_entry_point_exit_status(tmp_path):

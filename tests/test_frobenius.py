@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -148,7 +149,8 @@ def test_each_z2_quotient_makes_one_kernel_call(n, monkeypatch):
 @pytest.mark.parametrize("n", [0, 1, 7, 300, 5000])
 def test_parity_route_factor_list(n, monkeypatch):
     # E(q) from the table times the J-chain J(q^{(k+1) 4^u}), (k+1) 4^u <= N,
-    # every factor reading the table's own triangular exponents
+    # every factor reading the triangular exponents of the table for N's
+    # bit length
     calls = []
 
     def spy(packed, factors, truncation, p):
@@ -163,8 +165,8 @@ def test_parity_route_factor_list(n, monkeypatch):
         (factors,) = calls
         chain = [(k + 1) * 4**u for u in range(12) if (k + 1) * 4**u <= n]
         assert [step for _, step in factors] == chain, (k, n)
-        table = frobseries.series._euler_table[1]
-        assert all(terms is table for terms, _ in factors), (k, n)
+        _, triangles, _ = frobseries.series._euler_table(n.bit_length())
+        assert all(terms is triangles for terms, _ in factors), (k, n)
 
 
 def test_phi_parity_series_rejects_bad_arguments():
@@ -174,21 +176,40 @@ def test_phi_parity_series_rejects_bad_arguments():
         phi_parity_series(3, -1)
 
 
-def test_mod2_route_agreement(monkeypatch):
-    # the parity route reads E(q) from a table shared by every call in the
-    # process; start it empty, then shrink, grow and pass the truncation,
-    # cycling k, so each result is checked after a different history
-    monkeypatch.setattr(frobseries.series, "_euler_table", (-1, [], 0))
+def _clear_parity_memos():
+    frobseries.series._euler_table.cache_clear()
+    frobseries.series._parity_plan.cache_clear()
+
+
+def test_mod2_route_agreement():
+    # the parity route reads E(q) and its J-chain from memos kept per bit
+    # length of N; start them empty, then shrink, grow and pass the
+    # truncation, across the bit lengths' edges 63 | 64, cycling k, so each
+    # result is checked after a different history
+    _clear_parity_memos()
     direct = {}
-    for j, n in enumerate((60, 33, 7, 1, 0, 0, 1, 7, 33, 60, None, 120, 50)):
-        if n is None:
-            n = frobseries.series._euler_table[0] + 1  # one past the table
+    for j, n in enumerate((60, 33, 7, 1, 0, 0, 1, 7, 33, 60, 61, 63, 64, 120, 50)):
         for i in range(30):
             k = (7 * i + j) % 30 + 1  # every k <= 30, in a new order per n
             if (k, n) not in direct:
                 direct[k, n] = reduce_mod(phi_series_double_sum(k, n), 2)
             assert phi_parity_series(k, n) == direct[k, n], (k, n)
-    assert frobseries.series._euler_table[0] == 120  # 61 rebuilt it at 2 * 60
+
+
+def test_parity_route_does_not_depend_on_call_order():
+    # a parity series is a function of (k, N) alone: with cold memos and
+    # after any order of other calls it is the same series
+    cases = [(k, n) for k in range(1, 31) for n in (0, 1, 7, 255, 256, 1676, 4097)]
+    cold = {}
+    for k, n in cases:
+        _clear_parity_memos()
+        cold[k, n] = phi_parity_series(k, n)
+    orders = [cases, cases[::-1], sorted(cases, key=lambda c: (-c[1], c[0]))]
+    orders.append(random.Random(0).sample(cases, len(cases)))
+    for order in orders:
+        _clear_parity_memos()
+        for k, n in order:
+            assert phi_parity_series(k, n) == cold[k, n], (k, n)
 
 
 def test_partition_series():

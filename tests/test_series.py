@@ -313,6 +313,18 @@ def test_negative_truncation_raises_value_error():
         lambda: partition_series(-1),
         lambda: theta_constant_series(EXACT, -1, 3),
         lambda: theta_constant_series(MOD2, -1, 3),
+        # over Z/m, m <= 256, N = -2 is refused before a bytearray(N + 1)
+        *(
+            build
+            for ring in (MOD2, CoefficientRing(3))
+            for build in (
+                lambda ring=ring: phi_series_double_sum(4, -2, ring),
+                lambda ring=ring: triangular_cube_series(ring, -2),
+                lambda ring=ring: make_series(ring, -2),
+                lambda ring=ring: pentagonal_series(ring, -2),
+                lambda ring=ring: gauss_theta_series(ring, -2),
+            )
+        ),
     ):
         with pytest.raises(ValueError, match="truncation must be >= 0"):
             build()
@@ -437,8 +449,8 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
         cubes.clear()
         assert eta_quotient(euler_k, {1: k}) == one, k
         if modulus in (2, 3, 5, 7, 11, 13):
-            levels = frobseries.series._eta_levels(((1, k),), modulus, n.bit_length())
-            levels = [(s, c) for s, c in levels if s <= n]
+            levels = frobseries.series._eta_levels({1: k}, modulus, n)
+            assert all(s <= n for s, _ in levels), k
             assert seen == [[s for s, _ in levels]], k
             assert len(cubes) == any(c for _, c in levels), k
             eulers = [s for s, c in levels if not c]
