@@ -245,10 +245,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; keep its code
         return exc.code if exc.code is not None else EXIT_USAGE
-    created = bool(args.out) and not os.path.lexists(args.out)
+    created = args.out is not None and not os.path.lexists(args.out)
     out = None
     try:
-        if args.out:
+        if args.out is not None:
             out = open(args.out, "a")
         payload, code = args.func(args)
         if out is None:

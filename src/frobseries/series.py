@@ -31,10 +31,11 @@ Z/m for 2 < m <= 128, and the builders that work on it, the parity
 route's :func:`eta_quotient_mod2` and cphi's z^0 theta row
 :func:`theta_constant_series`, return series.  Only the parity route
 reuses work, per bit length b of N: memos keyed by ints hold E(q) to
-q^{2^b - 1} and each step's J-chain, and a call reads a shift and a cut
-of them, so its result depends on its arguments alone.  :func:`divide`
-by any divisor series is the recurrence in every ring, with no plan and
-no kernel: the independent reference the planned quotients are tested
+q^{2^b - 1} and the plan of each step's 1/E(q^step) to that length, and
+a call shifts E to q^N and runs the whole plan, so its result depends on
+its arguments alone.  :func:`divide` by any divisor series is the
+recurrence in every ring, run in the order given, with no plan and no
+kernel: the independent reference the planned quotients are tested
 against.  The dense O(N^2) :func:`mul` and :func:`pochhammer` stay as
 the schoolbook and product-expansion references for the sparse forms.
 """
@@ -210,9 +211,9 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     repeat.  Each b_i must have a unit constant coefficient.
 
     In every ring it is one :func:`_recurrence` call on the divisors'
-    nonzero terms, one recurrence per divisor, with no kernel and no
-    plan: the independent reference that :func:`eta_quotient`, which the
-    routes call, is tested against.
+    nonzero terms, one recurrence per divisor in the order given, with no
+    kernel and no plan: the independent reference that
+    :func:`eta_quotient`, which the routes call, is tested against.
     """
     for b in divisors:
         _check_compatible(a, b)
@@ -236,12 +237,9 @@ def _recurrence(a: TruncatedSeries, factors: list) -> TruncatedSeries:
     indices, so c * sum(getter(out)) gathers and adds the whole group in
     C.  The groups change only at b's term indices and are rebuilt there.
     A pentagonal divisor gives two groups over Z; the cube's terms all
-    differ over Z, so there each is a group of one.
-
-    The factors go in a stable order, the one whose first nonconstant
-    term comes latest first, so E(q^{k+1}) before E(q): the quotient is
-    unique, and the partial quotients stay machine-sized ints, which
-    CPython's ``sum`` adds fastest, for longer.
+    differ over Z, so there each is a group of one.  The factors run in
+    the order given: the quotient is unique, so the order changes only
+    the cost, and :func:`_eta_divisors` picks it.
 
     The recurrence costs O(N * nnz(b)) element reads per factor, done in
     C, and per coefficient one Python step per group, then one
@@ -253,9 +251,6 @@ def _recurrence(a: TruncatedSeries, factors: list) -> TruncatedSeries:
     ring, n = a.ring, a.truncation
     modulus = ring.modulus
     coeffs = a.coeffs
-    factors = sorted(
-        factors, key=lambda f: f[0][0][0] if f[0] else n + 1, reverse=True
-    )
     for terms, inv0 in factors:
         out = ring.zeros(0)  # c_0, c_1, ... in the ring's storage
         # value -> negative indices of the active terms with that value; a
@@ -348,7 +343,8 @@ def _times_dilations(
     """packed * prod_i b_i(q^{step_i}) over Z/p, for p = 2 or an odd prime.
 
     The packed kernel of :func:`eta_quotient` and
-    :func:`eta_quotient_mod2`, its two callers, which plan the factors.
+    :func:`eta_quotient_mod2`, its two callers, which pass it the factors
+    :func:`_eta_plan` writes, in the order it writes them.
 
     ``factors`` holds the pairs (terms_i, step_i) of sparse factors b_i,
     whose terms ascend from g = 0 and may run past N.  ``packed`` holds a
@@ -596,12 +592,14 @@ def _eta_divisors(
     :func:`_recurrence` takes them: (terms, 1), with no series built.
 
     The recurrence reads every term of a divisor for each coefficient,
-    so fewer terms cost less.  Steps go in ascending order.  Each three
-    copies of E(q^s) are Jacobi's cube J(q^s), listed once per step and
-    only when used; a pair is Gauss's phi(-q^s) E(q^{2s}), whose
-    E(q^{2s}) joins step 2s; a single copy is E(q^s).  So E(q)^2 E(q^2)
-    is phi(-q) phi(-q^2) E(q^4): about 2.53 sqrt(m) terms to read for
-    q^m, not 3.31 sqrt(m).
+    so fewer terms cost less.  Each three copies of E(q^s) are Jacobi's
+    cube J(q^s), listed once per step and only when used; a pair is
+    Gauss's phi(-q^s) E(q^{2s}), whose E(q^{2s}) joins step 2s; a single
+    copy is E(q^s).  So E(q)^2 E(q^2) is phi(-q) phi(-q^2) E(q^4): about
+    2.53 sqrt(m) terms to read for q^m, not 3.31 sqrt(m).  The steps are
+    walked upwards and returned latest first, E(q^{k+1}) before E(q), so
+    the partial quotients stay machine-sized ints, which CPython's
+    ``sum`` adds fastest, for longer.
     """
     n = truncation
 
@@ -622,49 +620,47 @@ def _eta_divisors(
                 pending[2 * s] = pending.get(2 * s, 0) + 1
         elif e % 3:
             divisors.append(terms(pentagonal_exponents(n // s), s))
-    return divisors
+    return divisors[::-1]
 
 
 @cache
-def _euler_table(bits: int) -> tuple[int, list[int], int]:
-    """(L, triangles, E) for L = 2^bits - 1: the triangular exponents g <=
-    L and E(q) to q^L packed as by :func:`_pack`, which every N of that
-    bit length reads as E >> (L - N).  The bits are set in a buffer, one
-    big-int OR per term costing O(N), allocated first: a huge N fails at
-    once, before its exponents are listed, and leaves no memo entry."""
+def _euler_table(bits: int) -> tuple[int, int]:
+    """(L, E) for L = 2^bits - 1: E(q) to q^L packed as by :func:`_pack`,
+    which every N of that bit length reads as E >> (L - N).  The bits are
+    set in a buffer, not by one O(N) big-int OR per term, allocated
+    first: a huge N fails at once, before its exponents are listed, and
+    leaves no memo entry."""
     limit = (1 << bits) - 1
     buffer = bytearray(limit // 8 + 1)
-    triangles = [g for g, _ in triangular_exponents(limit)]
     for g, _ in pentagonal_exponents(limit):
         buffer[(limit - g) >> 3] |= 1 << ((limit - g) & 7)
-    return limit, triangles, int.from_bytes(buffer, "little")
+    return limit, int.from_bytes(buffer, "little")
 
 
 @cache
 def _parity_plan(step: int, bits: int) -> tuple[int, int, list]:
-    """(L, E, chain) for the parity route's 1/E(q^step) at the bit length
-    ``bits`` of N: L and E from :func:`_euler_table`, and the factors
-    (triangles, s) of the J-chain :func:`_eta_levels` plans to L."""
-    limit, triangles, euler = _euler_table(bits)
-    chain = [(triangles, s) for s, _ in _eta_levels({step: 1}, 2, limit)]
-    return limit, euler, chain
+    """(L, E, plan) for the parity route's 1/E(q^step) at the bit length
+    ``bits`` of N: L and E from :func:`_euler_table`, and the J-chain
+    J(q^{step 4^u}) that :func:`_eta_plan` writes for {step: 1} to L."""
+    limit, euler = _euler_table(bits)
+    return limit, euler, _eta_plan({step: 1}, 2, limit)
 
 
 def eta_quotient_mod2(step: int, truncation: int) -> TruncatedSeries:
     """(q;q)_inf / (q^step;q^step)_inf over Z/2, with no division.
 
     E(q) from the table for N's bit length, shifted right to q^N, times
-    the J-chain J(q^{step 4^u}), cut at step 4^u <= N, in one call of
+    the J-chain the planner writes to L, in one call of
     :func:`_times_dilations`.  Both come from the memo of (step, bit
-    length of N), so the result depends on (step, N) alone.  The chain's
-    exponents may run past N; the kernel stops at the first too large.
+    length of N), so the result depends on (step, N) alone.  As L < 2N +
+    1 and the steps grow 4x, at most the last factor's step passes N,
+    and the kernel, stopping at the first term past q^N, keeps its 1.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     check_truncation(truncation)
-    limit, euler, chain = _parity_plan(step, truncation.bit_length())
-    factors = [(terms, s) for terms, s in chain if s <= truncation]
-    return _times_dilations(euler >> (limit - truncation), factors, truncation, 2)
+    limit, euler, plan = _parity_plan(step, truncation.bit_length())
+    return _times_dilations(euler >> (limit - truncation), plan, truncation, 2)
 
 
 def theta_exponents(limit: int) -> list[tuple[int, int]]:

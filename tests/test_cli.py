@@ -358,13 +358,19 @@ def test_verify_short_provider_exits_three(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["expand", "--family", "phi", "--k", "1", "--n", "3"],
-        ["verify", "main", "--primes", "5", "--ells", "1", "--nmax", "5"],
+        ["expand", "--family", "phi", "--k", "1", "--n", "3",
+         "--out", "no-such-dir/x"],
+        ["verify", "main", "--primes", "5", "--ells", "1", "--nmax", "5",
+         "--out", "no-such-dir/x"],
+        # an empty path, as from --out "$UNSET", is a path, not stdout
+        ["expand", "--family", "phi", "--k", "1", "--n", "3", "--out", ""],
+        ["verify", "main", "--primes", "5", "--ells", "1", "--nmax", "5",
+         "--out", ""],
     ],
 )
-def test_unwritable_out_exits_two(argv, tmp_path, capsys):
-    missing = tmp_path / "no-such-dir" / "x"
-    code = cli.main(argv + ["--out", str(missing)])
+def test_unwritable_out_exits_two(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -81,6 +82,25 @@ def test_pentagonal_class_reachable_small():
     assert pentagonal_class_reachable(5, 1)
     assert pentagonal_class_reachable(5, 2)
     assert not pentagonal_class_reachable(5, 3)
+
+
+@pytest.mark.parametrize(
+    "check, args, message",
+    [
+        (pentagonal_class_reachable, (4, 1), "need a prime >= 5, got 4"),
+        (pentagonal_class_reachable, (7, 0), "need 0 < r < p, got r=0"),
+        (pentagonal_class_reachable, (7, 7), "need 0 < r < p, got r=7"),
+        (cphi_even_suite, ([0], 5), "k must be >= 1"),
+        (andrews_p_squared_suite, (4, 5), "4 is not prime"),
+        (garvan_sellers_lift_check, (2, 4, 1, 1, 3), "4 is not prime"),
+        (garvan_sellers_lift_check, (2, 5, 0, 1, 3), "need 0 < r < p, got r=0"),
+        (garvan_sellers_lift_check, (2, 5, 5, 1, 3), "need 0 < r < p, got r=5"),
+        (garvan_sellers_lift_check, (2, 5, 3, -1, 3), "lift_count must be >= 0"),
+    ],
+)
+def test_checks_reject_bad_arguments(check, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check(*args)
 
 
 def test_qnr_pentagonal_equivalence():

@@ -148,9 +148,10 @@ def test_each_z2_quotient_makes_one_kernel_call(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [0, 1, 7, 300, 5000])
 def test_parity_route_factor_list(n, monkeypatch):
-    # E(q) from the table times the J-chain J(q^{(k+1) 4^u}), (k+1) 4^u <= N,
-    # every factor reading the triangular exponents of the table for N's
-    # bit length
+    # E(q) from the table times the plan the planner writes for {k+1: 1}
+    # to L = 2^b - 1, b the bit length of N: the J-chain J(q^{(k+1) 4^u}),
+    # (k+1) 4^u <= L, run whole, with J's terms listed once; at most its
+    # last step passes N
     calls = []
 
     def spy(packed, factors, truncation, p):
@@ -159,14 +160,17 @@ def test_parity_route_factor_list(n, monkeypatch):
 
     kernel = frobseries.series._times_dilations
     monkeypatch.setattr(frobseries.series, "_times_dilations", spy)
+    limit = 2 ** n.bit_length() - 1
     for k in (1, 3, 4, 7, 24):
         calls.clear()
         phi_parity_series(k, n)
         (factors,) = calls
-        chain = [(k + 1) * 4**u for u in range(12) if (k + 1) * 4**u <= n]
+        plan = frobseries.series._eta_plan({k + 1: 1}, 2, limit)
+        assert factors == plan, (k, n)
+        chain = [(k + 1) * 4**u for u in range(12) if (k + 1) * 4**u <= limit]
         assert [step for _, step in factors] == chain, (k, n)
-        _, triangles, _ = frobseries.series._euler_table(n.bit_length())
-        assert all(terms is triangles for terms, _ in factors), (k, n)
+        assert sum(step > n for step in chain) <= 1, (k, n)
+        assert all(terms is factors[0][0] for terms, _ in factors), (k, n)
 
 
 def test_phi_parity_series_rejects_bad_arguments():
@@ -380,6 +384,9 @@ def test_cphi_series_rejects_bad_arguments():
         cphi_series(0, 5)
     with pytest.raises(ValueError, match="truncation must be >= 0"):
         cphi_series(2, -1)
+    # and its exact reference
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        cg_product(0, 5)
 
 
 def test_cphi3_matches_borwein_cubic_theta():

@@ -53,6 +53,18 @@ def test_make_series_empty_is_zero():
     assert make_series(EXACT, 0, []).coeffs == (0,)
 
 
+@pytest.mark.parametrize(
+    "series, text",
+    [
+        (make_series(EXACT, 3, [1, 0, -2]), "(1*q^0 + -2*q^2) + O(q^4) over Z"),
+        (make_series(CoefficientRing(5), 2, [0, 7]), "(2*q^1) + O(q^3) over Z/5"),
+        (make_series(MOD2, 1), "(0) + O(q^2) over Z/2"),
+    ],
+)
+def test_series_str(series, text):
+    assert str(series) == text
+
+
 def test_make_series_rejects_overlong():
     with pytest.raises(ValueError):
         make_series(EXACT, 1, [1, 2, 3])
@@ -411,8 +423,9 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
     # Z/p, p <= 13, the kernel gets the factors E(q^s) and J(q^s) of the
     # plan, whose product is 1/E^k, at most two E per step and J's terms
     # listed once.  Where it runs the recurrence, E^k is floor(k/3)
-    # cubes (listed once, only for k >= 3), then E, or phi(-q) E(q^2); and
-    # the double sum's E(q)^2 E(q^2) for phi_1 is phi(-q) phi(-q^2) E(q^4)
+    # cubes (listed once, only for k >= 3) and E, or phi(-q) E(q^2); and
+    # the double sum's E(q)^2 E(q^2) for phi_1 is phi(-q) phi(-q^2) E(q^4);
+    # the divisors come latest step first, a step's cubes last
     ring = EXACT if modulus is None else CoefficientRing(modulus)
     n = 100
     seen, cubes = [], []
@@ -440,8 +453,8 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
     cube = _terms(triangular_cube_series(ring, n))
     euler = _terms(pentagonal_series(ring, n))
     pair = [
-        _terms(gauss_theta_series(ring, n)),
         _terms(pentagonal_series(ring, n, 2)),
+        _terms(gauss_theta_series(ring, n)),
     ]
     for k in range(1, 8):
         euler_k = mul(euler_k, pochhammer(ring, n, 1, 1))
@@ -461,7 +474,7 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
                     product = mul(product, pochhammer(ring, n, s, s))
             assert product == one, k
         else:
-            assert seen == [[cube] * (k // 3) + [[], [euler], pair][k % 3]], k
+            assert seen == [[[], [euler], pair][k % 3] + [cube] * (k // 3)], k
             assert len(cubes) == (k >= 3), k
         for m in (0, 1, 7, 61):
             power = make_series(ring, m, [1])
@@ -473,9 +486,9 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
     seen.clear()
     phi_series_double_sum(1, n, ring)
     assert seen == [[
-        _terms(gauss_theta_series(ring, n)),
-        _terms(gauss_theta_series(ring, n // 2), 2),
         _terms(pentagonal_series(ring, n, 4)),
+        _terms(gauss_theta_series(ring, n // 2), 2),
+        _terms(gauss_theta_series(ring, n)),
     ]]
 
 
@@ -504,8 +517,8 @@ def test_kernel_plan_folds_frobenius_steps_into_jacobi_cubes():
 
 @pytest.mark.parametrize("modulus", [None, 4, 17, 257])
 def test_recurrence_quotient_does_not_depend_on_divisor_order(modulus):
-    # the recurrence divides by the factor whose first term past q^0 comes
-    # latest first; any order of the same divisors gives the same quotient
+    # the recurrence divides in the order given; any order of the same
+    # divisors gives the same quotient
     ring = EXACT if modulus is None else CoefficientRing(modulus)
     n = 120
     rng = random.Random(n)
