@@ -15,20 +15,24 @@ Three independent routes are implemented:
   z^0 row of theta(z)^k is divided.  That row,
   ``series.theta_constant_series``, is built on packed integers from t
   base rows per power theta^t, since theta(zq) = z^-1 q^-1 theta(z)
-  makes every other z row a q-shift of one of them.
+  makes every other z row a q-shift of one of them.  Over Z/p for a
+  prime p dividing k it first strips the p-part p^v of k: by Frobenius,
+  cphi_k = cphi_{k/p^v}(q^{p^v}) mod p, so the row and the division are
+  those of k/p^v to N // p^v.  The identity fails mod p^e for e > 1, so
+  composite moduli, like Z, build the row of k itself.
 
 Both exact routes hand their denominator to ``series.eta_quotient`` as
-powers of E(q^s) = (q^s;q^s)_inf, {1: 2, k+1: 1} and {1: k}, and
-``eta_quotient_mod2`` plans the parity route's {k+1: 1} the same way, so
-one planner in ``series`` writes every denominator.  Over Z/p for a
-prime p <= 13 it is one call of the packed kernel: a product of sparse
-factors E and Jacobi's cube J = E^3 at Frobenius steps s p^t <= N, at
-O(N / 64) word operations per term over Z/2 and O(N / 4) for odd p.  In
-other rings it is a recurrence per sparse divisor, cubes and Gauss's
-phi(-q^s) E(q^{2s}) pairs: O(N^1.5) element reads, gathered in C, and
-O(N) Python steps when the divisor's terms take a bounded set of values
-(a pentagonal series has two over Z).  None expands a dense product or
-inverse.
+powers of E(q^s) = (q^s;q^s)_inf, {1: 2, k+1: 1} and {1: k} (k/p^v
+after the strip), and ``eta_quotient_mod2`` plans the parity route's
+{k+1: 1} the same way, so one planner in ``series`` writes every
+denominator.  Over Z/p for a prime p <= 13 it is one call of the packed
+kernel: a product of sparse factors E and Jacobi's cube J = E^3 at
+Frobenius steps s p^t <= N, at O(N / 64) word operations per term over
+Z/2 and O(N / 4) for odd p.  In other rings it is a recurrence per
+sparse divisor, cubes and Gauss's phi(-q^s) E(q^{2s}) pairs: O(N^1.5)
+element reads, gathered in C, and O(N) Python steps when the divisor's
+terms take a bounded set of values (a pentagonal series has two over Z).
+None expands a dense product or inverse.
 
 ``cg_product`` builds every z row of the colored product over Z,
 unpacked, in a :class:`LaurentPolyOverSeries` (a finite window of
@@ -36,7 +40,9 @@ z-exponents, each carrying a truncated q-series).  It is the exact
 reference that the tests compare ``cphi_series`` against, reduced into
 each ring afterwards, and ``cphi_parity_witness`` is its image reduced
 mod 2 under z -> z^2, q -> q^2, the mod-2 form of the product with
-subscript 2k.  Neither is a route.
+subscript 2k.  Neither is a route.  ``cphi_series`` over Z strips
+nothing, so it is the faster reference that the mod-p windows are
+checked against, reduced mod p.
 
 :func:`expand` is the one place that picks a route for (family, modulus),
 and ``FAMILIES`` is the one place the family names are written.
@@ -47,6 +53,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
+from math import isqrt
 
 from .series import (
     EXACT,
@@ -174,16 +181,39 @@ def cg_product(exponent: int, truncation: int) -> LaurentPolyOverSeries:
     return _wrap_rows(rows, EXACT, n)
 
 
+def _is_prime(m: int) -> bool:
+    """Trial division to isqrt(m)."""
+    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
+
+
 def cphi_series(
     k: int, truncation: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
     """Sum of cphi_k(n) q^n: ([z^0] theta(z)^k) / (q;q)_inf^k.
 
-    The z^0 row, ``theta_constant_series``, is divided by E(q)^k in one
-    ``eta_quotient`` call.  The row allocates before it lists a term, so a
-    huge N fails there at once; the row also checks k and N.
+    Over Z/p for a prime p with p^v || k, Frobenius gives theta(z)^p =
+    theta(z^p; q^p) and E(q)^p = E(q^p) mod p, so cphi_k = cphi_{k'}(q^s)
+    for k' = k / p^v and s = p^v: the series is built for k' to N // s and
+    placed at every s-th power of q.  Elsewhere (p does not divide k, a
+    composite modulus, where the identity fails, and Z) s = 1 and k' = k.
+    The z^0 row of theta^{k'}, ``theta_constant_series``, is divided by
+    E(q)^{k'} in one ``eta_quotient`` call.  The N + 1 output row is
+    allocated before any term is listed, so a huge N fails there at once.
+    Whether p divides k is asked before whether p is prime, and then
+    p <= k, so the trial division costs nothing beside the theta row.
     """
-    return eta_quotient(theta_constant_series(ring, truncation, k), {1: k})
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    check_truncation(truncation)
+    n, p = truncation, ring.modulus
+    out = ring.zeros(n + 1)
+    step = 1
+    if p is not None and k % p == 0 and _is_prime(p):
+        while k % p == 0:
+            k, step = k // p, step * p
+    part = eta_quotient(theta_constant_series(ring, n // step, k), {1: k})
+    out[::step] = part.coeffs
+    return TruncatedSeries(ring, n, out)
 
 
 def cphi_parity_witness(k: int, truncation: int) -> LaurentPolyOverSeries:

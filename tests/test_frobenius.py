@@ -311,7 +311,9 @@ def test_cphi_series_over_small_primes_matches_all_row_reference(n):
     # of cg_product's all-row theta power over Z, with no base-row
     # recurrence and no kernel, divided by k pentagonal factors and
     # reduced mod m.  One pass of the reference builds each power once
-    ks = [*range(1, 16), *((20, 30) if n <= 61 else ())]
+    # over Z/2, Z/5 and Z/3 the route builds cphi_16, cphi_25 and cphi_27
+    # as cphi_1 at q^16, q^25 and q^27, and cphi_20 over Z/2 as cphi_5(q^4)
+    ks = [*range(1, 17), *((20, 25, 27, 30) if n <= 61 else ())]
     for k, rows in zip(range(1, max(ks) + 1), _theta_rows(n)):
         if k not in ks:
             continue
@@ -320,6 +322,39 @@ def test_cphi_series_over_small_primes_matches_all_row_reference(n):
         for m in ROW_MODULI:
             got = cphi_series(k, n, CoefficientRing(m))
             assert got == reduce_mod(exact, m), (k, n, m)
+
+
+@pytest.mark.parametrize(
+    "k, n, modulus, row",
+    [
+        (12, 100, 2, (25, 3)),
+        (18, 100, 3, (11, 2)),
+        (25, 100, 5, (4, 1)),
+        (514, 300, 257, (1, 2)),
+        (6, 100, 4, (100, 6)),
+        (8, 100, 4, (100, 8)),
+        (6, 100, 9, (100, 6)),
+        (18, 100, 9, (100, 18)),
+        (7, 100, 2, (100, 7)),
+        (6, 100, None, (100, 6)),
+        (13, 100, None, (100, 13)),
+    ],
+)
+def test_cphi_route_builds_the_p_free_subscript(k, n, modulus, row, monkeypatch):
+    # over Z/p for a prime p with p^v || k the route builds the theta row of
+    # k / p^v to N // p^v; a composite modulus, even one dividing k, p not
+    # dividing k, and Z build the row of k itself to N
+    ring = EXACT if modulus is None else CoefficientRing(modulus)
+    rows = []
+
+    def spy(ring, truncation, k):
+        rows.append((truncation, k))
+        return theta_row(ring, truncation, k)
+
+    theta_row = frobseries.frobenius.theta_constant_series
+    monkeypatch.setattr(frobseries.frobenius, "theta_constant_series", spy)
+    assert cphi_series(k, n, ring).truncation == n
+    assert rows == [row]
 
 
 def test_odd_p_theta_row_reduces_mid_sum(monkeypatch):
@@ -367,8 +402,11 @@ def test_z2_theta_row_is_computed():
 
 
 def test_z2_cphi_route_reads_the_theta_terms(monkeypatch):
-    # without any one theta term of degree <= 15 the Z/2 route must change
-    full = cphi_series(4, 30, MOD2)
+    # without any one theta term of degree <= 15 the Z/2 route must change.
+    # k = 5 is odd, so the route builds theta^5 itself: for an even k it
+    # builds the row of k / 2^v, and for k = 4 that is theta^1, which reads
+    # no term; for k = 3 dropping (-1, 0) leaves the result unchanged
+    full = cphi_series(5, 30, MOD2)
     terms = frobseries.series.theta_exponents
     for i in range(12):
         monkeypatch.setattr(
@@ -376,7 +414,24 @@ def test_z2_cphi_route_reads_the_theta_terms(monkeypatch):
             "theta_exponents",
             lambda n: terms(n)[:i] + terms(n)[i + 1 :],
         )
-        assert cphi_series(4, 30, MOD2) != full, terms(30)[i]
+        assert cphi_series(5, 30, MOD2) != full, terms(30)[i]
+
+
+def test_cphi_route_refuses_a_huge_truncation_at_once(monkeypatch):
+    # the N + 1 output row is allocated before the p-free subscript's row is
+    # built, so N = 10^20 fails there, though N // 2^40 alone would fit
+    listed = []
+    listing = frobseries.series.triangular_exponents
+
+    def guarded(limit):
+        listed.append(limit)
+        return listing(limit)
+
+    monkeypatch.setattr(frobseries.series, "triangular_exponents", guarded)
+    for k in (2**40, 6):
+        with pytest.raises((OverflowError, MemoryError)):
+            cphi_series(k, 10**20, MOD2)
+    assert listed == []
 
 
 def test_cphi_series_rejects_bad_arguments():
