@@ -28,10 +28,14 @@ after the strip), and ``eta_quotient_mod2`` plans the parity route's
 denominator.  Over Z/p for a prime p <= 13 it is one call of the packed
 kernel: a product of sparse factors E and Jacobi's cube J = E^3 at
 Frobenius steps s p^t <= N, at O(N / 64) word operations per term over
-Z/2 and O(N / 4) for odd p.  In other rings it is a recurrence per
-sparse divisor, cubes and Gauss's phi(-q^s) E(q^{2s}) pairs: O(N^1.5)
-element reads, gathered in C, and O(N) Python steps when the divisor's
-terms take a bounded set of values (a pentagonal series has two over Z).
+Z/2 and O(N / 4) for odd p.  Over Z/p^v <= 128 (Z/4, Z/9, Z/25, Z/49,
+...) that quotient is lifted one base-p digit at a time, two kernel
+calls per digit, one of them the product by the denominator over
+Z/p^v.  In other rings (Z, other composite moduli, Z/m for m > 128 and
+primes p >= 17) it is a recurrence per sparse divisor, cubes and
+Gauss's phi(-q^s) E(q^{2s}) pairs: O(N^1.5) element reads, gathered in
+C, and O(N) Python steps when the divisor's terms take a bounded set of
+values (a pentagonal series has two over Z).
 None expands a dense product or inverse.
 
 ``cg_product`` builds every z row of the colored product over Z,

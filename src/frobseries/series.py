@@ -17,14 +17,17 @@ Every route's denominator is an eta product prod_s E(q^s)^{e_s}, E(q) =
 alone.  Over Z/p for a prime p <= 13 it plans products of dilations,
 with no recurrence, from Frobenius E(q^{s p^j}) = E(q^s)^{p^j} and
 Jacobi's cube E^3 = J, and runs them on one packed int in one call of
-the kernel :func:`_times_dilations`.  In any other ring it lists the
-denominator's sparse divisors, three copies of E as one cube and a pair
-as Gauss's phi(-q^s) E(q^{2s}), for :func:`_recurrence`, one recurrence
-per divisor.  Neither builds a divisor series: the terms come from the
-exponent lists :func:`pentagonal_exponents`, :func:`triangular_exponents`
-and :func:`gauss_exponents`, from which the sparse builders
-:func:`pentagonal_series`, :func:`triangular_cube_series` and
-:func:`gauss_theta_series` place theirs.  The packed kernel and its
+the kernel :func:`_times_dilations`.  Over Z/p^v <= 128, v >= 2, it
+lifts that quotient one base-p digit at a time, :func:`_hensel_lift`,
+each step j a kernel product by the denominator over Z/p^{j+1} and a
+kernel call on the Z/p plan, again with no recurrence.  In any other ring it
+lists the denominator's sparse divisors, three copies of E as one cube
+and a pair as Gauss's phi(-q^s) E(q^{2s}), for :func:`_recurrence`, one
+recurrence per divisor.  None builds a divisor series: the terms come
+from the exponent lists :func:`pentagonal_exponents`,
+:func:`triangular_exponents` and :func:`gauss_exponents`, from which the
+sparse builders :func:`pentagonal_series`, :func:`triangular_cube_series`
+and :func:`gauss_theta_series` place theirs.  The packed kernel and its
 layout live here alone: the pair :func:`_pack` / :func:`_unpack` owns
 the layout, one bit per coefficient over Z/2 and one 16-bit slot over
 Z/m for 2 < m <= 128, and the builders that work on it, the parity
@@ -280,7 +283,7 @@ def _recurrence(a: TruncatedSeries, factors: list) -> TruncatedSeries:
     return TruncatedSeries(ring, n, coeffs)
 
 
-# the moduli whose eta quotients eta_quotient plans for the packed kernel.
+# the primes whose eta quotients eta_quotient plans for the packed kernel.
 # The bound 13 was set for a generic plan of up to p - 1 products per
 # level, since deleted; it stays until the benchmark harness measures it
 # (ROADMAP.md, item 12)
@@ -293,6 +296,14 @@ _SLOT_MAX = 0xFFFF
 # the largest m for which a 16-bit slot 256 h + l, as (256 h mod m) +
 # (l mod m) < 2 m, fits one byte
 _PACKED_MODULUS_MAX = 128
+# m -> p for each power m = p^v <= _PACKED_MODULUS_MAX of a prime p in
+# _FROBENIUS_PRIMES: the moduli eta_quotient divides over by the kernel
+_PRIME_POWER_BASE = {
+    p**v: p
+    for p in _FROBENIUS_PRIMES
+    for v in range(1, _PACKED_MODULUS_MAX.bit_length())
+    if p**v <= _PACKED_MODULUS_MAX
+}
 
 
 @cache
@@ -338,13 +349,15 @@ def _reduced(packed: int, truncation: int, m: int) -> int:
 
 
 def _times_dilations(
-    packed: int, factors: Sequence[tuple[Sequence, int]], truncation: int, p: int
-) -> TruncatedSeries:
-    """packed * prod_i b_i(q^{step_i}) over Z/p, for p = 2 or an odd prime.
+    packed: int, factors: Sequence[tuple[Sequence, int]], truncation: int, m: int
+) -> bytes:
+    """packed * prod_i b_i(q^{step_i}) over Z/m, as residues q^0 first: on
+    bits over Z/2, and on 16-bit slots over any Z/m with 2 < m <= 128.
 
-    The packed kernel of :func:`eta_quotient` and
-    :func:`eta_quotient_mod2`, its two callers, which pass it the factors
-    :func:`_eta_plan` writes, in the order it writes them.
+    The packed kernel, with three callers: :func:`eta_quotient` and
+    :func:`eta_quotient_mod2` pass it the factors :func:`_eta_plan` writes
+    over Z/p, in the order it writes them, and :func:`_hensel_lift` also
+    passes it the denominator itself over each Z/p^j, 2 <= j <= v.
 
     ``factors`` holds the pairs (terms_i, step_i) of sparse factors b_i,
     whose terms ascend from g = 0 and may run past N.  ``packed`` holds a
@@ -353,14 +366,14 @@ def _times_dilations(
     mask, and each factor is one shifted add per term g with step * g <=
     N, applied one after another to the one packed int.
 
-    Over Z/2 the terms are the exponents g and the add is XOR.  For odd p
-    they are pairs (g, c) with 0 < c < p: c * packed is made once per
+    Over Z/2 the terms are the exponents g and the add is XOR.  For m > 2
+    they are pairs (g, c) with 0 < c < m: c * packed is made once per
     factor and value c, then shifted per term.  A bound on the slots is
     tracked, and whenever an add could pass ``_SLOT_MAX`` the sum so far
-    is reduced mod p, back to the bound p - 1.
+    is reduced mod m, back to the bound m - 1.
     """
     n = truncation
-    if p == 2:
+    if m == 2:
         for exponents, step in factors:
             product = 0
             for g in exponents:
@@ -368,25 +381,25 @@ def _times_dilations(
                     break
                 product ^= packed >> step * g
             packed = product
-        return TruncatedSeries(MOD2, n, _unpack(packed, n, 2))
-    bound = p - 1  # no slot of packed exceeds it
+        return _unpack(packed, n, 2)
+    bound = m - 1  # no slot of packed exceeds it
     for terms, step in factors:
-        # (g, c) <= (N // step, p) exactly when step * g <= N, since c < p
-        active = terms[: bisect_right(terms, (n // step, p))]
-        if bound * sum(c for _, c in active) > _SLOT_MAX:
-            packed, bound = _reduced(packed, n, p), p - 1
+        # (g, c) <= (N // step, m) exactly when step * g <= N, since c < m
+        active = terms[: bisect_right(terms, (n // step, m))]
+        if bound * sum(map(itemgetter(1), active)) > _SLOT_MAX:
+            packed, bound = _reduced(packed, n, m), m - 1
         multiples = {1: packed}
         product = top = 0
         for g, c in active:
             if top + c * bound > _SLOT_MAX:
-                product, top = _reduced(product, n, p), p - 1
+                product, top = _reduced(product, n, m), m - 1
             multiple = multiples.get(c)
             if multiple is None:
                 multiple = multiples[c] = c * packed
             product += multiple >> 16 * step * g
             top += c * bound
         packed, bound = product, top
-    return TruncatedSeries(CoefficientRing(p), n, _unpack(packed, n, p))
+    return _unpack(packed, n, m)
 
 
 def invert(a: TruncatedSeries) -> TruncatedSeries:
@@ -507,19 +520,74 @@ def eta_quotient(a: TruncatedSeries, powers: dict[int, int]) -> TruncatedSeries:
 
     The routes' one entry point for a denominator that is a product of
     powers of E(q^s).  Over Z/p for a prime p <= 13 it is one call of
-    :func:`_times_dilations` on the factors :func:`_eta_plan` lists; in
-    any other ring one :func:`_recurrence` call on the divisors
-    :func:`_eta_divisors` lists.  Neither builds a full-length divisor
-    series.  Steps past N divide by 1 and are left out.
+    :func:`_times_dilations` on the factors :func:`_eta_plan` lists, and
+    over Z/p^v <= 128, v >= 2, that quotient lifted by
+    :func:`_hensel_lift`; in any other ring one :func:`_recurrence` call
+    on the divisors :func:`_eta_divisors` lists.  None builds a
+    full-length divisor series.  Steps past N divide by 1 and are left
+    out.
     """
     for s, e in powers.items():
         if s < 1 or e < 0:
             raise ValueError(f"need steps >= 1 and powers >= 0, got {s}: {e}")
     ring, n = a.ring, a.truncation
-    p = ring.modulus
-    if p in _FROBENIUS_PRIMES:
-        return _times_dilations(_pack(a.coeffs, p), _eta_plan(powers, p, n), n, p)
-    return _recurrence(a, _eta_divisors(ring, n, powers))
+    p = _PRIME_POWER_BASE.get(ring.modulus)
+    if p is None:
+        return _recurrence(a, _eta_divisors(ring, n, powers))
+    plan = _eta_plan(powers, p, n)
+    if p == ring.modulus:
+        quotient = _times_dilations(_pack(a.coeffs, p), plan, n, p)
+    else:
+        quotient = _hensel_lift(a, powers, plan, p)
+    return TruncatedSeries(ring, n, quotient)
+
+
+def _hensel_lift(
+    a: TruncatedSeries, powers: dict[int, int], plan: list, p: int
+) -> bytes:
+    """The residues of a / D over Z/m, m = p^v with v >= 2, for D = prod_s
+    E(q^s)^{powers[s]}, from ``plan``, the kernel's plan of 1/D over Z/p.
+
+    Q_1 = a / D mod p is one kernel call on a mod p.  Given Q_j = Q mod
+    p^j, as residues below p^j, R = a - D Q_j = D (Q - Q_j) mod p^{j+1},
+    so R / p^j = D X mod p for the next base-p digit X of Q: one more
+    kernel call gives X, and Q_{j+1} = Q_j + p^j X.  D Q_j is a product,
+    not a quotient: a kernel call over Z/p^{j+1}, whose small slot bound
+    needs few reductions, on floor(e/3) cubes J(q^s) and e mod 3 factors
+    E(q^s) per step s <= N.  So each of the v - 1 lift steps is two
+    kernel calls, and the sums between them are O(N) big-int ops on one
+    byte per coefficient: a_i + m - (D Q_j)_i lies in [1, 2m), a multiple
+    of p^j, and Q_j + p^j X below m, so no byte carries.
+    """
+    n, m = a.truncation, a.ring.modulus
+    denominator = []  # (terms, step, copies) of J and of E
+    for s, e in powers.items():
+        for listing, count in (
+            (triangular_exponents, e // 3),
+            (pentagonal_exponents, e % 3),
+        ):
+            if s <= n and count:
+                denominator.append((listing(n // s), s, count))
+    low = _byte_tables(p)[0]  # x -> x mod p
+    shifted = int.from_bytes(a.coeffs, "big") + int.from_bytes(
+        bytes([m]) * (n + 1), "big"
+    )
+    quotient = _times_dilations(_pack(a.coeffs.translate(low), p), plan, n, p)
+    scale = p
+    while scale < m:
+        modulus = scale * p
+        product = []
+        for terms, s, count in denominator:
+            reduced = [(g, c % modulus) for g, c in terms if c % modulus]
+            product += [(reduced, s)] * count
+        image = _times_dilations(_pack(quotient, modulus), product, n, modulus)
+        rest = (shifted - int.from_bytes(image, "big")) // scale
+        residual = rest.to_bytes(n + 1, "big").translate(low)
+        digit = _times_dilations(_pack(residual, p), plan, n, p)
+        total = int.from_bytes(quotient, "big") + scale * int.from_bytes(digit, "big")
+        quotient = total.to_bytes(n + 1, "big")
+        scale = modulus
+    return quotient
 
 
 def _eta_levels(powers: dict[int, int], p: int, truncation: int) -> list:
@@ -660,7 +728,8 @@ def eta_quotient_mod2(step: int, truncation: int) -> TruncatedSeries:
         raise ValueError(f"step must be >= 1, got {step}")
     check_truncation(truncation)
     limit, euler, plan = _parity_plan(step, truncation.bit_length())
-    return _times_dilations(euler >> (limit - truncation), plan, truncation, 2)
+    product = _times_dilations(euler >> (limit - truncation), plan, truncation, 2)
+    return TruncatedSeries(MOD2, truncation, product)
 
 
 def theta_exponents(limit: int) -> list[tuple[int, int]]:
@@ -678,7 +747,8 @@ def theta_exponents(limit: int) -> list[tuple[int, int]]:
 def theta_constant_series(
     ring: CoefficientRing, truncation: int, k: int
 ) -> TruncatedSeries:
-    """The z^0 row of theta(z)^k to q^N, the numerator of cphi_k.
+    """The z^0 row of theta(z)^k to q^N, the numerator of cphi_k; for k = 1
+    it is 1.
 
     theta(zq) = z^-1 q^-1 theta(z), so the z rows R_j of theta^t satisfy
     R_{b+st} = q^{sb + ts(s+1)/2} R_b: only the t base rows b in (-t, 0]
@@ -701,6 +771,10 @@ def theta_constant_series(
         raise ValueError("k must be >= 1")
     check_truncation(truncation)
     n, modulus = truncation, ring.modulus
+    if k == 1:  # theta's one z^0 term is q^0: the row is 1, with no term listed
+        row = ring.zeros(n + 1)
+        row[0] = 1
+        return TruncatedSeries(ring, n, row)
     packed = modulus is not None and modulus <= _PACKED_MODULUS_MAX
     # bound: the most a base row adds to a slot, tracked in 16-bit slots only
     if modulus == 2:

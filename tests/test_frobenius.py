@@ -384,9 +384,10 @@ def test_odd_p_theta_row_reduces_mid_sum(monkeypatch):
             want[k, m] = reduce_mod(exact, m)
             assert cphi_series(k, n, CoefficientRing(m)) == want[k, m]
     # with no mid-sum reduction, step t reduces each of its t + 1 base rows
-    # once, and the last step's one row is reduced by the final unpack
+    # once, and the last step's one row is reduced by the final unpack; the
+    # row of theta^1 is 1, with no step and no unpack
     base_rows = row_reductions()
-    assert base_rows == {(k, m): 1 + sum(range(2, k)) for k, m in want}
+    assert base_rows == {(k, m): (k > 1) + sum(range(2, k)) for k, m in want}
     monkeypatch.setattr(frobseries.series, "_SLOT_MAX", 40)
     for (k, m), series in want.items():
         assert cphi_series(k, n, CoefficientRing(m)) == series, (k, m)
@@ -516,11 +517,12 @@ def test_double_sum_in_modular_ring_matches_exact():
         assert exact == modular, (k, m)
     # over Z the denominator is E(q^2) phi(-q) E(q^{k+1}) by the
     # recurrence; over Z/3, Z/7 and Z/13 it is E E E(q^{k+1}) by dilations,
-    # and over Z/25 and Z/257 Gauss's form again by the recurrence
+    # over Z/25 the Z/5 quotient lifted, and over Z/17 and Z/257 Gauss's
+    # form again by the recurrence
     n = 1500
     for k in (1, 2, 4):
         exact = phi_series_double_sum(k, n)
-        for m in (3, 7, 13, 25, 257):
+        for m in (3, 7, 13, 25, 17, 257):
             modular = phi_series_double_sum(k, n, CoefficientRing(m))
             assert modular == reduce_mod(exact, m), (k, m)
 

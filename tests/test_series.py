@@ -386,14 +386,29 @@ POWER_MAPS = (
 )
 
 
-@pytest.mark.parametrize("modulus", [2, 3, 5, 7, 11, 13, None, 4, 17, 25, 257])
-def test_eta_quotient_matches_divide_by_its_factors(modulus):
+@pytest.mark.parametrize(
+    "modulus",
+    [2, 3, 5, 7, 11, 13, None, 4, 17, 25, 257]
+    + [8, 9, 16, 27, 32, 49, 64, 81, 121, 125, 128, 6, 169],
+)
+def test_eta_quotient_matches_divide_by_its_factors(modulus, monkeypatch):
     # eta_quotient plans its denominator from the powers of E(q^s): over
-    # Z/p, p <= 13, Frobenius digits with Jacobi cubes, elsewhere cubes and
-    # Gauss pairs for the recurrence.  divide by every E(q^s) as a separate
-    # pentagonal factor is the reference
+    # Z/p, p <= 13, Frobenius digits with Jacobi cubes, over Z/p^v <= 128
+    # that quotient lifted digit by digit, with no recurrence, elsewhere
+    # (Z/6, Z/169 = 13^2 > 128) cubes and Gauss pairs for the recurrence.
+    # divide by every E(q^s) as a separate pentagonal factor is the
+    # reference
     ring = EXACT if modulus is None else CoefficientRing(modulus)
     rng = random.Random(modulus)
+    calls = []
+    recurrence = frobseries.series._recurrence
+
+    def counted(a, factors):
+        calls.append(factors)
+        return recurrence(a, factors)
+
+    monkeypatch.setattr(frobseries.series, "_recurrence", counted)
+    recurs = modulus in (None, 17, 257, 6, 169)
     for n in (0, 1, 7, 61, 300):
         a = make_series(ring, n, [rng.randint(-9, 9) for _ in range(n + 1)])
         for powers in POWER_MAPS:
@@ -402,7 +417,10 @@ def test_eta_quotient_matches_divide_by_its_factors(modulus):
                 for s, e in powers.items()
                 for _ in range(e)
             ]
-            assert eta_quotient(a, powers) == divide(a, *factors), (n, powers)
+            want = divide(a, *factors)
+            calls.clear()
+            assert eta_quotient(a, powers) == want, (n, powers)
+            assert len(calls) == recurs, (n, powers)
 
 
 def _terms(series, step=1):
@@ -422,13 +440,16 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
     # eta_quotient divides by (q;q)^k on either side of the split.  Over
     # Z/p, p <= 13, the kernel gets the factors E(q^s) and J(q^s) of the
     # plan, whose product is 1/E^k, at most two E per step and J's terms
-    # listed once.  Where it runs the recurrence, E^k is floor(k/3)
-    # cubes (listed once, only for k >= 3) and E, or phi(-q) E(q^2); and
-    # the double sum's E(q)^2 E(q^2) for phi_1 is phi(-q) phi(-q^2) E(q^4);
-    # the divisors come latest step first, a step's cubes last
+    # listed once.  Over Z/p^v, v >= 2 (Z/4, Z/25), it runs no recurrence:
+    # the kernel gets the same plan over Z/p, then two calls per lift step,
+    # the product by E^k over Z/p^2 and the plan again.  Where it runs the
+    # recurrence, E^k is floor(k/3) cubes (listed once, only for k >= 3)
+    # and E, or phi(-q) E(q^2); and the double sum's E(q)^2 E(q^2) for
+    # phi_1 is phi(-q) phi(-q^2) E(q^4); the divisors come latest step
+    # first, a step's cubes last
     ring = EXACT if modulus is None else CoefficientRing(modulus)
     n = 100
-    seen, cubes = [], []
+    seen, cubes, kernel_calls = [], [], []
     recurrence = frobseries.series._recurrence
     kernel = frobseries.series._times_dilations
     listing = frobseries.series.triangular_exponents
@@ -437,9 +458,10 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
         seen.append([terms for terms, _ in factors])
         return recurrence(a, factors)
 
-    def kernel_spy(packed, factors, truncation, p):
+    def kernel_spy(packed, factors, truncation, m):
         seen.append([step for _, step in factors])
-        return kernel(packed, factors, truncation, p)
+        kernel_calls.append((factors, m))
+        return kernel(packed, factors, truncation, m)
 
     def counted(limit):
         cubes.append(limit)
@@ -460,6 +482,7 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
         euler_k = mul(euler_k, pochhammer(ring, n, 1, 1))
         seen.clear()
         cubes.clear()
+        kernel_calls.clear()
         assert eta_quotient(euler_k, {1: k}) == one, k
         if modulus in (2, 3, 5, 7, 11, 13):
             levels = frobseries.series._eta_levels({1: k}, modulus, n)
@@ -473,6 +496,13 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
                 for _ in range(3 if c else 1):
                     product = mul(product, pochhammer(ring, n, s, s))
             assert product == one, k
+        elif modulus in (4, 25):
+            p, v = {4: (2, 2), 25: (5, 2)}[modulus]
+            plan = frobseries.series._eta_plan({1: k}, p, n)
+            assert kernel_calls[0] == (plan, p), k
+            assert len(kernel_calls) == 1 + 2 * (v - 1), k
+            assert [m for _, m in kernel_calls[1:]] == [modulus, p] * (v - 1), k
+            assert all(factors == plan for factors, _ in kernel_calls[2::2]), k
         else:
             assert seen == [[[], [euler], pair][k % 3] + [cube] * (k // 3)], k
             assert len(cubes) == (k >= 3), k
@@ -481,7 +511,7 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
             for _ in range(k):
                 power = mul(power, pochhammer(ring, m, 1, 1))
             assert eta_quotient(power, {1: k}) == make_series(ring, m, [1])
-    if modulus in (2, 3, 5, 7, 11, 13):
+    if modulus in (2, 3, 5, 7, 11, 13, 4, 25):
         return
     seen.clear()
     phi_series_double_sum(1, n, ring)
@@ -567,6 +597,20 @@ def test_eta_quotient_mod2_matches_divide(n):
     for step in range(1, 10):
         want = divide(euler, pentagonal_series(MOD2, n, step))
         assert eta_quotient_mod2(step, n) == want, (step, n)
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 25])
+def test_theta_row_of_k_one_is_one(modulus, monkeypatch):
+    # theta's z^0 term is 1, so the row of theta^1 is 1, with no theta
+    # exponent listed
+    ring = EXACT if modulus is None else CoefficientRing(modulus)
+
+    def listing(limit):
+        raise AssertionError(f"theta exponents listed to {limit}")
+
+    monkeypatch.setattr(frobseries.series, "theta_exponents", listing)
+    for n in (0, 1, 10**4):
+        assert theta_constant_series(ring, n, 1) == make_series(ring, n, [1]), n
 
 
 @pytest.mark.parametrize("modulus", [None, 2, 25])
