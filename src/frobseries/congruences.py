@@ -28,17 +28,10 @@ class ResidueClass(enum.Enum):
 
 
 def is_prime(p: int) -> bool:
-    """Trial division, capped at desk scale."""
+    """Trial division, capped at desk scale, for primes given from outside."""
     if p > PRIMALITY_CAP:
         raise ValueError(f"primality testing capped at {PRIMALITY_CAP}")
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return frobenius._is_prime(p)
 
 
 def residue_class(x: int, p: int) -> ResidueClass:

@@ -186,7 +186,10 @@ def cg_product(exponent: int, truncation: int) -> LaurentPolyOverSeries:
 
 
 def _is_prime(m: int) -> bool:
-    """Trial division to isqrt(m)."""
+    """Trial division to isqrt(m), uncapped: the package's one primality test.
+
+    ``congruences.is_prime`` caps it for primes given from outside.
+    """
     return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
 
 

@@ -1,0 +1,241 @@
+"""Cross-checks of the fast routes against their independent references.
+
+``ROWS`` holds one row per check: a name, a generator ``cases(n)`` that
+yields one ``(label, equal)`` pair per comparison at window n, the n that
+CI runs and the n that the tier-1 test ``test_crosscheck.py`` runs.  Each
+generator's docstring names the fast route and its reference.
+
+    python tests/crosscheck.py NAME [NAME ...]
+
+runs the named rows at their CI n, in the order given.  It prints
+``label: True|False (s)`` per case, then each row's seconds and the
+process's peak RSS, and exits 1 if any case is False.  An unknown name
+exits 2 before any row runs.  pytest does not collect this module.
+"""
+
+import resource
+import sys
+import time
+from typing import Callable, Iterator, NamedTuple
+
+from frobseries import cli, frobenius
+from frobseries.frobenius import cphi_series, phi_parity_series, phi_series_double_sum
+from frobseries.series import (
+    EXACT,
+    MOD2,
+    CoefficientRing,
+    divide,
+    eta_quotient,
+    pentagonal_series,
+    reduce_mod,
+    theta_constant_series,
+)
+
+# the subscripts p*ell - 1 of verify main for p in 5, 7, 11, 13 and ell in 1, 2
+MAIN_SUBSCRIPTS = (4, 6, 9, 10, 12, 13, 21, 25)
+KERNEL_PRIMES = (2, 3, 5, 7, 11, 13)
+LIFT_MODULI = (4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128)
+
+
+class Row(NamedTuple):
+    name: str
+    cases: Callable[[int], Iterator[tuple[str, bool]]]
+    ci_n: int
+    tier1_n: int
+
+
+def main_theorem(n):
+    """The paper's theorem by ``verify main`` to index n through cli.main.
+
+    Route: the parity route, one series per subscript.  Reference: the
+    theorem's zero classes.  The exit status is 0 only if every claim
+    holds; the report goes to stdout.
+    """
+    status = cli.main(
+        ["verify", "main", "--primes", "5,7,11,13", "--ells", "1,2", "--nmax", str(n)]
+    )
+    yield f"verify main --primes 5,7,11,13 --ells 1,2 --nmax {n} exit status {status}", status == 0
+
+
+def mod2_lemma(n):
+    """Andrews' mod-2 lemma for the subscripts of ``verify main``.
+
+    Route: the parity route E(q) / E(q^(k+1)).  Reference: the double sum
+    over Z/2, whose numerator is the j = 0 block alone and whose
+    E(q)^2 E(q^(k+1)) is planned almost all as Jacobi cubes.
+    """
+    for k in MAIN_SUBSCRIPTS:
+        same = phi_series_double_sum(k, n, MOD2) == phi_parity_series(k, n)
+        yield f"k={k} N={n} double sum == parity route", same
+
+
+def double_sum_mod_m(n):
+    """Route: the double sum over Z/m.  Reference: over Z, reduced mod m.
+
+    p <= 13 divides E^2 E(q^(k+1)) by Frobenius dilations, and 25 by
+    lifting the Z/5 quotient; 17 (bytes) and 257 (tuple) by the
+    recurrence, with Gauss pairs phi(-q^s) E(q^2s), as Z does.
+    """
+    for k in (1, 2, 4):
+        exact = phi_series_double_sum(k, n)
+        for m in (3, 5, 7, 11, 13, 17, 25, 257):
+            same = phi_series_double_sum(k, n, CoefficientRing(m)) == reduce_mod(exact, m)
+            yield f"k={k} N={n} Z/{m} double sum == exact mod {m}", same
+
+
+def _planned_and_divided(a, powers):
+    """The planned quotient, and whether divide, by each E(q^s) as its own factor, agrees."""
+    got = eta_quotient(a, powers)
+    factors = [
+        pentagonal_series(a.ring, a.truncation, s)
+        for s, e in powers.items()
+        for _ in range(e)
+    ]
+    return got, got == divide(a, *factors)
+
+
+def planned_phi(n):
+    """Route: eta_quotient inside the double sum over Z/p and Z/p^v <= 128.
+
+    Reference: divide, the recurrence, by every E(q^s) factor.  Over Z/p
+    the quotient is one kernel call; over Z/p^v the Z/p quotient is
+    lifted digit by digit.  The case holds if the route plans exactly
+    one quotient and it agrees.
+    """
+    for moduli in (KERNEL_PRIMES, LIFT_MODULI):
+        for k in (1, 2, 4):
+            for m in moduli:
+                agreed = []
+
+                def checked(a, powers):
+                    got, same = _planned_and_divided(a, powers)
+                    agreed.append(same)
+                    return got
+
+                # not unittest.mock: its import adds about 7 MB to peak RSS
+                frobenius.eta_quotient = checked
+                try:
+                    phi_series_double_sum(k, n, CoefficientRing(m))
+                finally:
+                    frobenius.eta_quotient = eta_quotient
+                yield f"phi_{k} N={n} Z/{m} planned == divide", agreed == [True]
+
+
+def planned_theta(n):
+    """Route: eta_quotient of cphi_k's theta row by E(q)^k over Z/p and Z/p^v.
+
+    Reference: divide by k copies of E(q).  The quotient is called
+    directly: over Z/p for p | k, cphi_series builds cphi_(k/p^v) at
+    q^(p^v), so it never plans E(q)^k itself.
+    """
+    pairs = ((6, 2), (3, 3), (6, 3), (5, 5), (10, 5), (7, 7), (14, 7), (11, 11), (13, 13))
+    pairs += ((6, 4), (15, 9), (15, 25), (10, 25), (14, 49))
+    for k, m in pairs:
+        row = theta_constant_series(CoefficientRing(m), n, k)
+        _, same = _planned_and_divided(row, {1: k})
+        yield f"theta row_{k} / E^{k} N={n} Z/{m} planned == divide", same
+
+
+def parity_route(n):
+    """Route: the parity route over Z/2 for the subscripts of ``verify main``.
+
+    Reference: divide(E(q), E(q^(k+1))), the recurrence.
+    """
+    euler = pentagonal_series(MOD2, n)
+    for k in MAIN_SUBSCRIPTS:
+        same = phi_parity_series(k, n) == divide(euler, pentagonal_series(MOD2, n, k + 1))
+        yield f"k={k} N={n} parity route == divide", same
+
+
+def cphi_k_over_p(n):
+    """Route: cphi_6, cphi_10 and their theta rows over Z, where nothing is stripped.
+
+    Reference: the same at k/p, placed at q^p, for each prime p | k:
+    Frobenius gives row_k = row_(k/p)(q^p) and cphi_k = cphi_(k/p)(q^p)
+    mod p, the identity cphi_series uses over Z/p.  Also row_k = 1 mod 2.
+    """
+    for k in (6, 10):
+        full = {
+            "row": theta_constant_series(EXACT, n, k).coeffs,
+            "cphi": cphi_series(k, n).coeffs,
+        }
+        yield f"N={n} row_{k} = 1 mod 2", [c % 2 for c in full["row"]] == [1] + [0] * n
+        for p in (p for p in (2, 3, 5) if k % p == 0):
+            part = {
+                "row": theta_constant_series(EXACT, n // p, k // p).coeffs,
+                "cphi": cphi_series(k // p, n // p).coeffs,
+            }
+            for name, coeffs in full.items():
+                lifted = [0] * (n + 1)
+                lifted[::p] = part[name]
+                same = [c % p for c in coeffs] == [c % p for c in lifted]
+                yield f"N={n} {name}_{k} = {name}_{k // p}(q^{p}) mod {p}", same
+
+
+def cphi_mod_m(n):
+    """Route: cphi_series over Z/m.  Reference: over Z, reduced mod m.
+
+    Over Z/m, m <= 128, the theta row is built on packed slots mod m.
+    k = 5 divides by a cube, phi(-q) and E(q^2) over Z, by dilations over
+    Z/p and by lifting the Z/p quotient over Z/4, Z/9 and Z/25.  Over Z/p
+    for a prime p | k the route builds cphi_(k/p^v) at q^(p^v), and the
+    series over Z does not.
+    """
+    for k in (2, 4, 5, 6, 9, 12, 30):
+        exact = cphi_series(k, n)
+        for m in (2, 3, 4, 9, 13, 25):
+            same = cphi_series(k, n, CoefficientRing(m)) == reduce_mod(exact, m)
+            yield f"k={k} N={n} Z/{m} cphi == exact mod {m}", same
+
+
+ROWS = (
+    # verify main's n <= 769230 reaches pn + r = 10^7 at p = 13
+    Row("main-theorem", main_theorem, 769230, 2000),
+    Row("mod2-lemma", mod2_lemma, 10**7, 20000),
+    Row("double-sum-mod-m", double_sum_mod_m, 10**4, 1500),
+    Row("planned-phi", planned_phi, 2 * 10**4, 300),
+    Row("planned-theta", planned_theta, 10**4, 300),
+    Row("parity-route", parity_route, 10**5, 2000),
+    Row("cphi-k-over-p", cphi_k_over_p, 10**4, 300),
+    Row("cphi-mod-m", cphi_mod_m, 3000, 300),
+)
+
+
+def peak_rss_mb():
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def run(row, n):
+    """Print each case of the row at window n, then the row's totals; True if all hold."""
+    ok = True
+    row_start = time.perf_counter()
+    cases = row.cases(n)
+    while True:
+        start = time.perf_counter()
+        case = next(cases, None)
+        if case is None:
+            break
+        label, equal = case
+        print(f"{label}: {equal} ({time.perf_counter() - start:.1f} s)", flush=True)
+        ok = ok and equal
+    seconds = time.perf_counter() - row_start
+    print(f"{row.name}: {seconds:.1f} s, peak RSS {peak_rss_mb():.1f} MB", flush=True)
+    return ok
+
+
+def main(names):
+    rows = {row.name: row for row in ROWS}
+    unknown = [name for name in names if name not in rows]
+    if unknown:
+        print(f"unknown rows: {' '.join(unknown)}", file=sys.stderr)
+    if not names or unknown:
+        usage = "usage: python tests/crosscheck.py NAME [NAME ...]"
+        print(f"{usage}\nrows: {' '.join(rows)}", file=sys.stderr)
+        return 2
+    results = [run(rows[name], rows[name].ci_n) for name in names]
+    return 0 if all(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,0 +1,53 @@
+"""Every cross-check row at its tier-1 n, and the runner that CI calls."""
+
+from pathlib import Path
+
+import pytest
+
+import crosscheck
+from frobseries.frobenius import phi_parity_series
+from frobseries.series import MOD2, make_series
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+
+
+@pytest.mark.parametrize("row", crosscheck.ROWS, ids=lambda row: row.name)
+def test_row_holds_at_its_tier1_n(row):
+    cases = list(row.cases(row.tier1_n))
+    assert cases
+    assert [label for label, equal in cases if equal is not True] == []
+
+
+def test_ci_runs_every_row():
+    named = []
+    for line in WORKFLOW.read_text().splitlines():
+        if "crosscheck.py" in line:
+            named += line.split("crosscheck.py", 1)[1].split()
+    assert sorted(named) == sorted(row.name for row in crosscheck.ROWS)
+
+
+def test_a_wrong_route_prints_false_and_main_returns_1(monkeypatch, capsys):
+    row = next(row for row in crosscheck.ROWS if row.name == "parity-route")
+    monkeypatch.setattr(crosscheck, "ROWS", (row._replace(ci_n=row.tier1_n),))
+
+    def wrong_for_k9(k, n):
+        coeffs = list(phi_parity_series(k, n).coeffs)
+        if k == 9:
+            coeffs[n] ^= 1
+        return make_series(MOD2, n, coeffs)
+
+    monkeypatch.setattr(crosscheck, "phi_parity_series", wrong_for_k9)
+    assert crosscheck.main(["parity-route"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    false = [line for line in lines if ": False (" in line]
+    assert false[0].startswith(f"k=9 N={row.tier1_n} parity route == divide")
+    assert len(false) == 1
+    assert sum(": True (" in line for line in lines) == 7
+
+
+def test_an_unknown_name_exits_before_any_row_runs(capsys):
+    assert crosscheck.main(["parity-route", "no-such-row"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no-such-row" in captured.err
+    assert crosscheck.main([]) == 2
