@@ -74,9 +74,10 @@ def double_sum_mod_m(n):
 
     p <= 13 divides E^2 E(q^(k+1)) by Frobenius dilations, and 25 by
     lifting the Z/5 quotient; 17 (bytes) and 257 (tuple) by the
-    recurrence, with Gauss pairs phi(-q^s) E(q^2s), as Z does.
+    recurrence, with Gauss pairs phi(-q^s) E(q^2s), as Z does.  Each m
+    for k = 1..5, so the step k + 1 of E(q^(k+1)) runs from 2 to 6.
     """
-    for k in (1, 2, 4):
+    for k in range(1, 6):
         exact = phi_series_double_sum(k, n)
         for m in (3, 5, 7, 11, 13, 17, 25, 257):
             same = phi_series_double_sum(k, n, CoefficientRing(m)) == reduce_mod(exact, m)

@@ -485,6 +485,8 @@ HUGE = "100000000000000000000"  # N = 10^20
         ["expand", "--family", "phi", "--k", "4", "--mod", "13", "--n", HUGE],
         ["expand", "--family", "cphi", "--k", "5", "--mod", "5", "--n", HUGE],
         ["expand", "--family", "cphi", "--k", "13", "--mod", "13", "--n", HUGE],
+        ["expand", "--family", "cphi", "--k", "6", "--n", HUGE],
+        ["expand", "--family", "cphi", "--k", "6", "--mod", "2", "--n", HUGE],
     ],
 )
 def test_every_route_refuses_a_huge_truncation_at_once(argv, monkeypatch, capsys):
@@ -552,6 +554,16 @@ def test_verify_deterministic_bytes(capsys):
     _, first = run(argv, capsys)
     _, second = run(argv, capsys)
     assert first == second
+    # a result depends on its arguments alone: --nmax 200 run after --nmax
+    # 2000, with the parity route's memos holding the tables of larger bit
+    # lengths, prints the bytes it prints from empty memos
+    frobseries.series._euler_table.cache_clear()
+    frobseries.series._parity_plan.cache_clear()
+    argv = ["verify", "main", "--primes", "5,7,11,13", "--ells", "1,2",
+            "--no-timestamp", "--nmax"]
+    cold = run(argv + ["200"], capsys)
+    assert run(argv + ["2000"], capsys)[0] == 0
+    assert run(argv + ["200"], capsys) == cold
 
 
 def test_shared_parser_leaks_no_state_between_calls(tmp_path, capsys):

@@ -24,8 +24,8 @@ from frobseries.congruences import (
     residue_class,
     verify_claim,
 )
-from frobseries.frobenius import phi_parity_series, phi_series_double_sum
-from frobseries.series import CoefficientRing, make_series, reduce_mod
+from frobseries.frobenius import phi_series_double_sum
+from frobseries.series import CoefficientRing, make_series
 
 PRIMES_TO_97 = [p for p in range(5, 98) if is_prime(p)]
 
@@ -101,14 +101,6 @@ def test_pentagonal_class_reachable_small():
 def test_checks_reject_bad_arguments(check, args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check(*args)
-
-
-def test_qnr_pentagonal_equivalence():
-    # completing the square: r unreachable iff 24r+1 is a nonresidue
-    for p in PRIMES_TO_97:
-        for r in range(1, p):
-            nonresidue = residue_class(24 * r + 1, p) is ResidueClass.NONRESIDUE
-            assert pentagonal_class_reachable(p, r) == (not nonresidue), (p, r)
 
 
 def test_claim_validation():
@@ -232,15 +224,6 @@ def test_main_theorem_suite_nmax_zero():
 
 def test_suite_determinism():
     assert main_theorem_suite([5, 7], [1], 6) == main_theorem_suite([5, 7], [1], 6)
-
-
-def test_parity_series_vanishes_on_eligible_classes():
-    # series-level restatement of the main theorem
-    for p, ell in ((5, 1), (7, 1), (5, 2)):
-        series = phi_parity_series(p * ell - 1, 120)
-        for r in eligible_residues(p):
-            for m in range(r, 121, p):
-                assert series.coefficient(m) == 0, (p, ell, r, m)
 
 
 def test_cphi_even_suite():

@@ -1,5 +1,6 @@
 """Every cross-check row at its tier-1 n, and the runner that CI calls."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -19,11 +20,18 @@ def test_row_holds_at_its_tier1_n(row):
 
 
 def test_ci_runs_every_row():
-    named = []
+    # and runs no inline script outside the benchmark step: a check that
+    # CI alone runs is a row here, where tier-1 runs it too
+    named, inline, step = [], [], None
     for line in WORKFLOW.read_text().splitlines():
+        if re.match(r"\s*- (name|uses):", line):
+            step = line.split(":", 1)[1].strip()
         if "crosscheck.py" in line:
             named += line.split("crosscheck.py", 1)[1].split()
+        if re.search(r"\bpython3? -c\b", line):
+            inline.append(step)
     assert sorted(named) == sorted(row.name for row in crosscheck.ROWS)
+    assert set(inline) <= {"Benchmark outputs match the stored references"}
 
 
 def test_a_wrong_route_prints_false_and_main_returns_1(monkeypatch, capsys):

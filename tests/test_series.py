@@ -95,11 +95,6 @@ def test_mul_telescoping():
     assert mul(a, b).coeffs == (1, 0, 0, 0)
 
 
-def test_mul_jacobi_cube():
-    p = pentagonal_series(EXACT, 12)
-    assert mul(mul(p, p), p) == triangular_cube_series(EXACT, 12)
-
-
 def test_invert_geometric():
     a = make_series(EXACT, 4, [1, -1])
     assert invert(a).coeffs == (1, 1, 1, 1, 1)
@@ -586,17 +581,6 @@ def test_eta_quotient_mod2_rejects_bad_step(step):
     # a step below 1 would never pass N when multiplied by 4
     with pytest.raises(ValueError, match="step must be >= 1"):
         eta_quotient_mod2(step, 10)
-
-
-@pytest.mark.parametrize("n", [0, 1, 7, 300])
-def test_eta_quotient_mod2_matches_divide(n):
-    # divide over Z/2 runs the recurrence on the divisor's own terms; the
-    # builder multiplies by the Jacobi-cube chain J(q^{s 4^u})
-    assert eta_quotient_mod2(1, n) == make_series(MOD2, n, [1])
-    euler = pentagonal_series(MOD2, n)
-    for step in range(1, 10):
-        want = divide(euler, pentagonal_series(MOD2, n, step))
-        assert eta_quotient_mod2(step, n) == want, (step, n)
 
 
 @pytest.mark.parametrize("modulus", [None, 2, 25])
