@@ -21,7 +21,6 @@ from frobseries.series import (
     CoefficientRing,
     TruncatedSeries,
     divide,
-    eta_quotient_mod2,
     make_series,
     mul,
     pentagonal_series,
@@ -58,20 +57,6 @@ def test_phi_parity_series_examples():
     assert phi_parity_series(2, 3).coeffs == bytes((1, 1, 1, 1))
     assert phi_parity_series(4, 3).coeffs == bytes((1, 1, 1, 0))
     assert phi_parity_series(5, 0).coeffs == bytes((1,))
-
-
-def test_phi_parity_bit_route_matches_sparse_division():
-    # E(q) / E(q^s) by the recurrence, over Z/2 and over Z reduced mod 2,
-    # as the references; phi_k is the step s = k + 1 and s = 1 is the
-    # quotient 1.  The route multiplies by J(q^{s 4^u}); the truncations
-    # include the edges of that chain
-    for n in (0, 1, 2, 3, 5, 7, 17, 50, 129, 256, 300, 301, 1000, 3001, 4097):
-        euler_mod2, euler = pentagonal_series(MOD2, n), pentagonal_series(EXACT, n)
-        for s in range(1, 32):
-            got = phi_parity_series(s - 1, n) if s > 1 else eta_quotient_mod2(1, n)
-            assert got == divide(euler_mod2, pentagonal_series(MOD2, n, s)), (s, n)
-            quotient = divide(euler, pentagonal_series(EXACT, n, s))
-            assert got == reduce_mod(quotient, 2), (s, n)
 
 
 def test_parity_route_warm_peak_memory():
@@ -486,6 +471,13 @@ def test_laurent_poly_invariants():
     mixed = make_series(CoefficientRing(2), 2, [1])
     with pytest.raises(ValueError):
         LaurentPolyOverSeries(0, 1, (s, mixed))
+
+
+def test_double_sum_in_modular_ring_matches_exact():
+    for k, m in ((2, 5), (3, 25), (5, 7)):
+        exact = reduce_mod(phi_series_double_sum(k, 30), m)
+        modular = phi_series_double_sum(k, 30, CoefficientRing(m))
+        assert exact == modular, (k, m)
 
 
 @pytest.mark.parametrize(

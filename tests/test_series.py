@@ -583,6 +583,22 @@ def test_eta_quotient_mod2_rejects_bad_step(step):
         eta_quotient_mod2(step, 10)
 
 
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 3, 5, 7, 17, 50, 129, 256, 300, 301, 1000, 3001, 4097]
+)
+def test_eta_quotient_mod2_matches_divide(n):
+    # E(q) / E(q^s) by the recurrence, over Z/2 and over Z reduced mod 2,
+    # as the references; phi_k is the step s = k + 1 and s = 1 is the
+    # quotient 1.  The builder multiplies by J(q^{s 4^u}); the truncations
+    # include the edges of that chain
+    euler_mod2, euler = pentagonal_series(MOD2, n), pentagonal_series(EXACT, n)
+    for s in range(1, 32):
+        got = phi_parity_series(s - 1, n) if s > 1 else eta_quotient_mod2(1, n)
+        assert got == divide(euler_mod2, pentagonal_series(MOD2, n, s)), (s, n)
+        quotient = divide(euler, pentagonal_series(EXACT, n, s))
+        assert got == reduce_mod(quotient, 2), (s, n)
+
+
 @pytest.mark.parametrize("modulus", [None, 2, 25])
 def test_theta_row_of_k_one_is_one(modulus, monkeypatch):
     # theta's z^0 term is 1, so the row of theta^1 is 1, with no theta
