@@ -4,7 +4,10 @@ A claim is a statement "f_k(a*n + b) == 0 (mod m) for all n"; verification
 here is always over an explicit finite window [0, n_max], recorded in the
 report.  A Verified report means "no counterexample in the window", never
 an unbounded assertion.  Claims run one after another in the calling
-thread.  Every claim takes its series from :func:`default_series_provider`,
+thread: a suite runs the claims of one series (family, k, m) together,
+longest truncation a*n_max + b first, so the parity route builds each
+series once and slices it for the rest, and then sorts the reports by
+claim.  Every claim takes its series from :func:`default_series_provider`,
 looked up at call time, so rebinding it swaps the series for
 :func:`verify_claim` and every suite.
 """
@@ -162,7 +165,10 @@ def _report(claim, n_max, series, route) -> VerificationReport:
 def _run_claims(claims, n_max):
     if not claims:
         raise ValueError("no claims to verify: a list argument is empty")
-    reports = [verify_claim(c, n_max) for c in claims]
+    # the claims of one series together, longest truncation first, so each
+    # claim after a series' first reads the parity route's slot
+    order = sorted(claims, key=lambda c: (c.family, c.k, c.m, -(c.a * n_max + c.b)))
+    reports = [verify_claim(c, n_max) for c in order]
     reports.sort(key=lambda r: r.claim)
     return reports
 

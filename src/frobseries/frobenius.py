@@ -25,14 +25,14 @@ Both exact routes hand their denominator to ``series.eta_quotient`` as
 powers of E(q^s) = (q^s;q^s)_inf, {1: 2, k+1: 1} and {1: k} (k/p^v
 after the strip), and ``eta_quotient_mod2`` plans the parity route's
 {k+1: 1} the same way, so one planner in ``series`` writes every
-denominator.  Over Z/p for a prime p <= 13 it is one call of the packed
+denominator.  Over Z/p for a prime p <= 23 it is one call of the packed
 kernel: a product of sparse factors E and Jacobi's cube J = E^3 at
 Frobenius steps s p^t <= N, at O(N / 64) word operations per term over
 Z/2 and O(N / 4) for odd p.  Over Z/p^v <= 128 (Z/4, Z/9, Z/25, Z/49,
 ...) that quotient is lifted one base-p digit at a time, two kernel
 calls per digit, one of them the product by the denominator over
 Z/p^v.  In other rings (Z, other composite moduli, Z/m for m > 128 and
-primes p >= 17) it is a recurrence per sparse divisor, cubes and
+primes p >= 29) it is a recurrence per sparse divisor, cubes and
 Gauss's phi(-q^s) E(q^{2s}) pairs: O(N^1.5) element reads, gathered in
 C, and O(N) Python steps when the divisor's terms take a bounded set of
 values (a pentagonal series has two over Z).

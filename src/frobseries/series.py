@@ -14,7 +14,7 @@ ring, as a tuple.
 
 Every route's denominator is an eta product prod_s E(q^s)^{e_s}, E(q) =
 (q;q)_inf, and :func:`eta_quotient` divides by it from the powers
-alone.  Over Z/p for a prime p <= 13 it plans products of dilations,
+alone.  Over Z/p for a prime p <= 23 it plans products of dilations,
 with no recurrence, from Frobenius E(q^{s p^j}) = E(q^s)^{p^j} and
 Jacobi's cube E^3 = J, and runs them on one packed int in one call of
 the kernel :func:`_times_dilations`.  Over Z/p^v <= 128, v >= 2, it
@@ -35,8 +35,10 @@ route's :func:`eta_quotient_mod2` and cphi's z^0 theta row
 :func:`theta_constant_series`, return series.  Only the parity route
 reuses work, per bit length b of N: memos keyed by ints hold E(q) to
 q^{2^b - 1} and the plan of each step's 1/E(q^step) to that length, and
-a call shifts E to q^N and runs the whole plan, so its result depends on
-its arguments alone.  :func:`divide` by any divisor series is the
+a call shifts E to q^N and runs the whole plan.  One slot keeps the last
+series it built, for one (step, N0), and a call for that step at N <=
+N0 slices it, with no kernel run; so its result depends on its
+arguments alone.  :func:`divide` by any divisor series is the
 recurrence in every ring, run in the order given, with no plan and no
 kernel: the independent reference the planned quotients are tested
 against.  The dense O(N^2) :func:`mul` and :func:`pochhammer` stay as
@@ -284,10 +286,10 @@ def _recurrence(a: TruncatedSeries, factors: list) -> TruncatedSeries:
 
 
 # the primes whose eta quotients eta_quotient plans for the packed kernel.
-# The bound 13 was set for a generic plan of up to p - 1 products per
-# level, since deleted; it stays until the benchmark harness measures it
-# (ROADMAP.md, item 12)
-_FROBENIUS_PRIMES = (2, 3, 5, 7, 11, 13)
+# At 17, 19 and 23 the kernel beat the recurrence for 1/E, 1/E^4 and
+# 1/(E^2 E(q^5)) at N = 10^4 and 3 * 10^4 (README, "Why the kernel stops
+# at p <= 23"); 29 and up were not measured and keep the recurrence
+_FROBENIUS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 # residue byte 0/1 <-> ASCII digit '0'/'1': a Z/2 series packs and
 # unpacks in a few C-level passes
 _BIT_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
@@ -519,7 +521,7 @@ def eta_quotient(a: TruncatedSeries, powers: dict[int, int]) -> TruncatedSeries:
     """a / prod_s E(q^s)^{powers[s]}, with E(q) = (q;q)_inf: an eta quotient.
 
     The routes' one entry point for a denominator that is a product of
-    powers of E(q^s).  Over Z/p for a prime p <= 13 it is one call of
+    powers of E(q^s).  Over Z/p for a prime p <= 23 it is one call of
     :func:`_times_dilations` on the factors :func:`_eta_plan` lists, and
     over Z/p^v <= 128, v >= 2, that quotient lifted by
     :func:`_hensel_lift`; in any other ring one :func:`_recurrence` call
@@ -592,7 +594,7 @@ def _hensel_lift(
 
 def _eta_levels(powers: dict[int, int], p: int, truncation: int) -> list:
     """(step, cube) per factor of prod_s E(q^s)^{-powers[s]} over Z/p, p
-    <= 13, at every step <= N: Jacobi's cube J(q^step) = E(q^step)^3 if
+    <= 23, at every step <= N: Jacobi's cube J(q^step) = E(q^step)^3 if
     ``cube``, else E(q^step).
 
     Over F_p, E(q^{s p^j}) = E(q^s)^{p^j}, so each step is first written
@@ -714,22 +716,45 @@ def _parity_plan(step: int, bits: int) -> tuple[int, int, list]:
     return limit, euler, _eta_plan({step: 1}, 2, limit)
 
 
+# the parity route's slot: [(step, series)] for the last series it built,
+# or [None]; one item, replaced whole, so it never holds two series
+_parity_slot: list = [None]
+
+
 def eta_quotient_mod2(step: int, truncation: int) -> TruncatedSeries:
     """(q;q)_inf / (q^step;q^step)_inf over Z/2, with no division.
 
     E(q) from the table for N's bit length, shifted right to q^N, times
     the J-chain the planner writes to L, in one call of
     :func:`_times_dilations`.  Both come from the memo of (step, bit
-    length of N), so the result depends on (step, N) alone.  As L < 2N +
-    1 and the steps grow 4x, at most the last factor's step passes N,
-    and the kernel, stopping at the first term past q^N, keeps its 1.
+    length of N).  As L < 2N + 1 and the steps grow 4x, at most the last
+    factor's step passes N, and the kernel, stopping at the first term
+    past q^N, keeps its 1.
+
+    The slot keeps the last series built, for one (step, N0).  A call
+    for that step at N <= N0 returns it, or its first N + 1
+    coefficients, with no kernel run: the product truncated to q^N is
+    the prefix of the one to q^{N0}.  Any other call builds exactly to
+    N and replaces it.  So the result depends on (step, N) alone.  The
+    slot is emptied after the plan is made, so a refused huge N leaves
+    it as it was, and before the kernel runs, so the old series is not
+    kept alive during a build.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     check_truncation(truncation)
+    held = _parity_slot[0]
+    if held is not None and held[0] == step and truncation <= held[1].truncation:
+        series = held[1]
+        if truncation == series.truncation:
+            return series
+        return TruncatedSeries(MOD2, truncation, series.coeffs[: truncation + 1])
     limit, euler, plan = _parity_plan(step, truncation.bit_length())
+    _parity_slot[0] = held = None  # the old series is freed before the build
     product = _times_dilations(euler >> (limit - truncation), plan, truncation, 2)
-    return TruncatedSeries(MOD2, truncation, product)
+    series = TruncatedSeries(MOD2, truncation, product)
+    _parity_slot[0] = (step, series)
+    return series
 
 
 def theta_exponents(limit: int) -> list[tuple[int, int]]:

@@ -18,12 +18,13 @@ import sys
 import time
 from typing import Callable, Iterator, NamedTuple
 
-from frobseries import cli, frobenius
+from frobseries import cli, frobenius, series
 from frobseries.frobenius import cphi_series, phi_parity_series, phi_series_double_sum
 from frobseries.series import (
     EXACT,
     MOD2,
     CoefficientRing,
+    TruncatedSeries,
     divide,
     eta_quotient,
     pentagonal_series,
@@ -33,7 +34,7 @@ from frobseries.series import (
 
 # the subscripts p*ell - 1 of verify main for p in 5, 7, 11, 13 and ell in 1, 2
 MAIN_SUBSCRIPTS = (4, 6, 9, 10, 12, 13, 21, 25)
-KERNEL_PRIMES = (2, 3, 5, 7, 11, 13)
+KERNEL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 LIFT_MODULI = (4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128)
 
 
@@ -72,14 +73,14 @@ def mod2_lemma(n):
 def double_sum_mod_m(n):
     """Route: the double sum over Z/m.  Reference: over Z, reduced mod m.
 
-    p <= 13 divides E^2 E(q^(k+1)) by Frobenius dilations, and 25 by
-    lifting the Z/5 quotient; 17 (bytes) and 257 (tuple) by the
+    p <= 23 divides E^2 E(q^(k+1)) by Frobenius dilations, and 25 by
+    lifting the Z/5 quotient; 29 (bytes) and 257 (tuple) by the
     recurrence, with Gauss pairs phi(-q^s) E(q^2s), as Z does.  Each m
     for k = 1..5, so the step k + 1 of E(q^(k+1)) runs from 2 to 6.
     """
     for k in range(1, 6):
         exact = phi_series_double_sum(k, n)
-        for m in (3, 5, 7, 11, 13, 17, 25, 257):
+        for m in (3, 5, 7, 11, 13, 29, 25, 257):
             same = phi_series_double_sum(k, n, CoefficientRing(m)) == reduce_mod(exact, m)
             yield f"k={k} N={n} Z/{m} double sum == exact mod {m}", same
 
@@ -138,14 +139,22 @@ def planned_theta(n):
 
 
 def parity_route(n):
-    """Route: the parity route over Z/2 for the subscripts of ``verify main``.
+    """Route: the parity route over Z/2 for the subscripts of ``verify main``,
+    built at n and then read at a shorter N from the route's slot.
 
-    Reference: divide(E(q), E(q^(k+1))), the recurrence.
+    Reference: divide(E(q), E(q^(k+1))), the recurrence, and its prefix
+    to q^N.  The slot read holds only if it builds nothing: the slot
+    still holds the series built at n.
     """
     euler = pentagonal_series(MOD2, n)
+    short = 2 * n // 3
     for k in MAIN_SUBSCRIPTS:
-        same = phi_parity_series(k, n) == divide(euler, pentagonal_series(MOD2, n, k + 1))
-        yield f"k={k} N={n} parity route == divide", same
+        quotient = divide(euler, pentagonal_series(MOD2, n, k + 1))
+        yield f"k={k} N={n} parity route == divide", phi_parity_series(k, n) == quotient
+        held = series._parity_slot[0]
+        prefix = TruncatedSeries(MOD2, short, quotient.coeffs[: short + 1])
+        same = phi_parity_series(k, short) == prefix and series._parity_slot[0] is held
+        yield f"k={k} N={short} slot read == divide's prefix", same
 
 
 def cphi_k_over_p(n):

@@ -494,7 +494,8 @@ def test_every_route_refuses_a_huge_truncation_at_once(argv, monkeypatch, capsys
     # Euler table its bit buffer, the double sum its numerator row, and
     # cphi its theta row.  So a truncation near 10^20
     # fails at that allocation instead of walking ~10^10 triangular numbers
-    # first, and the parity route's memos gain no entry
+    # first, the parity route's memos gain no entry, and its slot keeps the
+    # series it held
     huge = []
     listing = frobseries.series.triangular_exponents
 
@@ -505,6 +506,9 @@ def test_every_route_refuses_a_huge_truncation_at_once(argv, monkeypatch, capsys
         return listing(limit)
 
     monkeypatch.setattr(frobseries.series, "triangular_exponents", guarded)
+    slot = frobseries.series._parity_slot
+    frobseries.series.eta_quotient_mod2(5, 100)
+    held = slot[0]
     memos = (frobseries.series._euler_table, frobseries.series._parity_plan)
     sizes = [memo.cache_info().currsize for memo in memos]
     assert cli.main(argv) == cli.EXIT_GUARD
@@ -513,6 +517,7 @@ def test_every_route_refuses_a_huge_truncation_at_once(argv, monkeypatch, capsys
     assert captured.err.startswith("guard: ")
     assert huge == []
     assert [memo.cache_info().currsize for memo in memos] == sizes
+    assert slot[0] is held
 
 
 def test_console_entry_point_exit_status(tmp_path):
@@ -556,9 +561,11 @@ def test_verify_deterministic_bytes(capsys):
     assert first == second
     # a result depends on its arguments alone: --nmax 200 run after --nmax
     # 2000, with the parity route's memos holding the tables of larger bit
-    # lengths, prints the bytes it prints from empty memos
+    # lengths and its slot the last series built at 2000, prints the bytes
+    # it prints from empty memos
     frobseries.series._euler_table.cache_clear()
     frobseries.series._parity_plan.cache_clear()
+    frobseries.series._parity_slot[0] = None
     argv = ["verify", "main", "--primes", "5,7,11,13", "--ells", "1,2",
             "--no-timestamp", "--nmax"]
     cold = run(argv + ["200"], capsys)

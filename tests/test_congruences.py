@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import frobseries.series
 from frobseries import congruences
 from frobseries.congruences import (
     PHI,
@@ -206,6 +207,29 @@ def test_main_theorem_suite_p7_two_ells():
     assert len(reports) == 6
     assert all(r.status == VERIFIED for r in reports)
     assert {r.claim.k for r in reports} == {6, 13}
+
+
+def test_main_theorem_suite_builds_each_series_once(monkeypatch):
+    # the suite runs each series' claims together, longest truncation
+    # first, so the parity route's slot serves the rest: from cleared
+    # memos, 10 claims from 4 series run the kernel once per series, at
+    # p * 50 + r for the largest eligible r, and report in claim order
+    frobseries.series._euler_table.cache_clear()
+    frobseries.series._parity_plan.cache_clear()
+    frobseries.series._parity_slot[0] = None
+    truncations = []
+
+    def counted(*args):
+        truncations.append(args[2])
+        return kernel(*args)
+
+    kernel = frobseries.series._times_dilations
+    monkeypatch.setattr(frobseries.series, "_times_dilations", counted)
+    reports = main_theorem_suite([5, 7], [1, 2], 50)
+    assert len(reports) == 10
+    assert sorted(truncations) == [254, 254, 356, 356]
+    assert [r.claim for r in reports] == sorted(r.claim for r in reports)
+    assert all(r.status == VERIFIED for r in reports)
 
 
 @pytest.mark.parametrize(

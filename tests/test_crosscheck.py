@@ -48,9 +48,11 @@ def test_a_wrong_route_prints_false_and_main_returns_1(monkeypatch, capsys):
     assert crosscheck.main(["parity-route"]) == 1
     lines = capsys.readouterr().out.splitlines()
     false = [line for line in lines if ": False (" in line]
+    short = 2 * row.tier1_n // 3
     assert false[0].startswith(f"k=9 N={row.tier1_n} parity route == divide")
-    assert len(false) == 1
-    assert sum(": True (" in line for line in lines) == 7
+    assert false[1].startswith(f"k=9 N={short} slot read == divide's prefix")
+    assert len(false) == 2
+    assert sum(": True (" in line for line in lines) == 14
 
 
 def test_an_unknown_name_exits_before_any_row_runs(capsys):

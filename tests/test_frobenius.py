@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -62,9 +63,11 @@ def test_phi_parity_series_examples():
 def test_parity_route_warm_peak_memory():
     # the Z/2 unpack frees the digit str before it translates the digits,
     # so a call with the Euler table already grown peaks below 2.5 bytes
-    # per coefficient: the packed int, the digit bytes and the residues
+    # per coefficient: the packed int, the digit bytes and the residues.
+    # The slot is emptied, and the table kept, so the traced call builds
     n = 10**6
     phi_parity_series(12, n)
+    frobseries.series._parity_slot[0] = None
     tracemalloc.start()
     try:
         phi_parity_series(12, n)
@@ -163,6 +166,7 @@ def test_phi_parity_series_rejects_bad_arguments():
 def _clear_parity_memos():
     frobseries.series._euler_table.cache_clear()
     frobseries.series._parity_plan.cache_clear()
+    frobseries.series._parity_slot[0] = None
 
 
 def test_mod2_route_agreement():
@@ -194,6 +198,48 @@ def test_parity_route_does_not_depend_on_call_order():
         _clear_parity_memos()
         for k, n in order:
             assert phi_parity_series(k, n) == cold[k, n], (k, n)
+
+
+@pytest.mark.parametrize("k", [4, 25])
+def test_parity_slot_slices_the_last_series(k, monkeypatch):
+    # the slot keeps the series built at 4097; every shorter call, down to
+    # N = 0 and across the bit lengths' edges, and 4097 again, reads it
+    # with no kernel run, and each equals the recurrence's quotient at N
+    _clear_parity_memos()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    kernel = frobseries.series._times_dilations
+    monkeypatch.setattr(frobseries.series, "_times_dilations", counted)
+    for n in (4097, 4096, 2049, 2047, 300, 0, 4097):
+        want = divide(pentagonal_series(MOD2, n), pentagonal_series(MOD2, n, k + 1))
+        assert phi_parity_series(k, n) == want, (k, n)
+    assert calls == [4097]
+
+
+def test_parity_slot_holds_one_series(monkeypatch):
+    # a build for another step, or past the held truncation, replaces the
+    # slot's series, which is dropped before the kernel runs: no series the
+    # route built earlier is alive during a build or after it
+    _clear_parity_memos()
+    built = []  # a weak reference to each series returned
+    alive = []  # per kernel call, whether each earlier series is alive
+
+    def watched(*args):
+        alive.append([ref() is not None for ref in built])
+        return kernel(*args)
+
+    kernel = frobseries.series._times_dilations
+    monkeypatch.setattr(frobseries.series, "_times_dilations", watched)
+    for k, n in ((4, 500), (6, 500), (4, 300), (4, 600), (4, 200)):
+        built.append(weakref.ref(phi_parity_series(k, n)))
+    assert alive == [[], [False], [False] * 2, [False] * 3]
+    assert [ref() is not None for ref in built] == [False, False, False, True, False]
+    ((step, held),) = frobseries.series._parity_slot
+    assert step == 5 and held is built[3]()
 
 
 def test_partition_series():

@@ -383,14 +383,15 @@ POWER_MAPS = (
 
 @pytest.mark.parametrize(
     "modulus",
-    [2, 3, 5, 7, 11, 13, None, 4, 17, 25, 257]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, None, 4, 29, 25, 257]
     + [8, 9, 16, 27, 32, 49, 64, 81, 121, 125, 128, 6, 169],
 )
 def test_eta_quotient_matches_divide_by_its_factors(modulus, monkeypatch):
     # eta_quotient plans its denominator from the powers of E(q^s): over
-    # Z/p, p <= 13, Frobenius digits with Jacobi cubes, over Z/p^v <= 128
+    # Z/p, p <= 23, Frobenius digits with Jacobi cubes, over Z/p^v <= 128
     # that quotient lifted digit by digit, with no recurrence, elsewhere
-    # (Z/6, Z/169 = 13^2 > 128) cubes and Gauss pairs for the recurrence.
+    # (Z/29, Z/6, Z/169 = 13^2 > 128) cubes and Gauss pairs for the
+    # recurrence.
     # divide by every E(q^s) as a separate pentagonal factor is the
     # reference
     ring = EXACT if modulus is None else CoefficientRing(modulus)
@@ -403,7 +404,7 @@ def test_eta_quotient_matches_divide_by_its_factors(modulus, monkeypatch):
         return recurrence(a, factors)
 
     monkeypatch.setattr(frobseries.series, "_recurrence", counted)
-    recurs = modulus in (None, 17, 257, 6, 169)
+    recurs = modulus in (None, 29, 257, 6, 169)
     for n in (0, 1, 7, 61, 300):
         a = make_series(ring, n, [rng.randint(-9, 9) for _ in range(n + 1)])
         for powers in POWER_MAPS:
@@ -430,10 +431,12 @@ def test_eta_quotient_rejects_bad_powers():
             eta_quotient(one, powers)
 
 
-@pytest.mark.parametrize("modulus", [2, 3, 5, 7, 11, 13, None, 4, 17, 25, 257])
+@pytest.mark.parametrize(
+    "modulus", [2, 3, 5, 7, 11, 13, 17, 19, 23, None, 4, 29, 25, 257]
+)
 def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
     # eta_quotient divides by (q;q)^k on either side of the split.  Over
-    # Z/p, p <= 13, the kernel gets the factors E(q^s) and J(q^s) of the
+    # Z/p, p <= 23, the kernel gets the factors E(q^s) and J(q^s) of the
     # plan, whose product is 1/E^k, at most two E per step and J's terms
     # listed once.  Over Z/p^v, v >= 2 (Z/4, Z/25), it runs no recurrence:
     # the kernel gets the same plan over Z/p, then two calls per lift step,
@@ -479,7 +482,7 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
         cubes.clear()
         kernel_calls.clear()
         assert eta_quotient(euler_k, {1: k}) == one, k
-        if modulus in (2, 3, 5, 7, 11, 13):
+        if modulus in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             levels = frobseries.series._eta_levels({1: k}, modulus, n)
             assert all(s <= n for s, _ in levels), k
             assert seen == [[s for s, _ in levels]], k
@@ -506,7 +509,7 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
             for _ in range(k):
                 power = mul(power, pochhammer(ring, m, 1, 1))
             assert eta_quotient(power, {1: k}) == make_series(ring, m, [1])
-    if modulus in (2, 3, 5, 7, 11, 13, 4, 25):
+    if modulus in (2, 3, 5, 7, 11, 13, 17, 19, 23, 4, 25):
         return
     seen.clear()
     phi_series_double_sum(1, n, ring)
@@ -540,7 +543,7 @@ def test_kernel_plan_folds_frobenius_steps_into_jacobi_cubes():
     assert plan({1: 2}, 3, 20) == [("E", 1)] + [("E", 3)] * 2 + [("E", 9)] * 2
 
 
-@pytest.mark.parametrize("modulus", [None, 4, 17, 257])
+@pytest.mark.parametrize("modulus", [None, 4, 29, 257])
 def test_recurrence_quotient_does_not_depend_on_divisor_order(modulus):
     # the recurrence divides in the order given; any order of the same
     # divisors gives the same quotient
