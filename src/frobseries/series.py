@@ -14,17 +14,19 @@ ring, as a tuple.
 
 Every route's denominator is an eta product prod_s E(q^s)^{e_s}, E(q) =
 (q;q)_inf, and :func:`eta_quotient` divides by it from the powers
-alone.  Over Z/p for a prime p <= 23 it plans products of dilations,
-with no recurrence, from Frobenius E(q^{s p^j}) = E(q^s)^{p^j} and
-Jacobi's cube E^3 = J, and runs them on one packed int in one call of
-the kernel :func:`_times_dilations`.  Over Z/p^v <= 128, v >= 2, it
-lifts that quotient one base-p digit at a time, :func:`_hensel_lift`,
-each step j a kernel product by the denominator over Z/p^{j+1} and a
-kernel call on the Z/p plan, again with no recurrence.  In any other ring it
-lists the denominator's sparse divisors, three copies of E as one cube
-and a pair as Gauss's phi(-q^s) E(q^{2s}), for :func:`_recurrence`, one
-recurrence per divisor.  None builds a divisor series: the terms come
-from the exponent lists :func:`pentagonal_exponents`,
+alone, from two planners.  In any other ring than Z/p^v <= 128 for a
+prime p <= 23, :func:`_eta_divisors` lists the denominator's sparse
+divisors, three copies of E as one cube and a pair as Gauss's phi(-q^s)
+E(q^{2s}), for :func:`_recurrence`, one recurrence per divisor.  Over
+Z/p^v <= 128, v >= 1, there is no recurrence: :func:`_kernel_quotient`
+runs the plan :func:`_eta_plan` writes over Z/p, products of dilations
+from Frobenius E(q^{s p^j}) = E(q^s)^{p^j} and Jacobi's cube E^3 = J,
+on one packed int in one call of the kernel :func:`_times_dilations`,
+and lifts that quotient one base-p digit at a time, each step j a
+kernel product by the divisors :func:`_eta_divisors` lists over
+Z/p^{j+1} and a kernel call on the Z/p plan; over Z/p it lifts
+nothing.  None builds a divisor series: the terms come from the
+exponent lists :func:`pentagonal_exponents`,
 :func:`triangular_exponents` and :func:`gauss_exponents`, from which the
 sparse builders :func:`pentagonal_series`, :func:`triangular_cube_series`
 and :func:`gauss_theta_series` place theirs.  The packed kernel and its
@@ -356,10 +358,11 @@ def _times_dilations(
     """packed * prod_i b_i(q^{step_i}) over Z/m, as residues q^0 first: on
     bits over Z/2, and on 16-bit slots over any Z/m with 2 < m <= 128.
 
-    The packed kernel, with three callers: :func:`eta_quotient` and
-    :func:`eta_quotient_mod2` pass it the factors :func:`_eta_plan` writes
-    over Z/p, in the order it writes them, and :func:`_hensel_lift` also
-    passes it the denominator itself over each Z/p^j, 2 <= j <= v.
+    The packed kernel, with two callers: :func:`eta_quotient_mod2` and
+    :func:`_kernel_quotient` pass it the factors :func:`_eta_plan` writes
+    over Z/p, in the order it writes them, and :func:`_kernel_quotient`
+    also passes it the divisors :func:`_eta_divisors` lists over each
+    Z/p^j, 2 <= j <= v, each with its q^0 term put back.
 
     ``factors`` holds the pairs (terms_i, step_i) of sparse factors b_i,
     whose terms ascend from g = 0 and may run past N.  ``packed`` holds a
@@ -521,13 +524,11 @@ def eta_quotient(a: TruncatedSeries, powers: dict[int, int]) -> TruncatedSeries:
     """a / prod_s E(q^s)^{powers[s]}, with E(q) = (q;q)_inf: an eta quotient.
 
     The routes' one entry point for a denominator that is a product of
-    powers of E(q^s).  Over Z/p for a prime p <= 23 it is one call of
-    :func:`_times_dilations` on the factors :func:`_eta_plan` lists, and
-    over Z/p^v <= 128, v >= 2, that quotient lifted by
-    :func:`_hensel_lift`; in any other ring one :func:`_recurrence` call
-    on the divisors :func:`_eta_divisors` lists.  None builds a
-    full-length divisor series.  Steps past N divide by 1 and are left
-    out.
+    powers of E(q^s).  Over Z/p^v <= 128, v >= 1, for a prime p <= 23 it
+    is one call of :func:`_kernel_quotient`, the kernel alone; in any
+    other ring one :func:`_recurrence` call on the divisors
+    :func:`_eta_divisors` lists.  None builds a full-length divisor
+    series.  Steps past N divide by 1 and are left out.
     """
     for s, e in powers.items():
         if s < 1 or e < 0:
@@ -536,53 +537,43 @@ def eta_quotient(a: TruncatedSeries, powers: dict[int, int]) -> TruncatedSeries:
     p = _PRIME_POWER_BASE.get(ring.modulus)
     if p is None:
         return _recurrence(a, _eta_divisors(ring, n, powers))
-    plan = _eta_plan(powers, p, n)
-    if p == ring.modulus:
-        quotient = _times_dilations(_pack(a.coeffs, p), plan, n, p)
-    else:
-        quotient = _hensel_lift(a, powers, plan, p)
-    return TruncatedSeries(ring, n, quotient)
+    return TruncatedSeries(ring, n, _kernel_quotient(a, powers, p))
 
 
-def _hensel_lift(
-    a: TruncatedSeries, powers: dict[int, int], plan: list, p: int
-) -> bytes:
-    """The residues of a / D over Z/m, m = p^v with v >= 2, for D = prod_s
-    E(q^s)^{powers[s]}, from ``plan``, the kernel's plan of 1/D over Z/p.
+def _kernel_quotient(a: TruncatedSeries, powers: dict[int, int], p: int) -> bytes:
+    """The residues of a / D over Z/m, m = p^v with v >= 1, for D = prod_s
+    E(q^s)^{powers[s]}, by the kernel alone: the quotient over Z/p lifted
+    one base-p digit at a time.
 
-    Q_1 = a / D mod p is one kernel call on a mod p.  Given Q_j = Q mod
-    p^j, as residues below p^j, R = a - D Q_j = D (Q - Q_j) mod p^{j+1},
-    so R / p^j = D X mod p for the next base-p digit X of Q: one more
-    kernel call gives X, and Q_{j+1} = Q_j + p^j X.  D Q_j is a product,
-    not a quotient: a kernel call over Z/p^{j+1}, whose small slot bound
-    needs few reductions, on floor(e/3) cubes J(q^s) and e mod 3 factors
-    E(q^s) per step s <= N.  So each of the v - 1 lift steps is two
-    kernel calls, and the sums between them are O(N) big-int ops on one
-    byte per coefficient: a_i + m - (D Q_j)_i lies in [1, 2m), a multiple
-    of p^j, and Q_j + p^j X below m, so no byte carries.
+    Q_1 = a / D mod p is one kernel call, on a mod p, of the plan
+    :func:`_eta_plan` writes for 1/D over Z/p; for v = 1 it is the
+    quotient.  Given Q_j = Q mod p^j, as residues below p^j, R = a - D Q_j
+    = D (Q - Q_j) mod p^{j+1}, so R / p^j = D X mod p for the next base-p
+    digit X of Q: one more call of the plan gives X, and Q_{j+1} = Q_j +
+    p^j X.  D Q_j is a product, not a quotient: a kernel call over
+    Z/p^{j+1}, whose small slot bound needs few reductions, by the
+    divisors :func:`_eta_divisors` lists over that ring, each with its
+    q^0 term put back.  So each of the v - 1 lift steps is two kernel
+    calls, and the sums between them are O(N) big-int ops on one byte
+    per coefficient: a_i + m - (D Q_j)_i lies in [1, 2m), a multiple of
+    p^j, and Q_j + p^j X below m, so no byte carries.
     """
     n, m = a.truncation, a.ring.modulus
-    denominator = []  # (terms, step, copies) of J and of E
-    for s, e in powers.items():
-        for listing, count in (
-            (triangular_exponents, e // 3),
-            (pentagonal_exponents, e % 3),
-        ):
-            if s <= n and count:
-                denominator.append((listing(n // s), s, count))
+    plan = _eta_plan(powers, p, n)
     low = _byte_tables(p)[0]  # x -> x mod p
-    shifted = int.from_bytes(a.coeffs, "big") + int.from_bytes(
-        bytes([m]) * (n + 1), "big"
-    )
     quotient = _times_dilations(_pack(a.coeffs.translate(low), p), plan, n, p)
     scale = p
     while scale < m:
         modulus = scale * p
-        product = []
-        for terms, s, count in denominator:
-            reduced = [(g, c % modulus) for g, c in terms if c % modulus]
-            product += [(reduced, s)] * count
+        product = [
+            ([(0, 1), *terms], 1)
+            for terms, _ in _eta_divisors(CoefficientRing(modulus), n, powers)
+        ]
         image = _times_dilations(_pack(quotient, modulus), product, n, modulus)
+        # a_i + m per byte, made only when a lift step runs
+        shifted = int.from_bytes(a.coeffs, "big") + int.from_bytes(
+            bytes([m]) * (n + 1), "big"
+        )
         rest = (shifted - int.from_bytes(image, "big")) // scale
         residual = rest.to_bytes(n + 1, "big").translate(low)
         digit = _times_dilations(_pack(residual, p), plan, n, p)
@@ -660,6 +651,8 @@ def _eta_divisors(
 ) -> list:
     """Divisors whose product is prod_s E(q^s)^{powers[s]}, as
     :func:`_recurrence` takes them: (terms, 1), with no series built.
+    :func:`_kernel_quotient` multiplies by the same divisors, their q^0
+    terms put back, at each lift step.
 
     The recurrence reads every term of a divisor for each coefficient,
     so fewer terms cost less.  Each three copies of E(q^s) are Jacobi's
@@ -671,11 +664,12 @@ def _eta_divisors(
     the partial quotients stay machine-sized ints, which CPython's
     ``sum`` adds fastest, for longer.
     """
-    n = truncation
+    n, m = truncation, ring.modulus
 
     def terms(listed, s):  # the nonzero terms past q^0, at q^{s e}
-        pairs = ((s * e, ring.normalize(c)) for e, c in listed[1:])
-        return [(i, c) for i, c in pairs if c], 1
+        if m is None:
+            return [(s * e, c) for e, c in listed[1:]], 1
+        return [(s * e, c % m) for e, c in listed[1:] if c % m], 1
 
     pending = {s: e for s, e in powers.items() if s <= n and e}
     divisors = []

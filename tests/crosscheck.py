@@ -132,6 +132,9 @@ def planned_theta(n):
     """
     pairs = ((6, 2), (3, 3), (6, 3), (5, 5), (10, 5), (7, 7), (14, 7), (11, 11), (13, 13))
     pairs += ((6, 4), (15, 9), (15, 25), (10, 25), (14, 49))
+    # p-squared's own quotients, cphi_p over Z/p^2: E^5 and E^11 put a Gauss
+    # pair into each lift step's product
+    pairs += ((5, 25), (7, 49), (11, 121))
     for k, m in pairs:
         row = theta_constant_series(CoefficientRing(m), n, k)
         _, same = _planned_and_divided(row, {1: k})

@@ -13,6 +13,7 @@ import frobseries
 import frobseries.series
 from frobseries import cli, congruences, frobenius
 from frobseries.series import CoefficientRing, make_series
+from test_frobenius import _clear_parity_memos
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -563,9 +564,7 @@ def test_verify_deterministic_bytes(capsys):
     # 2000, with the parity route's memos holding the tables of larger bit
     # lengths and its slot the last series built at 2000, prints the bytes
     # it prints from empty memos
-    frobseries.series._euler_table.cache_clear()
-    frobseries.series._parity_plan.cache_clear()
-    frobseries.series._parity_slot[0] = None
+    _clear_parity_memos()
     argv = ["verify", "main", "--primes", "5,7,11,13", "--ells", "1,2",
             "--no-timestamp", "--nmax"]
     cold = run(argv + ["200"], capsys)

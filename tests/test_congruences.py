@@ -27,6 +27,7 @@ from frobseries.congruences import (
 )
 from frobseries.frobenius import phi_series_double_sum
 from frobseries.series import CoefficientRing, make_series
+from test_frobenius import _clear_parity_memos
 
 PRIMES_TO_97 = [p for p in range(5, 98) if is_prime(p)]
 
@@ -214,9 +215,7 @@ def test_main_theorem_suite_builds_each_series_once(monkeypatch):
     # first, so the parity route's slot serves the rest: from cleared
     # memos, 10 claims from 4 series run the kernel once per series, at
     # p * 50 + r for the largest eligible r, and report in claim order
-    frobseries.series._euler_table.cache_clear()
-    frobseries.series._parity_plan.cache_clear()
-    frobseries.series._parity_slot[0] = None
+    _clear_parity_memos()
     truncations = []
 
     def counted(*args):

@@ -431,26 +431,33 @@ def test_eta_quotient_rejects_bad_powers():
             eta_quotient(one, powers)
 
 
+LIFTS = {4: (2, 2), 8: (2, 3), 25: (5, 2), 27: (3, 3)}  # p^v -> (p, v)
+
+
 @pytest.mark.parametrize(
-    "modulus", [2, 3, 5, 7, 11, 13, 17, 19, 23, None, 4, 29, 25, 257]
+    "modulus", [2, 3, 5, 7, 11, 13, 17, 19, 23, None, 4, 29, 25, 257, 8, 27]
 )
 def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
     # eta_quotient divides by (q;q)^k on either side of the split.  Over
-    # Z/p, p <= 23, the kernel gets the factors E(q^s) and J(q^s) of the
-    # plan, whose product is 1/E^k, at most two E per step and J's terms
-    # listed once.  Over Z/p^v, v >= 2 (Z/4, Z/25), it runs no recurrence:
-    # the kernel gets the same plan over Z/p, then two calls per lift step,
-    # the product by E^k over Z/p^2 and the plan again.  Where it runs the
-    # recurrence, E^k is floor(k/3) cubes (listed once, only for k >= 3)
-    # and E, or phi(-q) E(q^2); and the double sum's E(q)^2 E(q^2) for
-    # phi_1 is phi(-q) phi(-q^2) E(q^4); the divisors come latest step
-    # first, a step's cubes last
+    # Z/p, p <= 23, the kernel runs once, on the factors E(q^s) and J(q^s)
+    # of the plan, whose product is 1/E^k, at most two E per step and J's
+    # terms listed once, and the recurrence's planner is never called.
+    # Over Z/p^v, v >= 2 (Z/4, Z/8, Z/25, Z/27), it runs no recurrence:
+    # the kernel gets the same plan over Z/p, then two calls per lift step
+    # j, the product by E^k over Z/p^{j+1}, whose factors are the
+    # recurrence planner's divisors over that ring with their q^0 terms
+    # put back, and the plan again.  Where it runs the recurrence, E^k is
+    # floor(k/3) cubes (listed once, only for k >= 3) and E, or phi(-q)
+    # E(q^2); and the double sum's E(q)^2 E(q^2) for phi_1 is phi(-q)
+    # phi(-q^2) E(q^4); the divisors come latest step first, a step's
+    # cubes last
     ring = EXACT if modulus is None else CoefficientRing(modulus)
     n = 100
-    seen, cubes, kernel_calls = [], [], []
+    seen, cubes, kernel_calls, planned = [], [], [], []
     recurrence = frobseries.series._recurrence
     kernel = frobseries.series._times_dilations
     listing = frobseries.series.triangular_exponents
+    divisors = frobseries.series._eta_divisors
 
     def spy(a, factors):
         seen.append([terms for terms, _ in factors])
@@ -465,7 +472,12 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
         cubes.append(limit)
         return listing(limit)
 
+    def planner_spy(*args):
+        planned.append(args)
+        return divisors(*args)
+
     monkeypatch.setattr(frobseries.series, "_recurrence", spy)
+    monkeypatch.setattr(frobseries.series, "_eta_divisors", planner_spy)
     monkeypatch.setattr(frobseries.series, "_times_dilations", kernel_spy)
     monkeypatch.setattr(frobseries.series, "triangular_exponents", counted)
     one = make_series(ring, n, [1])
@@ -481,11 +493,13 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
         seen.clear()
         cubes.clear()
         kernel_calls.clear()
+        planned.clear()
         assert eta_quotient(euler_k, {1: k}) == one, k
         if modulus in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             levels = frobseries.series._eta_levels({1: k}, modulus, n)
             assert all(s <= n for s, _ in levels), k
             assert seen == [[s for s, _ in levels]], k
+            assert len(kernel_calls) == 1 and planned == [], k
             assert len(cubes) == any(c for _, c in levels), k
             eulers = [s for s, c in levels if not c]
             assert all(eulers.count(s) <= 2 for s in eulers), k
@@ -494,13 +508,17 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
                 for _ in range(3 if c else 1):
                     product = mul(product, pochhammer(ring, n, s, s))
             assert product == one, k
-        elif modulus in (4, 25):
-            p, v = {4: (2, 2), 25: (5, 2)}[modulus]
+        elif modulus in LIFTS:
+            p, v = LIFTS[modulus]
             plan = frobseries.series._eta_plan({1: k}, p, n)
             assert kernel_calls[0] == (plan, p), k
             assert len(kernel_calls) == 1 + 2 * (v - 1), k
-            assert [m for _, m in kernel_calls[1:]] == [modulus, p] * (v - 1), k
+            moduli = [m for _, m in kernel_calls[1:]]
+            assert moduli == [m for j in range(2, v + 1) for m in (p**j, p)], k
             assert all(factors == plan for factors, _ in kernel_calls[2::2]), k
+            for factors, m in kernel_calls[1::2]:
+                listed = divisors(CoefficientRing(m), n, {1: k})
+                assert factors == [([(0, 1), *terms], 1) for terms, _ in listed], k
         else:
             assert seen == [[[], [euler], pair][k % 3] + [cube] * (k // 3)], k
             assert len(cubes) == (k >= 3), k
@@ -509,7 +527,7 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
             for _ in range(k):
                 power = mul(power, pochhammer(ring, m, 1, 1))
             assert eta_quotient(power, {1: k}) == make_series(ring, m, [1])
-    if modulus in (2, 3, 5, 7, 11, 13, 17, 19, 23, 4, 25):
+    if modulus in (2, 3, 5, 7, 11, 13, 17, 19, 23, *LIFTS):
         return
     seen.clear()
     phi_series_double_sum(1, n, ring)
