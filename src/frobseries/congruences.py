@@ -4,12 +4,12 @@ A claim is a statement "f_k(a*n + b) == 0 (mod m) for all n"; verification
 here is always over an explicit finite window [0, n_max], recorded in the
 report.  A Verified report means "no counterexample in the window", never
 an unbounded assertion.  Claims run one after another in the calling
-thread: a suite runs the claims of one series (family, k, m) together,
-longest truncation a*n_max + b first, so the parity route builds each
-series once and slices it for the rest, and then sorts the reports by
-claim.  Every claim takes its series from :func:`default_series_provider`,
-looked up at call time, so rebinding it swaps the series for
-:func:`verify_claim` and every suite.
+thread: every suite runs the claims of one series (family, k, m)
+together, longest truncation a*n_max + b first, so the route's slot
+builds each series once, and sorts the reports by claim.  Every claim
+takes its series from :func:`default_series_provider`, looked up at call
+time, so rebinding it swaps the series for :func:`verify_claim` and
+every suite.
 """
 
 from __future__ import annotations
@@ -136,13 +136,8 @@ def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationReport:
     """Check coefficient(a*n + b) == 0 (mod m) for 0 <= n <= n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    series, route = default_series_provider(claim, claim.a * n_max + claim.b)
-    return _report(claim, n_max, series, route)
-
-
-def _report(claim, n_max, series, route) -> VerificationReport:
-    """The claim's report over [0, n_max], read from a provided series."""
     needed = claim.a * n_max + claim.b
+    series, route = default_series_provider(claim, needed)
     if series.truncation < needed:
         raise TruncationError(
             f"truncation shortfall: have {series.truncation}, need {needed}"
@@ -165,12 +160,9 @@ def _report(claim, n_max, series, route) -> VerificationReport:
 def _run_claims(claims, n_max):
     if not claims:
         raise ValueError("no claims to verify: a list argument is empty")
-    # the claims of one series together, longest truncation first, so each
-    # claim after a series' first reads the parity route's slot
+    # one series' claims together, longest first: the rest read the slot
     order = sorted(claims, key=lambda c: (c.family, c.k, c.m, -(c.a * n_max + c.b)))
-    reports = [verify_claim(c, n_max) for c in order]
-    reports.sort(key=lambda r: r.claim)
-    return reports
+    return sorted((verify_claim(c, n_max) for c in order), key=lambda r: r.claim)
 
 
 def main_theorem_suite(primes, ells, n_max: int) -> list[VerificationReport]:
@@ -201,12 +193,8 @@ def andrews_p_squared_suite(p: int, n_max: int) -> list[VerificationReport]:
     """cphi_p(p*n + r) == 0 (mod p^2) for every 0 < r < p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     claims = [CongruenceClaim(CPHI, p, p, r, p * p) for r in range(1, p)]
-    # one expansion, to the largest truncation, serves all p-1 progressions
-    series, route = default_series_provider(claims[-1], p * n_max + p - 1)
-    return [_report(claim, n_max, series, route) for claim in claims]
+    return _run_claims(claims, n_max)
 
 
 def garvan_sellers_lift_check(

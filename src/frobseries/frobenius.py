@@ -50,12 +50,19 @@ checked against, reduced mod p.
 
 :func:`expand` is the one place that picks a route for (family, modulus),
 and ``FAMILIES`` is the one place the family names are written.
+
+One slot keeps the last series any route built, keyed by route, k and
+ring (Z if none is named; Z/2 for the parity route).  A call with that
+key at N <= N0 returns its first N + 1 coefficients; any other empties
+the slot, then builds exactly to N.  So a result depends on its
+arguments alone, and no older series lives through a build.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import wraps
 from itertools import islice
 from math import isqrt
 
@@ -185,6 +192,31 @@ def cg_product(exponent: int, truncation: int) -> LaurentPolyOverSeries:
     return _wrap_rows(rows, EXACT, n)
 
 
+# [(route, k, ring, series)] for the last series built, or [None]
+_route_slot: list = [None]
+
+
+def _keeps_last(default_ring: CoefficientRing):
+    """Share the slot with a route; a call naming no ring keys ``default_ring``."""
+
+    def wrap(route):
+        @wraps(route)
+        def kept(k, truncation, *ring, **named):
+            key = (route, k, *(ring or tuple(named.values()) or (default_ring,)))
+            held = _route_slot[0]
+            if held and held[:3] == key and truncation <= held[3].truncation:
+                coeffs = held[3].coeffs[: truncation + 1]
+                return TruncatedSeries(key[2], truncation, coeffs)
+            _route_slot[0] = held = None  # the old series is freed first
+            series = route(k, truncation, *ring, **named)
+            _route_slot[0] = (*key, series)
+            return series
+
+        return kept
+
+    return wrap
+
+
 def _is_prime(m: int) -> bool:
     """Trial division to isqrt(m), uncapped: the package's one primality test.
 
@@ -193,6 +225,7 @@ def _is_prime(m: int) -> bool:
     return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
 
 
+@_keeps_last(EXACT)
 def cphi_series(
     k: int, truncation: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
@@ -242,6 +275,7 @@ def cphi_parity_witness(k: int, truncation: int) -> LaurentPolyOverSeries:
     return _wrap_rows(rows, MOD2, truncation)
 
 
+@_keeps_last(EXACT)
 def phi_series_double_sum(
     k: int, truncation: int, ring: CoefficientRing = EXACT
 ) -> TruncatedSeries:
@@ -281,6 +315,7 @@ def phi_series_double_sum(
     return eta_quotient(TruncatedSeries(ring, n, num), {1: 2, k + 1: 1})
 
 
+@_keeps_last(MOD2)
 def phi_parity_series(k: int, truncation: int) -> TruncatedSeries:
     """Sum of phi_k(n) q^n over Z/2: (q;q)_inf / (q^{k+1};q^{k+1})_inf mod 2.
 

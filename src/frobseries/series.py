@@ -37,14 +37,12 @@ route's :func:`eta_quotient_mod2` and cphi's z^0 theta row
 :func:`theta_constant_series`, return series.  Only the parity route
 reuses work, per bit length b of N: memos keyed by ints hold E(q) to
 q^{2^b - 1} and the plan of each step's 1/E(q^step) to that length, and
-a call shifts E to q^N and runs the whole plan.  One slot keeps the last
-series it built, for one (step, N0), and a call for that step at N <=
-N0 slices it, with no kernel run; so its result depends on its
-arguments alone.  :func:`divide` by any divisor series is the
-recurrence in every ring, run in the order given, with no plan and no
-kernel: the independent reference the planned quotients are tested
-against.  The dense O(N^2) :func:`mul` and :func:`pochhammer` stay as
-the schoolbook and product-expansion references for the sparse forms.
+a call shifts E to q^N and runs the whole plan; no series is kept.
+:func:`divide` by any divisor series is the recurrence in every ring,
+run in the order given, with no plan and no kernel: the independent
+reference the planned quotients are tested against.  The dense O(N^2)
+:func:`mul` and :func:`pochhammer` stay as the schoolbook and
+product-expansion references for the sparse forms.
 """
 
 from __future__ import annotations
@@ -710,11 +708,6 @@ def _parity_plan(step: int, bits: int) -> tuple[int, int, list]:
     return limit, euler, _eta_plan({step: 1}, 2, limit)
 
 
-# the parity route's slot: [(step, series)] for the last series it built,
-# or [None]; one item, replaced whole, so it never holds two series
-_parity_slot: list = [None]
-
-
 def eta_quotient_mod2(step: int, truncation: int) -> TruncatedSeries:
     """(q;q)_inf / (q^step;q^step)_inf over Z/2, with no division.
 
@@ -724,31 +717,13 @@ def eta_quotient_mod2(step: int, truncation: int) -> TruncatedSeries:
     length of N).  As L < 2N + 1 and the steps grow 4x, at most the last
     factor's step passes N, and the kernel, stopping at the first term
     past q^N, keeps its 1.
-
-    The slot keeps the last series built, for one (step, N0).  A call
-    for that step at N <= N0 returns it, or its first N + 1
-    coefficients, with no kernel run: the product truncated to q^N is
-    the prefix of the one to q^{N0}.  Any other call builds exactly to
-    N and replaces it.  So the result depends on (step, N) alone.  The
-    slot is emptied after the plan is made, so a refused huge N leaves
-    it as it was, and before the kernel runs, so the old series is not
-    kept alive during a build.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     check_truncation(truncation)
-    held = _parity_slot[0]
-    if held is not None and held[0] == step and truncation <= held[1].truncation:
-        series = held[1]
-        if truncation == series.truncation:
-            return series
-        return TruncatedSeries(MOD2, truncation, series.coeffs[: truncation + 1])
     limit, euler, plan = _parity_plan(step, truncation.bit_length())
-    _parity_slot[0] = held = None  # the old series is freed before the build
     product = _times_dilations(euler >> (limit - truncation), plan, truncation, 2)
-    series = TruncatedSeries(MOD2, truncation, product)
-    _parity_slot[0] = (step, series)
-    return series
+    return TruncatedSeries(MOD2, truncation, product)
 
 
 def theta_exponents(limit: int) -> list[tuple[int, int]]:

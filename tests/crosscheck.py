@@ -18,7 +18,7 @@ import sys
 import time
 from typing import Callable, Iterator, NamedTuple
 
-from frobseries import cli, frobenius, series
+from frobseries import cli, frobenius
 from frobseries.frobenius import cphi_series, phi_parity_series, phi_series_double_sum
 from frobseries.series import (
     EXACT,
@@ -114,8 +114,10 @@ def planned_phi(n):
                     agreed.append(same)
                     return got
 
-                # not unittest.mock: its import adds about 7 MB to peak RSS
+                # not unittest.mock: its import adds about 7 MB to peak RSS;
+                # the slot is emptied, so the route builds under the patch
                 frobenius.eta_quotient = checked
+                frobenius._route_slot[0] = None
                 try:
                     phi_series_double_sum(k, n, CoefficientRing(m))
                 finally:
@@ -143,7 +145,7 @@ def planned_theta(n):
 
 def parity_route(n):
     """Route: the parity route over Z/2 for the subscripts of ``verify main``,
-    built at n and then read at a shorter N from the route's slot.
+    built at n and then read at a shorter N from the slot the routes share.
 
     Reference: divide(E(q), E(q^(k+1))), the recurrence, and its prefix
     to q^N.  The slot read holds only if it builds nothing: the slot
@@ -154,9 +156,9 @@ def parity_route(n):
     for k in MAIN_SUBSCRIPTS:
         quotient = divide(euler, pentagonal_series(MOD2, n, k + 1))
         yield f"k={k} N={n} parity route == divide", phi_parity_series(k, n) == quotient
-        held = series._parity_slot[0]
+        held = frobenius._route_slot[0]
         prefix = TruncatedSeries(MOD2, short, quotient.coeffs[: short + 1])
-        same = phi_parity_series(k, short) == prefix and series._parity_slot[0] is held
+        same = phi_parity_series(k, short) == prefix and frobenius._route_slot[0] is held
         yield f"k={k} N={short} slot read == divide's prefix", same
 
 

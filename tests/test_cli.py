@@ -495,8 +495,8 @@ def test_every_route_refuses_a_huge_truncation_at_once(argv, monkeypatch, capsys
     # Euler table its bit buffer, the double sum its numerator row, and
     # cphi its theta row.  So a truncation near 10^20
     # fails at that allocation instead of walking ~10^10 triangular numbers
-    # first, the parity route's memos gain no entry, and its slot keeps the
-    # series it held
+    # first, and the parity route's memos gain no entry.  The route slot is
+    # emptied before every build, so it holds nothing after the refusal
     huge = []
     listing = frobseries.series.triangular_exponents
 
@@ -507,9 +507,9 @@ def test_every_route_refuses_a_huge_truncation_at_once(argv, monkeypatch, capsys
         return listing(limit)
 
     monkeypatch.setattr(frobseries.series, "triangular_exponents", guarded)
-    slot = frobseries.series._parity_slot
-    frobseries.series.eta_quotient_mod2(5, 100)
-    held = slot[0]
+    slot = frobenius._route_slot
+    frobenius.phi_parity_series(4, 100)
+    assert slot[0] is not None
     memos = (frobseries.series._euler_table, frobseries.series._parity_plan)
     sizes = [memo.cache_info().currsize for memo in memos]
     assert cli.main(argv) == cli.EXIT_GUARD
@@ -518,7 +518,7 @@ def test_every_route_refuses_a_huge_truncation_at_once(argv, monkeypatch, capsys
     assert captured.err.startswith("guard: ")
     assert huge == []
     assert [memo.cache_info().currsize for memo in memos] == sizes
-    assert slot[0] is held
+    assert slot == [None]
 
 
 def test_console_entry_point_exit_status(tmp_path):
@@ -562,8 +562,8 @@ def test_verify_deterministic_bytes(capsys):
     assert first == second
     # a result depends on its arguments alone: --nmax 200 run after --nmax
     # 2000, with the parity route's memos holding the tables of larger bit
-    # lengths and its slot the last series built at 2000, prints the bytes
-    # it prints from empty memos
+    # lengths and the route slot the last series built at 2000, prints the
+    # bytes it prints from empty memos
     _clear_parity_memos()
     argv = ["verify", "main", "--primes", "5,7,11,13", "--ells", "1,2",
             "--no-timestamp", "--nmax"]

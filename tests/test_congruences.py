@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import frobseries.frobenius
 import frobseries.series
 from frobseries import congruences
 from frobseries.congruences import (
@@ -212,7 +213,7 @@ def test_main_theorem_suite_p7_two_ells():
 
 def test_main_theorem_suite_builds_each_series_once(monkeypatch):
     # the suite runs each series' claims together, longest truncation
-    # first, so the parity route's slot serves the rest: from cleared
+    # first, so the route slot serves the rest: from cleared
     # memos, 10 claims from 4 series run the kernel once per series, at
     # p * 50 + r for the largest eligible r, and report in claim order
     _clear_parity_memos()
@@ -285,16 +286,18 @@ def test_andrews_p_squared_suite_rejects_negative_nmax(monkeypatch):
 
 
 def test_andrews_p_squared_suite_builds_one_series(monkeypatch):
-    builds = []
-    real = congruences.default_series_provider
+    # the suite runs its claims longest first, so the cphi route builds one
+    # theta row, to the largest truncation, and its slot serves the rest
+    rows = []
+    theta_row = frobseries.frobenius.theta_constant_series
 
-    def counting(claim, truncation):
-        builds.append(truncation)
-        return real(claim, truncation)
+    def counting(ring, truncation, k):
+        rows.append((ring.modulus, truncation, k))
+        return theta_row(ring, truncation, k)
 
-    monkeypatch.setattr(congruences, "default_series_provider", counting)
+    monkeypatch.setattr(frobseries.frobenius, "theta_constant_series", counting)
     reports = andrews_p_squared_suite(5, 3)
-    assert builds == [5 * 3 + 4]
+    assert rows == [(25, 5 * 3 + 4, 5)]
     assert [r.claim.b for r in reports] == [1, 2, 3, 4]
     assert all(r.status == VERIFIED for r in reports)
     assert {r.route for r in reports} == {"cphi-constant-term"}

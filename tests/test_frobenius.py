@@ -67,7 +67,7 @@ def test_parity_route_warm_peak_memory():
     # The slot is emptied, and the table kept, so the traced call builds
     n = 10**6
     phi_parity_series(12, n)
-    frobseries.series._parity_slot[0] = None
+    frobseries.frobenius._route_slot[0] = None
     tracemalloc.start()
     try:
         phi_parity_series(12, n)
@@ -166,7 +166,7 @@ def test_phi_parity_series_rejects_bad_arguments():
 def _clear_parity_memos():
     frobseries.series._euler_table.cache_clear()
     frobseries.series._parity_plan.cache_clear()
-    frobseries.series._parity_slot[0] = None
+    frobseries.frobenius._route_slot[0] = None
 
 
 def test_mod2_route_agreement():
@@ -200,46 +200,101 @@ def test_parity_route_does_not_depend_on_call_order():
             assert phi_parity_series(k, n) == cold[k, n], (k, n)
 
 
+# every route shares the one slot: the parity route, and, as an example of
+# the others, the double sum over Z/3 and cphi over Z/25
+SLOT_ROUTES = {
+    "parity": phi_parity_series,
+    "double sum Z/3": lambda k, n: phi_series_double_sum(k, n, CoefficientRing(3)),
+    "cphi Z/25": lambda k, n: cphi_series(k, n, CoefficientRing(25)),
+}
+
+
+def _fresh(route, k, n):
+    """The route's series built from an empty slot."""
+    frobseries.frobenius._route_slot[0] = None
+    return route(k, n)
+
+
+def _spy_builds(monkeypatch, seen):
+    # each route makes one eta_quotient_mod2 or eta_quotient call per
+    # build, so a spy on the two sees every build, as (modulus, N)
+    parity = frobseries.frobenius.eta_quotient_mod2
+    quotient = frobseries.frobenius.eta_quotient
+
+    def parity_spy(step, n):
+        seen((2, n))
+        return parity(step, n)
+
+    def quotient_spy(a, powers):
+        seen((a.ring.modulus, a.truncation))
+        return quotient(a, powers)
+
+    monkeypatch.setattr(frobseries.frobenius, "eta_quotient_mod2", parity_spy)
+    monkeypatch.setattr(frobseries.frobenius, "eta_quotient", quotient_spy)
+
+
 @pytest.mark.parametrize("k", [4, 25])
 def test_parity_slot_slices_the_last_series(k, monkeypatch):
-    # the slot keeps the series built at 4097; every shorter call, down to
-    # N = 0 and across the bit lengths' edges, and 4097 again, reads it
-    # with no kernel run, and each equals the recurrence's quotient at N
-    _clear_parity_memos()
-    calls = []
-
-    def counted(*args):
-        calls.append(args[2])
-        return kernel(*args)
-
-    kernel = frobseries.series._times_dilations
-    monkeypatch.setattr(frobseries.series, "_times_dilations", counted)
-    for n in (4097, 4096, 2049, 2047, 300, 0, 4097):
-        want = divide(pentagonal_series(MOD2, n), pentagonal_series(MOD2, n, k + 1))
-        assert phi_parity_series(k, n) == want, (k, n)
-    assert calls == [4097]
+    # each route in turn: the slot keeps the series built at 4097; every
+    # shorter call, down to N = 0 and across the bit lengths' edges, and
+    # 4097 again, reads it with no build, and each equals a fresh build
+    ns = (4097, 4096, 2049, 2047, 300, 0, 4097)
+    fresh = {}
+    for name, route in SLOT_ROUTES.items():
+        for n in ns:
+            fresh[name, n] = _fresh(route, k, n)
+    frobseries.frobenius._route_slot[0] = None
+    builds = []
+    _spy_builds(monkeypatch, builds.append)
+    for name, route in SLOT_ROUTES.items():
+        for n in ns:
+            assert route(k, n) == fresh[name, n], (name, k, n)
+    assert builds == [(2, 4097), (3, 4097), (25, 4097)]
 
 
 def test_parity_slot_holds_one_series(monkeypatch):
-    # a build for another step, or past the held truncation, replaces the
-    # slot's series, which is dropped before the kernel runs: no series the
-    # route built earlier is alive during a build or after it
-    _clear_parity_memos()
-    built = []  # a weak reference to each series returned
-    alive = []  # per kernel call, whether each earlier series is alive
+    # a call to another route, k or ring, or past the held truncation,
+    # replaces the slot's series, which is dropped before the build: no
+    # series any route built earlier is alive during a build or after it.
+    # cphi over Z/2 shares k and ring with the parity route, not the route
+    routes = {**SLOT_ROUTES, "cphi Z/2": lambda k, n: cphi_series(k, n, MOD2)}
+    calls = [
+        ("parity", 4, 500), ("parity", 6, 500), ("double sum Z/3", 4, 500),
+        ("double sum Z/3", 4, 300), ("cphi Z/25", 4, 500), ("cphi Z/2", 4, 200),
+        ("parity", 4, 100), ("parity", 4, 600), ("parity", 4, 200),
+    ]
+    fresh = [_fresh(routes[name], k, n) for name, k, n in calls]
+    frobseries.frobenius._route_slot[0] = None
+    returned = []  # a weak reference to each series returned
+    alive = []  # per build, whether each earlier series is alive
 
-    def watched(*args):
-        alive.append([ref() is not None for ref in built])
-        return kernel(*args)
+    def watched(build):
+        alive.append([ref() is not None for ref in returned])
 
-    kernel = frobseries.series._times_dilations
-    monkeypatch.setattr(frobseries.series, "_times_dilations", watched)
-    for k, n in ((4, 500), (6, 500), (4, 300), (4, 600), (4, 200)):
-        built.append(weakref.ref(phi_parity_series(k, n)))
-    assert alive == [[], [False], [False] * 2, [False] * 3]
-    assert [ref() is not None for ref in built] == [False, False, False, True, False]
-    ((step, held),) = frobseries.series._parity_slot
-    assert step == 5 and held is built[3]()
+    _spy_builds(monkeypatch, watched)
+    for (name, k, n), want in zip(calls, fresh):
+        got = routes[name](k, n)
+        assert got == want, (name, k, n)
+        returned.append(weakref.ref(got))
+        del got
+    built = [0, 1, 2, 4, 5, 6, 7]  # the calls that built: 3 and 8 slice
+    assert alive == [[False] * i for i in built]
+    assert [ref() is not None for ref in returned] == [i == 7 for i in range(9)]
+    route, k, ring, held = frobseries.frobenius._route_slot[0]
+    assert (route, k, ring) == (phi_parity_series.__wrapped__, 4, MOD2)
+    assert held is returned[7]()
+
+
+def test_route_slot_keys_a_call_naming_no_ring_by_the_default(monkeypatch):
+    # cphi_series(k, N) is keyed by Z, so it shares a key with calls that
+    # name Z, positionally or by keyword: the three calls build once
+    builds = []
+    _spy_builds(monkeypatch, builds.append)
+    full = cphi_series(6, 40)
+    named = {30: cphi_series(6, 30, EXACT), 20: cphi_series(6, 20, ring=EXACT)}
+    for n, got in named.items():
+        assert got == TruncatedSeries(EXACT, n, full.coeffs[: n + 1]), n
+    assert builds == [(None, 40)]
 
 
 def test_partition_series():
@@ -399,6 +454,7 @@ def test_odd_p_theta_row_reduces_mid_sum(monkeypatch):
     assert base_rows == {(k, m): (k > 1) + sum(range(2, k)) for k, m in want}
     monkeypatch.setattr(frobseries.series, "_SLOT_MAX", 40)
     for (k, m), series in want.items():
+        frobseries.frobenius._route_slot[0] = None
         assert cphi_series(k, n, CoefficientRing(m)) == series, (k, m)
     assert sum(row_reductions().values()) > sum(base_rows.values())
 
@@ -415,7 +471,8 @@ def test_z2_cphi_route_reads_the_theta_terms(monkeypatch):
     # without any one theta term of degree <= 15 the Z/2 route must change.
     # k = 5 is odd, so the route builds theta^5 itself: for an even k it
     # builds the row of k / 2^v, and for k = 4 that is theta^1, which reads
-    # no term; for k = 3 dropping (-1, 0) leaves the result unchanged
+    # no term; for k = 3 dropping (-1, 0) leaves the result unchanged.  The
+    # slot is emptied before each call, so each call builds
     full = cphi_series(5, 30, MOD2)
     terms = frobseries.series.theta_exponents
     for i in range(12):
@@ -424,6 +481,7 @@ def test_z2_cphi_route_reads_the_theta_terms(monkeypatch):
             "theta_exponents",
             lambda n: terms(n)[:i] + terms(n)[i + 1 :],
         )
+        frobseries.frobenius._route_slot[0] = None
         assert cphi_series(5, 30, MOD2) != full, terms(30)[i]
 
 
