@@ -6,7 +6,12 @@ report.  A Verified report means "no counterexample in the window", never
 an unbounded assertion.  Claims run one after another in the calling
 thread: every suite runs the claims of one series (family, k, m)
 together, longest truncation a*n_max + b first, so the route's slot
-builds each series once, and sorts the reports by claim.  Every claim
+builds each series once and the other claims read prefix views of it.
+It then sorts the reports by the claim's fields in declaration order, a
+key read in C that gives the order of CongruenceClaim's ``__lt__``.  A
+claim holds when its progression counts as many zeros as entries, one C
+scan for bytes and tuple storage alike; only a refuted claim walks its
+progression in Python, for the counterexamples.  Every claim
 takes its series from :func:`default_series_provider`, looked up at call
 time, so rebinding it swaps the series for :func:`verify_claim` and
 every suite.
@@ -15,7 +20,8 @@ every suite.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from . import frobenius
 from .frobenius import CPHI, FAMILIES, PHI
@@ -50,14 +56,15 @@ def residue_class(x: int, p: int) -> ResidueClass:
 
 
 def eligible_residues(p: int) -> set[int]:
-    """Residues 0 < r < p with 24r+1 a quadratic nonresidue mod p."""
+    """Residues 0 < r < p with 24r+1 a quadratic nonresidue mod p.
+
+    p is tested for primality once; then Euler's criterion for each r, as
+    ``residue_class`` applies it: (24r+1)^((p-1)/2) == -1 mod p.
+    """
     if p < 5 or not is_prime(p):
         raise ValueError(f"need a prime >= 5, got {p}")
-    return {
-        r
-        for r in range(1, p)
-        if residue_class(24 * r + 1, p) is ResidueClass.NONRESIDUE
-    }
+    half = (p - 1) // 2
+    return {r for r in range(1, p) if pow(24 * r + 1, half, p) == p - 1}
 
 
 def pentagonal_class_reachable(p: int, r: int) -> bool:
@@ -93,6 +100,10 @@ class CongruenceClaim:
         if self.m < 2:
             raise ValueError("congruence modulus must be >= 2")
 
+
+# a report's claim fields in declaration order, read in C: sorting by
+# them gives the order of CongruenceClaim's generated __lt__
+_CLAIM_FIELDS = attrgetter(*(f"claim.{f.name}" for f in fields(CongruenceClaim)))
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -149,7 +160,8 @@ def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationReport:
             f"provider ring {series.ring} does not match modulus {claim.m}"
         )
     progression = series.coeffs[claim.b : needed + 1 : claim.a]
-    if not any(progression):  # a C-level scan; the usual, verified case
+    # count runs in C for bytes and tuples alike; the usual, verified case
+    if progression.count(0) == len(progression):
         return VerificationReport(claim, n_max, VERIFIED, (), route)
     counterexamples = tuple(
         (claim.a * n + claim.b, v) for n, v in enumerate(progression) if v
@@ -162,7 +174,8 @@ def _run_claims(claims, n_max):
         raise ValueError("no claims to verify: a list argument is empty")
     # one series' claims together, longest first: the rest read the slot
     order = sorted(claims, key=lambda c: (c.family, c.k, c.m, -(c.a * n_max + c.b)))
-    return sorted((verify_claim(c, n_max) for c in order), key=lambda r: r.claim)
+    reports = [verify_claim(c, n_max) for c in order]
+    return sorted(reports, key=_CLAIM_FIELDS)
 
 
 def main_theorem_suite(primes, ells, n_max: int) -> list[VerificationReport]:

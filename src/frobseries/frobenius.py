@@ -53,7 +53,8 @@ and ``FAMILIES`` is the one place the family names are written.
 
 One slot keeps the last series any route built, keyed by route, k and
 ring (Z if none is named; Z/2 for the parity route).  A call with that
-key at N <= N0 returns its first N + 1 coefficients; any other empties
+key at N <= N0 returns a prefix view, its first N + 1 coefficients, not
+checked a second time (the held series itself at N0); any other empties
 the slot, then builds exactly to N.  So a result depends on its
 arguments alone, and no older series lives through a build.
 """
@@ -63,6 +64,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import wraps
+from inspect import signature
 from itertools import islice
 from math import isqrt
 
@@ -197,22 +199,40 @@ _route_slot: list = [None]
 
 
 def _keeps_last(default_ring: CoefficientRing):
-    """Share the slot with a route; a call naming no ring keys ``default_ring``."""
+    """Share the slot with a route; a call naming no ring keys ``default_ring``.
+
+    The wrapper takes the route's parameters, (k, truncation) or (k,
+    truncation, ring=default_ring), as the route's signature says when
+    the decorator runs.  A hit returns a prefix view of the held series.
+    """
 
     def wrap(route):
-        @wraps(route)
-        def kept(k, truncation, *ring, **named):
-            key = (route, k, *(ring or tuple(named.values()) or (default_ring,)))
+        def serve(k, truncation, ring, *args):
             held = _route_slot[0]
-            if held and held[:3] == key and truncation <= held[3].truncation:
-                coeffs = held[3].coeffs[: truncation + 1]
-                return TruncatedSeries(key[2], truncation, coeffs)
+            if (
+                held
+                and held[0] is route
+                and held[1] == k
+                and held[2] == ring
+                and truncation <= held[3].truncation
+            ):
+                return held[3].prefix(truncation)
             _route_slot[0] = held = None  # the old series is freed first
-            series = route(k, truncation, *ring, **named)
-            _route_slot[0] = (*key, series)
+            series = route(k, truncation, *args)
+            _route_slot[0] = (route, k, ring, series)
             return series
 
-        return kept
+        if "ring" in signature(route).parameters:
+
+            def kept(k, truncation, ring=default_ring):
+                return serve(k, truncation, ring, ring)
+
+        else:
+
+            def kept(k, truncation):
+                return serve(k, truncation, default_ring)
+
+        return wraps(route)(kept)
 
     return wrap
 

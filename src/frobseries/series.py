@@ -144,6 +144,22 @@ class TruncatedSeries:
                 f"need {self.truncation + 1} coefficients, got {len(coeffs)}"
             )
 
+    def prefix(self, truncation: int) -> TruncatedSeries:
+        """The series to q^truncation, for 0 <= truncation <= N: this one
+        at N, else its first truncation + 1 coefficients, not checked
+        again, since they are already stored by the rule."""
+        if truncation == self.truncation:
+            return self
+        check_truncation(truncation)
+        if truncation > self.truncation:
+            raise ValueError(
+                f"prefix {truncation} outside window [0, {self.truncation}]"
+            )
+        view = object.__new__(TruncatedSeries)
+        coeffs = self.coeffs[: truncation + 1]
+        view.__dict__.update(ring=self.ring, truncation=truncation, coeffs=coeffs)
+        return view
+
     def coefficient(self, n: int) -> int:
         if not 0 <= n <= self.truncation:
             raise IndexError(

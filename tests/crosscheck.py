@@ -11,8 +11,20 @@ runs the named rows at their CI n, in the order given.  It prints
 ``label: True|False (s)`` per case, then each row's seconds and the
 process's peak RSS, and exits 1 if any case is False.  An unknown name
 exits 2 before any row runs.  pytest does not collect this module.
+
+    python tests/crosscheck.py --bench BENCH_<pr>.json NAME [NAME ...]
+
+runs each named row at three n, its tier-1 n, the geometric mean of the
+two and its CI n, each BENCH_REPEATS times in a fresh process
+(``--at n NAME``), and writes the best seconds and the peak RSS of each
+run, with the least-squares growth exponent of seconds in n per row,
+the git sha, the Python version and the usable core count, to the file.
 """
 
+import argparse
+import json
+import math
+import os
 import resource
 import sys
 import time
@@ -216,13 +228,19 @@ ROWS = (
 )
 
 
+BENCH_REPEATS = 3
+
+
 def peak_rss_mb():
     # ru_maxrss is in KiB on Linux
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def run(row, n):
-    """Print each case of the row at window n, then the row's totals; True if all hold."""
+    """Print each case of the row at window n, then the row's totals.
+
+    Returns whether every case holds, and the row's seconds.
+    """
     ok = True
     row_start = time.perf_counter()
     cases = row.cases(n)
@@ -236,19 +254,108 @@ def run(row, n):
         ok = ok and equal
     seconds = time.perf_counter() - row_start
     print(f"{row.name}: {seconds:.1f} s, peak RSS {peak_rss_mb():.1f} MB", flush=True)
+    return ok, seconds
+
+
+def growth_exponent(ns, seconds):
+    """Least-squares slope of log(seconds) on log(n); None if n never varies."""
+    if len(set(ns)) < 2:
+        return None
+    xs = [math.log(n) for n in ns]
+    ys = [math.log(s) for s in seconds]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+
+
+def _run_fresh(name, n):
+    """The row at window n in a new process: {"ok", "seconds", "peak_rss_mb"}."""
+    import subprocess  # imported here: it adds 0.5 MB to a plain run's peak RSS
+
+    import frobseries  # the child imports the package this process imported
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(frobseries.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, __file__, "--at", str(n), name],
+        env=env, capture_output=True, text=True,
+    )
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"{name} at n={n} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _git_sha():
+    import subprocess
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True
+    )
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def bench(rows, path):
+    """Time each row at three n in fresh processes and write the record to path.
+
+    Per n the fastest of BENCH_REPEATS runs is kept, with its peak RSS.
+    Returns whether every case of every run held.
+    """
+    record = {
+        "git_sha": _git_sha(),
+        "python": sys.version.split()[0],
+        "nproc": len(os.sched_getaffinity(0)),
+        "repeats": BENCH_REPEATS,
+        "rows": {},
+    }
+    ok = True
+    for row in rows:
+        middle = round(math.sqrt(row.tier1_n * row.ci_n))
+        runs = []
+        for n in (row.tier1_n, middle, row.ci_n):
+            results = [_run_fresh(row.name, n) for _ in range(BENCH_REPEATS)]
+            ok = ok and all(result.pop("ok") for result in results)
+            best = min(results, key=lambda result: result["seconds"])
+            runs.append({"n": n, **best})
+            print(
+                f"{row.name} n={n}: {best['seconds']:.3f} s, "
+                f"peak RSS {best['peak_rss_mb']:.1f} MB",
+                flush=True,
+            )
+        ns, seconds = [r["n"] for r in runs], [r["seconds"] for r in runs]
+        record["rows"][row.name] = {
+            "runs": runs,
+            "growth_exp": growth_exponent(ns, seconds),
+        }
+    with open(path, "w") as out:
+        out.write(json.dumps(record, indent=2) + "\n")
     return ok
 
 
-def main(names):
+def main(argv):
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--bench")
+    parser.add_argument("--at", type=int)
+    parser.add_argument("names", nargs="*")
+    args = parser.parse_args(argv)
+    names = args.names
     rows = {row.name: row for row in ROWS}
     unknown = [name for name in names if name not in rows]
     if unknown:
         print(f"unknown rows: {' '.join(unknown)}", file=sys.stderr)
     if not names or unknown:
-        usage = "usage: python tests/crosscheck.py NAME [NAME ...]"
+        usage = "usage: python tests/crosscheck.py [--bench FILE] NAME [NAME ...]"
         print(f"{usage}\nrows: {' '.join(rows)}", file=sys.stderr)
         return 2
-    results = [run(rows[name], rows[name].ci_n) for name in names]
+    if args.bench:
+        return 0 if bench([rows[name] for name in names], args.bench) else 1
+    if args.at is not None:
+        (name,) = names
+        held, seconds = run(rows[name], args.at)
+        print(json.dumps({"ok": held, "seconds": seconds, "peak_rss_mb": peak_rss_mb()}))
+        return 0 if held else 1
+    results = [run(rows[name], rows[name].ci_n)[0] for name in names]
     return 0 if all(results) else 1
 
 

@@ -79,6 +79,24 @@ def test_eligible_residues_rejects_bad_primes():
     for p in (3, 4, 6):
         with pytest.raises(ValueError):
             eligible_residues(p)
+    for p in (-7, 0, 1, 2, 3, 4, 9, 25, 91, 9991):
+        with pytest.raises(ValueError, match=f"^need a prime >= 5, got {p}$"):
+            eligible_residues(p)
+    with pytest.raises(ValueError, match="capped at 10000"):
+        eligible_residues(10_007)  # a prime above PRIMALITY_CAP
+
+
+def test_eligible_residues_are_the_nonresidue_and_unreachable_classes():
+    # 24r + 1 = (6k - 1)^2 mod p when r = (3k^2 - k)/2, so r is a
+    # pentagonal class exactly when 24r + 1 is a square mod p
+    for p in PRIMES_TO_97:
+        nonresidues = {
+            r
+            for r in range(1, p)
+            if residue_class(24 * r + 1, p) is ResidueClass.NONRESIDUE
+        }
+        unreachable = {r for r in range(1, p) if not pentagonal_class_reachable(p, r)}
+        assert eligible_residues(p) == nonresidues == unreachable, p
 
 
 def test_pentagonal_class_reachable_small():
@@ -187,6 +205,26 @@ def test_verify_claim_reduces_exact_provider(monkeypatch):
     assert {v for _, v in exact.counterexamples} == {1}
 
 
+@pytest.mark.parametrize("m, storage", [(2, bytes), (257, tuple)])
+def test_verify_claim_reports_a_lone_nonzero_entry(m, storage, monkeypatch):
+    # one nonzero entry in the progression 5n + 3, in each storage kind, and
+    # one beside it: the zero test sees the first, the report names it alone
+    coeffs = [0] * 34
+    coeffs[23] = m - 1
+    coeffs[22] = 1
+
+    def one_entry(c, truncation):
+        series = make_series(CoefficientRing(m), truncation, coeffs[: truncation + 1])
+        return series, "fake"
+
+    monkeypatch.setattr(congruences, "default_series_provider", one_entry)
+    assert type(one_entry(None, 33)[0].coeffs) is storage
+    report = verify_claim(CongruenceClaim(PHI, 4, 5, 3, m), 6)
+    assert (report.status, report.counterexamples) == (REFUTED, ((23, m - 1),))
+    report = verify_claim(CongruenceClaim(PHI, 4, 5, 4, m), 5)
+    assert (report.status, report.counterexamples) == (VERIFIED, ())
+
+
 def test_verify_claim_rejects_provider_in_other_modulus(monkeypatch):
     def mod3_provider(c, truncation):
         series = phi_series_double_sum(c.k, truncation, CoefficientRing(3))
@@ -230,6 +268,25 @@ def test_main_theorem_suite_builds_each_series_once(monkeypatch):
     assert sorted(truncations) == [254, 254, 356, 356]
     assert [r.claim for r in reports] == sorted(r.claim for r in reports)
     assert all(r.status == VERIFIED for r in reports)
+
+
+def test_run_claims_reports_in_the_order_of_claim_comparison(monkeypatch):
+    # the sort key reads the claim's fields in declaration order, so the
+    # reports come in the order CongruenceClaim's __lt__ gives, whichever
+    # field decides: family, k, a before b, then m
+    def zeros(c, truncation):
+        return make_series(CoefficientRing(c.m), truncation), "fake"
+
+    monkeypatch.setattr(congruences, "default_series_provider", zeros)
+    claims = [
+        CongruenceClaim(family, k, a, b, m)
+        for family in (PHI, CPHI)
+        for k in (2, 1)
+        for a, b in ((3, 1), (2, 1), (3, 0), (5, 2))
+        for m in (3, 2)
+    ]
+    reports = congruences._run_claims(claims, 4)
+    assert [r.claim for r in reports] == sorted(claims)
 
 
 @pytest.mark.parametrize(

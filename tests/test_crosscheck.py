@@ -1,5 +1,6 @@
 """Every cross-check row at its tier-1 n, and the runner that CI calls."""
 
+import json
 import re
 from pathlib import Path
 
@@ -61,3 +62,22 @@ def test_an_unknown_name_exits_before_any_row_runs(capsys):
     assert captured.out == ""
     assert "no-such-row" in captured.err
     assert crosscheck.main([]) == 2
+
+
+def test_bench_mode_writes_each_row_at_each_n(monkeypatch, tmp_path, capsys):
+    # every n at the tier-1 n, so the three n are one and the slope is
+    # undefined; only the keys are checked, never the times
+    row = next(row for row in crosscheck.ROWS if row.name == "parity-route")
+    monkeypatch.setattr(crosscheck, "ROWS", (row._replace(ci_n=row.tier1_n),))
+    path = tmp_path / "BENCH.json"
+    assert crosscheck.main(["--bench", str(path), "parity-route"]) == 0
+    record = json.loads(path.read_text())
+    assert set(record) == {"git_sha", "python", "nproc", "repeats", "rows"}
+    assert record["repeats"] == crosscheck.BENCH_REPEATS
+    assert list(record["rows"]) == ["parity-route"]
+    bench = record["rows"]["parity-route"]
+    assert set(bench) == {"runs", "growth_exp"}
+    assert [run["n"] for run in bench["runs"]] == [row.tier1_n] * 3
+    assert all(set(run) == {"n", "seconds", "peak_rss_mb"} for run in bench["runs"])
+    assert bench["growth_exp"] is None
+    assert len(capsys.readouterr().out.splitlines()) == 3

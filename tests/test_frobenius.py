@@ -297,6 +297,65 @@ def test_route_slot_keys_a_call_naming_no_ring_by_the_default(monkeypatch):
     assert builds == [(None, 40)]
 
 
+# one route per storage kind: bytes over Z/2 and Z/25, tuples over Z and Z/257
+VIEW_ROUTES = {
+    "parity Z/2": (phi_parity_series, bytes),
+    "cphi Z/25": (SLOT_ROUTES["cphi Z/25"], bytes),
+    "double sum Z": (phi_series_double_sum, tuple),
+    "double sum Z/257": (
+        lambda k, n: phi_series_double_sum(k, n, CoefficientRing(257)),
+        tuple,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VIEW_ROUTES)
+def test_slot_hit_is_a_prefix_view_of_the_held_series(name, monkeypatch):
+    # a hit below N0 is not checked again: it equals, and hashes as, both a
+    # fresh build and the checked series of the held prefix; at N0 it is
+    # the held series itself, and the route builds once
+    route, storage = VIEW_ROUTES[name]
+    fresh = {n: _fresh(route, 6, n) for n in (200, 0)}
+    frobseries.frobenius._route_slot[0] = None
+    builds = []
+    _spy_builds(monkeypatch, builds.append)
+    held = route(6, 300)
+    for n in (200, 0):
+        view = route(6, n)
+        checked = TruncatedSeries(held.ring, n, list(held.coeffs[: n + 1]))
+        assert type(view.coeffs) is storage
+        assert view == fresh[n] == checked
+        assert hash(view) == hash(fresh[n]) == hash(checked)
+    assert route(6, 300) is held
+    assert len(builds) == 1
+
+
+def test_a_route_takes_its_own_parameters_alone():
+    # the parity route takes (k, truncation): a ring is refused whether or
+    # not the slot holds k = 4, and the refused call leaves the slot as is
+    slot = frobseries.frobenius._route_slot
+    for fill in (lambda: phi_parity_series(4, 20), lambda: None):
+        fill()
+        held = slot[0]
+        for call in (
+            lambda: phi_parity_series(4, 10, MOD2),
+            lambda: phi_parity_series(4, 10, ring=MOD2),
+        ):
+            with pytest.raises(TypeError):
+                call()
+            assert slot[0] is held
+        slot[0] = None
+    assert phi_parity_series(k=4, truncation=3) == phi_parity_series(4, 3)
+    # the ring routes take (k, truncation, ring=Z), ring by position or name
+    for route in (cphi_series, phi_series_double_sum):
+        assert route(6, 5, CoefficientRing(3)) == route(6, 5, ring=CoefficientRing(3))
+        with pytest.raises(TypeError):
+            route(6, 5, EXACT, EXACT)
+        with pytest.raises(TypeError):
+            route(6, 5, modulus=EXACT)
+    assert phi_parity_series.__wrapped__.__name__ == "phi_parity_series"
+
+
 def test_partition_series():
     assert partition_series(5).coeffs == (1, 1, 2, 3, 5, 7)
     assert partition_series(0).coeffs == (1,)

@@ -65,6 +65,29 @@ def test_series_str(series, text):
     assert str(series) == text
 
 
+@pytest.mark.parametrize(
+    "ring, coeffs",
+    [(MOD2, [1, 0, 1, 1]), (CoefficientRing(25), [24, 3, 0, 7]),
+     (EXACT, [-5, 0, 2, 9]), (CoefficientRing(257), [256, 1, 0, 3])],
+    ids=str,
+)
+def test_prefix_is_the_checked_series_of_the_first_coefficients(ring, coeffs):
+    # a prefix is not checked again, so it must equal, and hash as, the
+    # series the constructor checks; at N it is the series itself
+    series = make_series(ring, 3, coeffs)
+    for n in range(3):
+        view = series.prefix(n)
+        checked = make_series(ring, n, coeffs[: n + 1])
+        assert type(view.coeffs) is type(checked.coeffs)
+        assert (view.ring, view.truncation) == (ring, n)
+        assert view == checked and hash(view) == hash(checked)
+    assert series.prefix(3) is series
+    with pytest.raises(ValueError, match="^truncation must be >= 0$"):
+        series.prefix(-1)
+    with pytest.raises(ValueError, match="outside window"):
+        series.prefix(4)
+
+
 def test_make_series_rejects_overlong():
     with pytest.raises(ValueError):
         make_series(EXACT, 1, [1, 2, 3])
