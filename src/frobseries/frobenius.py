@@ -209,13 +209,7 @@ def _keeps_last(default_ring: CoefficientRing):
     def wrap(route):
         def serve(k, truncation, ring, *args):
             held = _route_slot[0]
-            if (
-                held
-                and held[0] is route
-                and held[1] == k
-                and held[2] == ring
-                and truncation <= held[3].truncation
-            ):
+            if held and held[:3] == (route, k, ring) and truncation <= held[3].truncation:
                 return held[3].prefix(truncation)
             _route_slot[0] = held = None  # the old series is freed first
             series = route(k, truncation, *args)
