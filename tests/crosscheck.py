@@ -272,9 +272,8 @@ def _run_fresh(name, n):
     """The row at window n in a new process: {"ok", "seconds", "peak_rss_mb"}."""
     import subprocess  # imported here: it adds 0.5 MB to a plain run's peak RSS
 
-    import frobseries  # the child imports the package this process imported
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(frobseries.__file__)))
+    # the child imports the package this process imported
+    src = os.path.dirname(os.path.dirname(os.path.abspath(frobenius.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
