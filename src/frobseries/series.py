@@ -13,36 +13,40 @@ residues, which the kernels read and return as they are; in any other
 ring, as a tuple.
 
 Every route's denominator is an eta product prod_s E(q^s)^{e_s}, E(q) =
-(q;q)_inf, and :func:`eta_quotient` divides by it from the powers
-alone, from two planners.  In any other ring than Z/p^v <= 128 for a
-prime p <= 23, :func:`_eta_divisors` lists the denominator's sparse
-divisors, three copies of E as one cube and a pair as Gauss's phi(-q^s)
-E(q^{2s}), for :func:`_recurrence`, one recurrence per divisor.  Over
-Z/p^v <= 128, v >= 1, there is no recurrence: :func:`_kernel_quotient`
-runs the plan :func:`_eta_plan` writes over Z/p, products of dilations
-from Frobenius E(q^{s p^j}) = E(q^s)^{p^j} and Jacobi's cube E^3 = J,
-on one packed int in one call of the kernel :func:`_times_dilations`,
-and lifts that quotient one base-p digit at a time, each step j a
-kernel product by the divisors :func:`_eta_divisors` lists over
-Z/p^{j+1} and a kernel call on the Z/p plan; over Z/p it lifts
-nothing.  None builds a divisor series: the terms come from the
+(q;q)_inf, and :func:`eta_quotient` divides by it from the powers alone,
+from two planners.  In any other ring than Z/p^v <= 128 for a prime p <=
+23, :func:`_eta_divisors` lists the denominator's sparse monic divisors
+as term lists, three copies of E as one cube and a pair as Gauss's
+phi(-q^s) E(q^{2s}), for :func:`_recurrence`, one recurrence per
+divisor, which reads a divisor's terms by magnitude up to sign: a
+pentagonal divisor or phi(-q^s) is one group, two gathers per
+coefficient, and a segment where it is nothing else runs a one-line
+loop.  Over Z/p^v <= 128, v >= 1, there is no recurrence:
+:func:`_kernel_quotient` runs the plan :func:`_eta_plan` writes over
+Z/p, products of dilations from Frobenius E(q^{s p^j}) = E(q^s)^{p^j}
+and Jacobi's cube E^3 = J, on one packed int in one call of the kernel
+:func:`_times_dilations`, and lifts that quotient one base-p digit at a
+time, each step j a kernel product by the divisors :func:`_eta_divisors`
+lists over Z/p^{j+1} and a kernel call on the Z/p plan; over Z/p it
+lifts nothing.  None builds a divisor series: the terms come from the
 exponent lists :func:`pentagonal_exponents`,
 :func:`triangular_exponents` and :func:`gauss_exponents`, from which the
-sparse builders :func:`pentagonal_series`, :func:`triangular_cube_series`
-and :func:`gauss_theta_series` place theirs.  The packed kernel and its
-layout live here alone: the pair :func:`_pack` / :func:`_unpack` owns
-the layout, one bit per coefficient over Z/2 and one 16-bit slot over
-Z/m for 2 < m <= 128, and the builders that work on it, the parity
-route's :func:`eta_quotient_mod2` and cphi's z^0 theta row
-:func:`theta_constant_series`, return series.  Only the parity route
-reuses work, per bit length b of N: memos keyed by ints hold E(q) to
-q^{2^b - 1} and the plan of each step's 1/E(q^step) to that length, and
-a call shifts E to q^N and runs the whole plan; no series is kept.
-:func:`divide` by any divisor series is the recurrence in every ring,
-run in the order given, with no plan and no kernel: the independent
-reference the planned quotients are tested against.  The dense O(N^2)
-:func:`mul` and :func:`pochhammer` stay as the schoolbook and
-product-expansion references for the sparse forms.
+sparse builders :func:`pentagonal_series`,
+:func:`triangular_cube_series` and :func:`gauss_theta_series` place
+theirs.  The packed kernel and its layout live here alone: the pair
+:func:`_pack` / :func:`_unpack` owns the layout, one bit per coefficient
+over Z/2 and one 16-bit slot over Z/m for 2 < m <= 128, and the builders
+that work on it, the parity route's :func:`eta_quotient_mod2` and cphi's
+z^0 theta row :func:`theta_constant_series`, return series.  Only the
+parity route reuses work, per bit length b of N: memos keyed by ints
+hold E(q) to q^{2^b - 1} and the plan of each step's 1/E(q^step) to that
+length, and a call shifts E to q^N and runs the whole plan; no series is
+kept.  :func:`divide` by any divisor series makes each divisor monic and
+is the recurrence in every ring, run in the order given, with no plan
+and no kernel: the independent reference the planned quotients are
+tested against.  The dense O(N^2) :func:`mul` and :func:`pochhammer`
+stay as the schoolbook and product-expansion references for the sparse
+forms.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from math import isqrt
+from math import isqrt, prod
 from operator import itemgetter
 from typing import Sequence
 
@@ -231,72 +235,109 @@ def divide(a: TruncatedSeries, *divisors: TruncatedSeries) -> TruncatedSeries:
     product (q^{s_1};q^{s_1})_inf ... (q^{s_r};q^{s_r})_inf; a factor may
     repeat.  Each b_i must have a unit constant coefficient.
 
-    In every ring it is one :func:`_recurrence` call on the divisors'
-    nonzero terms, one recurrence per divisor in the order given, with no
-    kernel and no plan: the independent reference that
+    Each b_i is first made monic: its terms are scaled by b_0^{-1}, and a
+    once by the product of the b_0^{-1}, so the quotient is unchanged.
+    Then in every ring it is one :func:`_recurrence` call on the monic
+    divisors' nonzero terms, one recurrence per divisor in the order
+    given, with no kernel and no plan: the independent reference that
     :func:`eta_quotient`, which the routes call, is tested against.
     """
     for b in divisors:
         _check_compatible(a, b)
-    inverses = [a.ring.unit_inverse(b.coeffs[0]) for b in divisors]
-    factors = [
-        ([(i, c) for i, c in enumerate(b.coeffs) if c and i], inv0)
-        for b, inv0 in zip(divisors, inverses)
+    ring = a.ring
+    inverses = [ring.unit_inverse(b.coeffs[0]) for b in divisors]
+    scale = ring.normalize(prod(inverses))
+    if scale != 1:
+        a = TruncatedSeries(ring, a.truncation, [scale * c for c in a.coeffs])
+    monic = [
+        [(i, ring.normalize(inverse * c)) for i, c in enumerate(b.coeffs) if c and i]
+        for b, inverse in zip(divisors, inverses)
     ]
-    return _recurrence(a, factors)
+    return _recurrence(a, monic)
 
 
-def _recurrence(a: TruncatedSeries, factors: list) -> TruncatedSeries:
-    """a / (b_1 * ... * b_r) by one recurrence per factor, in any ring.
+def _recurrence(a: TruncatedSeries, divisors: list) -> TruncatedSeries:
+    """a / (b_1 * ... * b_r) by one recurrence per monic divisor, in any ring.
 
-    ``factors`` holds a pair (terms, b_0^{-1}) per b_i, ``terms`` the
-    nonzero terms (i, b_i) with 1 <= i <= N in ascending order.  Each
-    factor is c_m = b_0^{-1} (a_m - sum_{i>=1, b_i != 0} b_i c_{m-i}),
-    over b's nonzero terms only.  ``out`` grows by append, so c_{m-i} is
-    ``out[-i]``, and b's active terms (i <= m) are grouped by coefficient
-    value: each group of two or more is one ``itemgetter`` of negative
-    indices, so c * sum(getter(out)) gathers and adds the whole group in
-    C.  The groups change only at b's term indices and are rebuilt there.
-    A pentagonal divisor gives two groups over Z; the cube's terms all
-    differ over Z, so there each is a group of one.  The factors run in
-    the order given: the quotient is unique, so the order changes only
-    the cost, and :func:`_eta_divisors` picks it.
+    ``divisors`` holds per b_i the list of its nonzero terms (i, b_i) with
+    1 <= i <= N, in ascending order, for b_0 = 1.  Each divisor is c_m =
+    a_m - sum_{i>=1, b_i != 0} b_i c_{m-i}, over b's nonzero terms only.
+    ``out`` grows by append, so c_{m-i} is ``out[-i]``, and b's active
+    terms (i <= m) are grouped by magnitude up to sign: by |b_i| over Z
+    and by min(b_i, m - b_i) over Z/m.  A group v whose + and - sides
+    hold two or more terms each costs v * (sum(plus(out)) -
+    sum(minus(out))), ``plus`` and ``minus`` each one ``itemgetter`` of
+    negative indices, so both sides are gathered and added in C.  Any
+    other side of two or more terms is one signed gather, and a side of
+    one term is read directly, since itemgetter of one index returns the
+    item, not a tuple.  The reads change only at b's term indices, where
+    the new term's group is updated.  A pentagonal divisor (terms +-1) or
+    phi(-q) (+-2) is one group from its fourth term on; while a divisor is
+    one such group and nothing else, a segment between two term indices
+    runs a loop whose body is that one line, and any other shape runs
+    the general loop, the same recurrence.  The cube's terms all differ
+    in magnitude over Z, so there each is read on its own.  The divisors
+    run in the order given: the quotient is unique, so the order changes
+    only the cost, and :func:`_eta_divisors` picks it.
 
-    The recurrence costs O(N * nnz(b)) element reads per factor, done in
-    C, and per coefficient one Python step per group, then one
-    multiplication by b_0^{-1} and, in a modular ring only, one
-    reduction.  On CPython 3.11 that about halves a pentagonal division at
-    N = 2000; below N ~ 120 building the getters costs a few microseconds
-    more than it saves.
+    The recurrence costs O(N * nnz(b)) element reads per divisor, done in
+    C, and per coefficient one Python step per group or lone side and, in
+    a modular ring only, one reduction.  On CPython 3.11 that about
+    halves a pentagonal division at N = 2000; below N ~ 120 building the
+    getters costs a few microseconds more than it saves.
     """
     ring, n = a.ring, a.truncation
     modulus = ring.modulus
     coeffs = a.coeffs
-    for terms, inv0 in factors:
+    for terms in divisors:
         out = ring.zeros(0)  # c_0, c_1, ... in the ring's storage
-        # value -> negative indices of the active terms with that value; a
-        # group of one is read directly, since itemgetter of one index
-        # returns the item, not a tuple
-        groups: dict[int, list[int]] = {}
-        gathers: list = []  # (value, itemgetter) per group of two or more
-        singles: list = []  # (value, index) per group of one
+        # magnitude -> (negative indices of the + terms, of the - terms)
+        groups: dict[int, tuple[list[int], list[int]]] = {}
+        # the reads, each keyed by its group's magnitude or by its side's
+        # signed value: (magnitude, plus, minus) per group of two full
+        # sides, (signed value, itemgetter) per other side of two or more
+        # terms, (signed value, index) per side of one
+        pairs: dict = {}
+        gathers: dict = {}
+        singles: dict = {}
         for i, c in [*terms, (n + 1, 0)]:
             # c_m for m < i: the active terms are those below i
-            for m in range(len(out), i):
-                acc = coeffs[m]
-                for value, get in gathers:
-                    acc -= value * sum(get(out))
-                for value, j in singles:
-                    acc -= value * out[j]
-                acc = inv0 * acc
-                out.append(acc if modulus is None else acc % modulus)
+            paired, gathered = [*pairs.values()], [*gathers.values()]
+            single = [*singles.values()]
+            if len(paired) == 1 and not gathered and not single:
+                ((value, plus, minus),) = paired
+                for m in range(len(out), i):
+                    acc = coeffs[m] - value * (sum(plus(out)) - sum(minus(out)))
+                    out.append(acc if modulus is None else acc % modulus)
+            else:
+                for m in range(len(out), i):
+                    acc = coeffs[m]
+                    for value, plus, minus in paired:
+                        acc -= value * (sum(plus(out)) - sum(minus(out)))
+                    for value, get in gathered:
+                        acc -= value * sum(get(out))
+                    for value, j in single:
+                        acc -= value * out[j]
+                    out.append(acc if modulus is None else acc % modulus)
             if i > n:
                 break
-            groups.setdefault(c, []).append(-i)
-            gathers = [
-                (v, itemgetter(*js)) for v, js in groups.items() if len(js) > 1
-            ]
-            singles = [(v, js[0]) for v, js in groups.items() if len(js) == 1]
+            if modulus is None:
+                value, negative = abs(c), c < 0
+            else:
+                value, negative = min(c, modulus - c), c > modulus - c
+            plus, minus = groups.setdefault(value, ([], []))
+            (minus if negative else plus).append(-i)
+            for signed in (value, -value):
+                gathers.pop(signed, None)
+                singles.pop(signed, None)
+            if len(plus) > 1 and len(minus) > 1:
+                pairs[value] = (value, itemgetter(*plus), itemgetter(*minus))
+                continue
+            for signed, js in ((value, plus), (-value, minus)):
+                if len(js) > 1:
+                    gathers[signed] = (signed, itemgetter(*js))
+                elif js:
+                    singles[signed] = (signed, js[0])
         coeffs = out
     return TruncatedSeries(ring, n, coeffs)
 
@@ -581,7 +622,7 @@ def _kernel_quotient(a: TruncatedSeries, powers: dict[int, int], p: int) -> byte
         modulus = scale * p
         product = [
             ([(0, 1), *terms], 1)
-            for terms, _ in _eta_divisors(CoefficientRing(modulus), n, powers)
+            for terms in _eta_divisors(CoefficientRing(modulus), n, powers)
         ]
         image = _times_dilations(_pack(quotient, modulus), product, n, modulus)
         # a_i + m per byte, made only when a lift step runs
@@ -663,14 +704,18 @@ def _eta_plan(powers: dict[int, int], p: int, truncation: int) -> list:
 def _eta_divisors(
     ring: CoefficientRing, truncation: int, powers: dict[int, int]
 ) -> list:
-    """Divisors whose product is prod_s E(q^s)^{powers[s]}, as
-    :func:`_recurrence` takes them: (terms, 1), with no series built.
-    :func:`_kernel_quotient` multiplies by the same divisors, their q^0
-    terms put back, at each lift step.
+    """Monic divisors whose product is prod_s E(q^s)^{powers[s]}, as
+    :func:`_recurrence` takes them: one list per divisor of its nonzero
+    terms past q^0, with no series built.  :func:`_kernel_quotient`
+    multiplies by the same divisors, their q^0 terms put back, at each
+    lift step.
 
     The recurrence reads every term of a divisor for each coefficient,
-    so fewer terms cost less.  Each three copies of E(q^s) are Jacobi's
-    cube J(q^s), listed once per step and only when used; a pair is
+    so fewer terms cost less, and it sums the terms of one magnitude up
+    to sign as one group: E(q^s) (+-1) and phi(-q^s) (+-2) are one group
+    each, and over Z the cube's terms are read one by one.  Each three
+    copies of E(q^s) are Jacobi's cube J(q^s), listed once per step and
+    only when used; a pair is
     Gauss's phi(-q^s) E(q^{2s}), whose E(q^{2s}) joins step 2s; a single
     copy is E(q^s).  So E(q)^2 E(q^2) is phi(-q) phi(-q^2) E(q^4): about
     2.53 sqrt(m) terms to read for q^m, not 3.31 sqrt(m).  The steps are
@@ -682,8 +727,8 @@ def _eta_divisors(
 
     def terms(listed, s):  # the nonzero terms past q^0, at q^{s e}
         if m is None:
-            return [(s * e, c) for e, c in listed[1:]], 1
-        return [(s * e, c % m) for e, c in listed[1:] if c % m], 1
+            return [(s * e, c) for e, c in listed[1:]]
+        return [(s * e, c % m) for e, c in listed[1:] if c % m]
 
     pending = {s: e for s, e in powers.items() if s <= n and e}
     divisors = []

@@ -19,6 +19,10 @@ two and its CI n, each BENCH_REPEATS times in a fresh process
 (``--at n NAME``), and writes the best seconds and the peak RSS of each
 run, with the least-squares growth exponent of seconds in n per row,
 the git sha, the Python version and the usable core count, to the file.
+Then it runs the first named row again in the same way, an A/A control
+of identical code, and writes the two best-of-BENCH_REPEATS results
+side by side per n under ``aa_repeat``: their spread is what a
+difference between two trees must exceed.
 """
 
 import argparse
@@ -86,13 +90,14 @@ def double_sum_mod_m(n):
     """Route: the double sum over Z/m.  Reference: over Z, reduced mod m.
 
     p <= 23 divides E^2 E(q^(k+1)) by Frobenius dilations, and 25 by
-    lifting the Z/5 quotient; 29 (bytes) and 257 (tuple) by the
-    recurrence, with Gauss pairs phi(-q^s) E(q^2s), as Z does.  Each m
-    for k = 1..5, so the step k + 1 of E(q^(k+1)) runs from 2 to 6.
+    lifting the Z/5 quotient; 29 and 6 (bytes), 257 and 1000 (tuples) by
+    the recurrence, with Gauss pairs phi(-q^s) E(q^2s), as Z does: over
+    Z/6 and Z/1000 the terms c and m - c of each divisor are one group.
+    Each m for k = 1..5, so the step k + 1 of E(q^(k+1)) runs from 2 to 6.
     """
     for k in range(1, 6):
         exact = phi_series_double_sum(k, n)
-        for m in (3, 5, 7, 11, 13, 29, 25, 257):
+        for m in (3, 5, 7, 11, 13, 29, 25, 257, 6, 1000):
             same = phi_series_double_sum(k, n, CoefficientRing(m)) == reduce_mod(exact, m)
             yield f"k={k} N={n} Z/{m} double sum == exact mod {m}", same
 
@@ -204,13 +209,16 @@ def cphi_mod_m(n):
 
     Over Z/m, m <= 128, the theta row is built on packed slots mod m.
     k = 5 divides by a cube, phi(-q) and E(q^2) over Z, by dilations over
-    Z/p and by lifting the Z/p quotient over Z/4, Z/9 and Z/25.  Over Z/p
-    for a prime p | k the route builds cphi_(k/p^v) at q^(p^v), and the
-    series over Z does not.
+    Z/p and by lifting the Z/p quotient over Z/4, Z/9 and Z/25, and by
+    the recurrence over Z/6 and Z/10, where the cube's residues pair up
+    by magnitude up to sign: 1 with 5 and 3 with itself over Z/6; 1 with
+    9, 3 with 7 and 5 with itself over Z/10.  Over Z/p for a prime p | k
+    the route builds cphi_(k/p^v) at q^(p^v), and the series over Z does
+    not.
     """
     for k in (2, 4, 5, 6, 9, 12, 30):
         exact = cphi_series(k, n)
-        for m in (2, 3, 4, 9, 13, 25):
+        for m in (2, 3, 4, 9, 13, 25, 6, 10):
             same = cphi_series(k, n, CoefficientRing(m)) == reduce_mod(exact, m)
             yield f"k={k} N={n} Z/{m} cphi == exact mod {m}", same
 
@@ -295,10 +303,30 @@ def _git_sha():
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def bench(rows, path):
-    """Time each row at three n in fresh processes and write the record to path.
+def _best_runs(row):
+    """The row at its three n, best of BENCH_REPEATS fresh runs per n.
 
-    Per n the fastest of BENCH_REPEATS runs is kept, with its peak RSS.
+    Returns whether every case of every run held, and per n the dict
+    {"n", "seconds", "peak_rss_mb"} of the fastest run.
+    """
+    ok, runs = True, []
+    for n in (row.tier1_n, round(math.sqrt(row.tier1_n * row.ci_n)), row.ci_n):
+        results = [_run_fresh(row.name, n) for _ in range(BENCH_REPEATS)]
+        ok = ok and all(result.pop("ok") for result in results)
+        best = min(results, key=lambda result: result["seconds"])
+        runs.append({"n": n, **best})
+        print(
+            f"{row.name} n={n}: {best['seconds']:.3f} s, "
+            f"peak RSS {best['peak_rss_mb']:.1f} MB",
+            flush=True,
+        )
+    return ok, runs
+
+
+def bench(rows, path):
+    """Time each row at three n in fresh processes, then the first row
+    again as an A/A control, and write the record to path.
+
     Returns whether every case of every run held.
     """
     record = {
@@ -310,26 +338,29 @@ def bench(rows, path):
     }
     ok = True
     for row in rows:
-        middle = round(math.sqrt(row.tier1_n * row.ci_n))
-        runs = []
-        for n in (row.tier1_n, middle, row.ci_n):
-            results = [_run_fresh(row.name, n) for _ in range(BENCH_REPEATS)]
-            ok = ok and all(result.pop("ok") for result in results)
-            best = min(results, key=lambda result: result["seconds"])
-            runs.append({"n": n, **best})
-            print(
-                f"{row.name} n={n}: {best['seconds']:.3f} s, "
-                f"peak RSS {best['peak_rss_mb']:.1f} MB",
-                flush=True,
-            )
+        held, runs = _best_runs(row)
+        ok = ok and held
         ns, seconds = [r["n"] for r in runs], [r["seconds"] for r in runs]
         record["rows"][row.name] = {
             "runs": runs,
             "growth_exp": growth_exponent(ns, seconds),
         }
+    held, repeat = _best_runs(rows[0])
+    first = record["rows"][rows[0].name]["runs"]
+    record["aa_repeat"] = {
+        "row": rows[0].name,
+        "runs": [
+            {
+                "n": a["n"],
+                "seconds": [a["seconds"], b["seconds"]],
+                "peak_rss_mb": [a["peak_rss_mb"], b["peak_rss_mb"]],
+            }
+            for a, b in zip(first, repeat)
+        ],
+    }
     with open(path, "w") as out:
         out.write(json.dumps(record, indent=2) + "\n")
-    return ok
+    return ok and held
 
 
 def main(argv):

@@ -66,13 +66,16 @@ def test_an_unknown_name_exits_before_any_row_runs(capsys):
 
 def test_bench_mode_writes_each_row_at_each_n(monkeypatch, tmp_path, capsys):
     # every n at the tier-1 n, so the three n are one and the slope is
-    # undefined; only the keys are checked, never the times
+    # undefined; only the keys are checked, never the times.  The first
+    # row runs twice, and the A/A repeat puts the two results side by side
     row = next(row for row in crosscheck.ROWS if row.name == "parity-route")
     monkeypatch.setattr(crosscheck, "ROWS", (row._replace(ci_n=row.tier1_n),))
     path = tmp_path / "BENCH.json"
     assert crosscheck.main(["--bench", str(path), "parity-route"]) == 0
     record = json.loads(path.read_text())
-    assert set(record) == {"git_sha", "python", "nproc", "repeats", "rows"}
+    assert set(record) == {
+        "git_sha", "python", "nproc", "repeats", "rows", "aa_repeat"
+    }
     assert record["repeats"] == crosscheck.BENCH_REPEATS
     assert list(record["rows"]) == ["parity-route"]
     bench = record["rows"]["parity-route"]
@@ -80,4 +83,13 @@ def test_bench_mode_writes_each_row_at_each_n(monkeypatch, tmp_path, capsys):
     assert [run["n"] for run in bench["runs"]] == [row.tier1_n] * 3
     assert all(set(run) == {"n", "seconds", "peak_rss_mb"} for run in bench["runs"])
     assert bench["growth_exp"] is None
-    assert len(capsys.readouterr().out.splitlines()) == 3
+    repeat = record["aa_repeat"]
+    assert set(repeat) == {"row", "runs"} and repeat["row"] == "parity-route"
+    assert [run["n"] for run in repeat["runs"]] == [row.tier1_n] * 3
+    for first, pair in zip(bench["runs"], repeat["runs"]):
+        assert set(pair) == {"n", "seconds", "peak_rss_mb"}
+        assert [pair[key][0] for key in ("seconds", "peak_rss_mb")] == [
+            first["seconds"], first["peak_rss_mb"]
+        ]
+        assert len(pair["seconds"]) == len(pair["peak_rss_mb"]) == 2
+    assert len(capsys.readouterr().out.splitlines()) == 6

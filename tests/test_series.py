@@ -161,30 +161,59 @@ def test_divide_rejects_mismatch_and_non_unit():
                 divide(a, good, good, bad)
 
 
-@pytest.mark.parametrize("modulus", [None, 2, 3, 4, 6, 25])
+@pytest.mark.parametrize("modulus", [None, 2, 3, 4, 5, 6, 25, 257, 1000])
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 300])
 def test_divide_undoes_mul_on_sparse_and_dense_divisors(modulus, n):
-    # divide gathers b's terms in groups of equal value that change at each
-    # term index: sparse divisors with one or several groups (pentagonal,
-    # step 5), groups of one (the cube over Z), a dense divisor, no terms
+    # divide makes each divisor monic and groups its terms by magnitude up
+    # to sign, |c| over Z and min(c, m - c) over Z/m, the groups changing
+    # at each term index: one group of both signs (pentagonal, step 5,
+    # phi(-q)'s +-2, and +-3 at the triangular numbers, over Z/6 the
+    # self-paired residue 3), a group of one sign (+1 at the triangular
+    # numbers), terms read one by one (the cube over Z), a pentagonal
+    # series that meets 3 q^30, so its one-group loop gives way to the
+    # general loop, a dense divisor and no terms; each also times a unit
+    # b_0 other than 1.  Over Z/257 and Z/1000 the series are tuples with
+    # residues above 256
     ring = CoefficientRing(modulus) if modulus else EXACT
     a = make_series(
         ring, n, [(7 * i * i - 3 * i + 11) * (-1) ** i for i in range(n + 1)]
     )
+
+    def sparse(terms):  # 1 + c q^i for each term (i, c) with i <= n
+        coeffs = [1] + [0] * n
+        for i, c in terms:
+            if i <= n:
+                coeffs[i] += c
+        return make_series(ring, n, coeffs)
+
+    triangular = [j * (j + 1) // 2 for j in range(1, n + 1)]
     euler, cube = pentagonal_series(ring, n), triangular_cube_series(ring, n)
     divisors = [
         euler,
         pentagonal_series(ring, n, 5),
         cube,
+        gauss_theta_series(ring, n),
+        sparse((t, 3 * (-1) ** j) for j, t in enumerate(triangular)),
+        sparse((t, 1) for t in triangular),
+        sparse([*pentagonal_exponents(n)[1:], (30, 3)]),
         pochhammer(ring, n, 1, 1),
         make_series(ring, n, [1]),
-        make_series(ring, n, [-1]),  # a unit other than 1, except in Z/2
     ]
-    for b in divisors:
+    # a unit b_0 other than 1, except in Z/2
+    unit = {None: -1, 3: 2, 4: 3, 5: 2, 6: 5, 25: 2, 257: 3, 1000: 3}.get(modulus, 1)
+    scaled = [
+        make_series(ring, n, [unit * c for c in b.coeffs]) for b in divisors
+    ]
+    for b in divisors + scaled:
         assert mul(b, divide(a, b)) == a
     # the routes' whole denominators in one call: the double sum's
-    # E E E(q^5) and cphi_7's cube cube E, as a chain of one-factor calls
-    for b1, b2, b3 in ((euler, euler, divisors[1]), (cube, cube, euler)):
+    # E E E(q^5) and cphi_7's cube cube E, as a chain of one-factor calls,
+    # and a chain of divisors whose units multiply
+    for b1, b2, b3 in (
+        (euler, euler, divisors[1]),
+        (cube, cube, euler),
+        (scaled[0], divisors[4], scaled[6]),
+    ):
         quotient = divide(a, b1, b2, b3)
         assert quotient == divide(divide(divide(a, b1), b2), b3)
         assert mul(b1, mul(b2, mul(b3, quotient))) == a
@@ -482,9 +511,9 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
     listing = frobseries.series.triangular_exponents
     divisors = frobseries.series._eta_divisors
 
-    def spy(a, factors):
-        seen.append([terms for terms, _ in factors])
-        return recurrence(a, factors)
+    def spy(a, divisors):
+        seen.append(list(divisors))
+        return recurrence(a, divisors)
 
     def kernel_spy(packed, factors, truncation, m):
         seen.append([step for _, step in factors])
@@ -541,7 +570,7 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
             assert all(factors == plan for factors, _ in kernel_calls[2::2]), k
             for factors, m in kernel_calls[1::2]:
                 listed = divisors(CoefficientRing(m), n, {1: k})
-                assert factors == [([(0, 1), *terms], 1) for terms, _ in listed], k
+                assert factors == [([(0, 1), *terms], 1) for terms in listed], k
         else:
             assert seen == [[[], [euler], pair][k % 3] + [cube] * (k // 3)], k
             assert len(cubes) == (k >= 3), k
