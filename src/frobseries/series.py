@@ -325,15 +325,15 @@ def _recurrence(a: TruncatedSeries, divisors: list) -> TruncatedSeries:
                 value, negative = abs(c), c < 0
             else:
                 value, negative = min(c, modulus - c), c > modulus - c
-            plus, minus = groups.setdefault(value, ([], []))
-            (minus if negative else plus).append(-i)
+            sides = groups.setdefault(value, ([], []))
+            sides[negative].append(-i)
             for signed in (value, -value):
                 gathers.pop(signed, None)
                 singles.pop(signed, None)
-            if len(plus) > 1 and len(minus) > 1:
-                pairs[value] = (value, itemgetter(*plus), itemgetter(*minus))
+            if len(sides[0]) > 1 and len(sides[1]) > 1:
+                pairs[value] = (value, itemgetter(*sides[0]), itemgetter(*sides[1]))
                 continue
-            for signed, js in ((value, plus), (-value, minus)):
+            for signed, js in zip((value, -value), sides):
                 if len(js) > 1:
                     gathers[signed] = (signed, itemgetter(*js))
                 elif js:

@@ -171,9 +171,9 @@ def test_divide_undoes_mul_on_sparse_and_dense_divisors(modulus, n):
     # self-paired residue 3), a group of one sign (+1 at the triangular
     # numbers), terms read one by one (the cube over Z), a pentagonal
     # series that meets 3 q^30, so its one-group loop gives way to the
-    # general loop, a dense divisor and no terms; each also times a unit
-    # b_0 other than 1.  Over Z/257 and Z/1000 the series are tuples with
-    # residues above 256
+    # general loop, a dense divisor and no terms; each also comes scaled by
+    # a unit b_0 other than 1.  Over Z/257 and Z/1000 the series are tuples
+    # with residues above 256
     ring = CoefficientRing(modulus) if modulus else EXACT
     a = make_series(
         ring, n, [(7 * i * i - 3 * i + 11) * (-1) ** i for i in range(n + 1)]
@@ -511,9 +511,9 @@ def test_euler_power_factors_follow_the_division_split(modulus, monkeypatch):
     listing = frobseries.series.triangular_exponents
     divisors = frobseries.series._eta_divisors
 
-    def spy(a, divisors):
-        seen.append(list(divisors))
-        return recurrence(a, divisors)
+    def spy(a, listed):
+        seen.append(list(listed))
+        return recurrence(a, listed)
 
     def kernel_spy(packed, factors, truncation, m):
         seen.append([step for _, step in factors])
