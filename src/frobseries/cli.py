@@ -11,12 +11,17 @@ text form of ``expand`` opens with a header naming the family, k, the
 truncation n, the coefficient ring and the route.
 
 Each command returns its payload and exit code, and ``main`` is the only
-writer.  The argument parser is built once per process and shared by
-every call.  Each ``verify`` suite has a sub-parser that takes its own
-flags, after the suite name, so a missing or foreign flag is an argparse
-usage error, reported under the usage line of the sub-command it
-reached.  Argument values are checked by the library, whose ValueError
-exits 2; the CLI itself checks only ``--jobs``.
+writer.  The argument parsers are built once per process and shared by
+every call.  ``main`` parses an argv once, with the one parser that its
+leading command words name (``verify main`` names the main suite's),
+which is the parser that argparse would hand the remaining arguments to
+from the top; each sub-command parser sets the fields its ancestors set,
+so the namespace is the one the top-level parse gives.  Each ``verify``
+suite has a sub-parser that takes its own flags, after the suite name,
+so a missing or foreign flag is an argparse usage error, reported under
+the usage line of the sub-command it reached.  Argument values are
+checked by the library, whose ValueError exits 2; the CLI itself checks
+only ``--jobs``.
 
 The --out path is opened once, for append, before any computation, so a
 directory, a missing parent or a permission error exits 2 at once and an
@@ -122,38 +127,30 @@ def _json_payload(doc: dict, args) -> str:
     return json.dumps(doc) + "\n"
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser that reports its own unknown arguments.
-
-    A sub-command's parser hands arguments it does not know up to its
-    parent, which would report them under the top-level usage line; here
-    the parser that owns the sub-command reports them, with its own.
-    ``add_subparsers`` makes its sub-parsers of the parent's class, so
-    every sub-command parser of the top-level one is a ``_Parser``.
-    """
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return namespace, extras
-
-
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the frobseries grammar, built on the first call.
+def _parsers() -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """Every parser of the frobseries grammar, under the command words that
+    reach it: () for the top-level one, ("expand",), ("verify",),
+    ("verify", "main") and so on.  Built on the first call.
 
-    Every call returns the same object, shared by all callers in the
-    process, so callers must not change it (no add_argument, set_defaults
-    or similar).  parse_args leaves it unchanged and returns a new
-    namespace each time.
+    Each sub-command parser also sets, as defaults, the fields its
+    ancestors set (``command``, ``suite``, ``func``), so parsing the
+    arguments after its words gives the namespace that the top-level
+    parser gives for the whole argv.
     """
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="frobseries",
         description="Truncated q-series toolkit for generalized Frobenius "
         "partition congruences",
     )
+    parsers = {(): parser}
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(subparsers, *words, fields, **kwargs):
+        """subparsers' parser for words[-1], recorded under words."""
+        parsers[words] = subparsers.add_parser(words[-1], **kwargs)
+        parsers[words].set_defaults(**fields)
+        return parsers[words]
 
     # every command takes --out; only the JSON writers take --no-timestamp
     output = argparse.ArgumentParser(add_help=False)
@@ -165,8 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress the timestamp field in JSON output",
     )
 
-    p_expand = sub.add_parser(
-        "expand", parents=[stamped], help="expand a generating function"
+    p_expand = add(
+        sub, "expand",
+        fields={"command": "expand", "func": cmd_expand},
+        parents=[stamped], help="expand a generating function",
     )
     p_expand.add_argument("--family", choices=frobenius.FAMILIES, required=True)
     p_expand.add_argument("--k", type=int, required=True)
@@ -175,10 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument(
         "--format", choices=("json", "csv", "text"), default="text"
     )
-    p_expand.set_defaults(func=cmd_expand)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.set_defaults(func=cmd_verify)
+    verify = {"command": "verify", "func": cmd_verify}
+    p_verify = add(sub, "verify", fields=verify, help="run a verification suite")
     # no abbreviations, so main's foreign --p is not read as --primes; each
     # run looks up congruences.<suite> at call time, so it sees a rebinding
     shared = argparse.ArgumentParser(add_help=False, parents=[stamped])
@@ -189,11 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="accepted (must be >= 1) but unused: claims run in one thread",
     )
-    suite = functools.partial(
-        p_verify.add_subparsers(dest="suite", required=True).add_parser,
-        parents=[shared],
-        allow_abbrev=False,
-    )
+    suites = p_verify.add_subparsers(dest="suite", required=True)
+
+    def suite(name, help):
+        return add(
+            suites, "verify", name, fields={**verify, "suite": name},
+            parents=[shared], allow_abbrev=False, help=help,
+        )
 
     s = suite("main", help="phi_{p*ell-1}(pn+r) = 0 mod 2, 24r+1 a nonresidue")
     s.add_argument("--primes", type=_int_list, required=True)
@@ -219,29 +219,46 @@ def build_parser() -> argparse.ArgumentParser:
         )
     )
 
-    p_oracle = sub.add_parser(
-        "oracle",
-        parents=[output],
-        help="brute-force count with series cross-check",
+    p_oracle = add(
+        sub, "oracle",
+        fields={"command": "oracle", "func": cmd_oracle},
+        parents=[output], help="brute-force count with series cross-check",
     )
     p_oracle.add_argument("--family", choices=frobenius.FAMILIES, required=True)
     p_oracle.add_argument("--k", type=int, required=True)
     p_oracle.add_argument("--weight", type=int, required=True)
-    p_oracle.set_defaults(func=cmd_oracle)
 
-    p_res = sub.add_parser(
-        "residues", parents=[output], help="eligible residue table for a prime"
+    p_res = add(
+        sub, "residues",
+        fields={"command": "residues", "func": cmd_residues},
+        parents=[output], help="eligible residue table for a prime",
     )
     p_res.add_argument("--p", type=int, required=True)
-    p_res.set_defaults(func=cmd_residues)
 
-    return parser
+    return parsers
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser of the frobseries grammar, built on the first
+    call.
+
+    Every call returns the same object, shared by all callers in the
+    process, so callers must not change it (no add_argument, set_defaults
+    or similar).  parse_args leaves it unchanged and returns a new
+    namespace each time.
+    """
+    return _parsers()[()]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # argparse hands a sub-command every argument after its name, so the
+    # parser that the leading command words name parses the rest alone
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parsers, words = _parsers(), ()
+    while len(words) < len(argv) and words + (argv[len(words)],) in parsers:
+        words += (argv[len(words)],)
     try:
-        args = parser.parse_args(argv)
+        args = parsers[words].parse_args(argv[len(words):])
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; keep its code
         return exc.code if exc.code is not None else EXIT_USAGE

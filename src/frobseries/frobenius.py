@@ -15,7 +15,9 @@ Three independent routes are implemented:
   z^0 row of theta(z)^k is divided.  That row,
   ``series.theta_constant_series``, is built on packed integers from t
   base rows per power theta^t, since theta(zq) = z^-1 q^-1 theta(z)
-  makes every other z row a q-shift of one of them.  Over Z/p for a
+  makes every other z row a q-shift of one of them, and about half of
+  those are built, since theta(1/z) = z theta(z) makes each other one
+  the mirror of a built one.  Over Z/p for a
   prime p dividing k it first strips the p-part p^v of k: by Frobenius,
   cphi_k = cphi_{k/p^v}(q^{p^v}) mod p, so the row and the division are
   those of k/p^v to N // p^v.  The identity fails mod p^e for e > 1, so

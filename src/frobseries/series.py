@@ -808,9 +808,11 @@ def theta_constant_series(
     theta(zq) = z^-1 q^-1 theta(z), so the z rows R_j of theta^t satisfy
     R_{b+st} = q^{sb + ts(s+1)/2} R_b: only the t base rows b in (-t, 0]
     are kept, and on that window every such shift is >= 0, so truncating
-    a base row loses nothing.  Step t -> t+1 builds its t+1 base rows as
-    R'_c = sum_m q^{m(m+1)/2} R_{c-m}, one shifted add per theta term; the
-    last step builds only c = 0.
+    a base row loses nothing.  Step t -> t+1 builds the base rows
+    c >= -floor((t+1)/2) of its t+1 as R'_c = sum_m q^{m(m+1)/2} R_{c-m},
+    one shifted add per theta term.  theta(1/z) = z theta(z) gives
+    R'_c = R'_{-c-t-1}, so each other base row is its partner's int
+    object, not a copy.  The last step builds only c = 0.
 
     A row is one int laid out as by :func:`_pack`, and the layout follows
     from the modulus alone.  Over Z/m for m <= 128 the row is built mod m:
@@ -843,8 +845,9 @@ def theta_constant_series(
     rows = [1 << n * slot]  # rows[b + t - 1] is R_b of theta^t, b in (-t, 0]
     terms = theta_exponents(n)
     for t in range(1, k):
-        new_rows = []
-        for c in range(-t if t + 1 < k else 0, 1):
+        half = (t + 1) // 2 if t + 1 < k else 0  # the last step builds c = 0
+        built = []  # built[j] is R'_(j - half)
+        for c in range(-half, 1):
             row = top = 0
             for m, dq in terms:
                 s = -((m - c) // t)  # c - m = b + s*t with b in (-t, 0]
@@ -862,8 +865,9 @@ def theta_constant_series(
                 top += bound
             if bound and t + 1 < k:  # _unpack reduces the last row
                 row = _reduced(row, n, modulus)
-            new_rows.append(row)
-        rows = new_rows
+            built.append(row)
+        # each c < -half takes the int object of its mirror -c-t-1
+        rows = built[2 * half - t : half][::-1] + built
     if packed:
         return TruncatedSeries(ring, n, _unpack(rows[-1], n, modulus))
     width = slot // 8

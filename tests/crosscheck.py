@@ -23,6 +23,14 @@ Then it runs the first named row again in the same way, an A/A control
 of identical code, and writes the two best-of-BENCH_REPEATS results
 side by side per n under ``aa_repeat``: their spread is what a
 difference between two trees must exceed.
+
+    python tests/crosscheck.py --bench FILE --against DIR NAME [NAME ...]
+
+compares this tree with the checkout at DIR: the rows of this file run
+on DIR's ``src/`` as well, each fresh run of this tree followed by one
+of DIR's, and each row's ``runs`` hold, per n, the best seconds and the
+peak RSS of both, this tree first, as its ``growth_exp`` holds both
+slopes.  The file also names DIR's git sha.
 """
 
 import argparse
@@ -276,12 +284,15 @@ def growth_exponent(ns, seconds):
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
 
 
-def _run_fresh(name, n):
-    """The row at window n in a new process: {"ok", "seconds", "peak_rss_mb"}."""
+# the src/ directory of the package this process imported
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(frobenius.__file__)))
+
+
+def _run_fresh(name, n, src):
+    """The row at window n in a new process that imports the package from
+    src: {"ok", "seconds", "peak_rss_mb"}."""
     import subprocess  # imported here: it adds 0.5 MB to a plain run's peak RSS
 
-    # the child imports the package this process imported
-    src = os.path.dirname(os.path.dirname(os.path.abspath(frobenius.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
@@ -290,73 +301,98 @@ def _run_fresh(name, n):
     )
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"{name} at n={n} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if result.pop("src") != os.path.realpath(src):
+        raise RuntimeError(f"{name} at n={n} imported the package from elsewhere")
+    return result
 
 
-def _git_sha():
+def _git_sha(root):
     import subprocess
 
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True
     )
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def _best_runs(row):
-    """The row at its three n, best of BENCH_REPEATS fresh runs per n.
+def _best_runs(row, sources):
+    """The row at its three n, best of BENCH_REPEATS fresh runs per n and
+    source, one run of each source in turn.
 
-    Returns whether every case of every run held, and per n the dict
-    {"n", "seconds", "peak_rss_mb"} of the fastest run.
+    Returns whether every case of every run held, and per source, per n
+    the dict {"n", "seconds", "peak_rss_mb"} of the fastest run.
     """
-    ok, runs = True, []
+    ok, sides = True, [[] for _ in sources]
     for n in (row.tier1_n, round(math.sqrt(row.tier1_n * row.ci_n)), row.ci_n):
-        results = [_run_fresh(row.name, n) for _ in range(BENCH_REPEATS)]
-        ok = ok and all(result.pop("ok") for result in results)
-        best = min(results, key=lambda result: result["seconds"])
-        runs.append({"n": n, **best})
+        results = [[] for _ in sources]
+        for _ in range(BENCH_REPEATS):
+            for src, found in zip(sources, results):
+                found.append(_run_fresh(row.name, n, src))
+        for found, runs in zip(results, sides):
+            ok = ok and all(result.pop("ok") for result in found)
+            best = min(found, key=lambda result: result["seconds"])
+            runs.append({"n": n, **best})
         print(
-            f"{row.name} n={n}: {best['seconds']:.3f} s, "
-            f"peak RSS {best['peak_rss_mb']:.1f} MB",
+            f"{row.name} n={n}: "
+            + " vs ".join(f"{runs[-1]['seconds']:.3f} s" for runs in sides)
+            + ", peak RSS "
+            + " vs ".join(f"{runs[-1]['peak_rss_mb']:.1f} MB" for runs in sides),
             flush=True,
         )
-    return ok, runs
+    return ok, sides
 
 
-def bench(rows, path):
-    """Time each row at three n in fresh processes, then the first row
-    again as an A/A control, and write the record to path.
+def _side_by_side(sides):
+    """Per n, the runs of each side as {"n", "seconds", "peak_rss_mb"}
+    with one value per side."""
+    return [
+        {
+            "n": runs[0]["n"],
+            "seconds": [run["seconds"] for run in runs],
+            "peak_rss_mb": [run["peak_rss_mb"] for run in runs],
+        }
+        for runs in zip(*sides)
+    ]
+
+
+def bench(rows, path, against=None):
+    """Time each row at three n in fresh processes, on this tree and, if
+    against names a checkout, on its src/ too; then the first row again on
+    this tree as an A/A control, and write the record to path.
 
     Returns whether every case of every run held.
     """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     record = {
-        "git_sha": _git_sha(),
+        "git_sha": _git_sha(root),
         "python": sys.version.split()[0],
         "nproc": len(os.sched_getaffinity(0)),
         "repeats": BENCH_REPEATS,
         "rows": {},
     }
-    ok = True
+    sources = [SRC]
+    if against is not None:
+        record["against_git_sha"] = _git_sha(against)
+        sources.append(os.path.join(against, "src"))
+    ok, here = True, {}
     for row in rows:
-        held, runs = _best_runs(row)
+        held, sides = _best_runs(row, sources)
         ok = ok and held
-        ns, seconds = [r["n"] for r in runs], [r["seconds"] for r in runs]
-        record["rows"][row.name] = {
-            "runs": runs,
-            "growth_exp": growth_exponent(ns, seconds),
-        }
-    held, repeat = _best_runs(rows[0])
-    first = record["rows"][rows[0].name]["runs"]
+        here[row.name] = sides[0]
+        slopes = [
+            growth_exponent([r["n"] for r in runs], [r["seconds"] for r in runs])
+            for runs in sides
+        ]
+        record["rows"][row.name] = (
+            {"runs": sides[0], "growth_exp": slopes[0]}
+            if against is None
+            else {"runs": _side_by_side(sides), "growth_exp": slopes}
+        )
+    held, (repeat,) = _best_runs(rows[0], [SRC])
     record["aa_repeat"] = {
         "row": rows[0].name,
-        "runs": [
-            {
-                "n": a["n"],
-                "seconds": [a["seconds"], b["seconds"]],
-                "peak_rss_mb": [a["peak_rss_mb"], b["peak_rss_mb"]],
-            }
-            for a, b in zip(first, repeat)
-        ],
+        "runs": _side_by_side([here[rows[0].name], repeat]),
     }
     with open(path, "w") as out:
         out.write(json.dumps(record, indent=2) + "\n")
@@ -366,6 +402,7 @@ def bench(rows, path):
 def main(argv):
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--bench")
+    parser.add_argument("--against")
     parser.add_argument("--at", type=int)
     parser.add_argument("names", nargs="*")
     args = parser.parse_args(argv)
@@ -374,16 +411,26 @@ def main(argv):
     unknown = [name for name in names if name not in rows]
     if unknown:
         print(f"unknown rows: {' '.join(unknown)}", file=sys.stderr)
-    if not names or unknown:
-        usage = "usage: python tests/crosscheck.py [--bench FILE] NAME [NAME ...]"
+    lone_against = args.against is not None and not args.bench
+    if lone_against:
+        print("--against needs --bench", file=sys.stderr)
+    if not names or unknown or lone_against:
+        usage = (
+            "usage: python tests/crosscheck.py [--bench FILE [--against DIR]] "
+            "NAME [NAME ...]"
+        )
         print(f"{usage}\nrows: {' '.join(rows)}", file=sys.stderr)
         return 2
     if args.bench:
-        return 0 if bench([rows[name] for name in names], args.bench) else 1
+        held = bench([rows[name] for name in names], args.bench, args.against)
+        return 0 if held else 1
     if args.at is not None:
         (name,) = names
         held, seconds = run(rows[name], args.at)
-        print(json.dumps({"ok": held, "seconds": seconds, "peak_rss_mb": peak_rss_mb()}))
+        src = os.path.realpath(SRC)
+        print(json.dumps(
+            {"ok": held, "seconds": seconds, "peak_rss_mb": peak_rss_mb(), "src": src}
+        ))
         return 0 if held else 1
     results = [run(rows[name], rows[name].ci_n)[0] for name in names]
     return 0 if all(results) else 1

@@ -1,3 +1,5 @@
+import argparse
+import importlib
 import itertools
 import json
 import os
@@ -14,6 +16,8 @@ import frobseries.series
 from frobseries import cli, congruences, frobenius
 from frobseries.series import CoefficientRing, make_series
 from test_frobenius import _clear_parity_memos
+
+ROOT = Path(__file__).resolve().parents[1]
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -286,6 +290,109 @@ def test_verify_foreign_flag_exits_two(argv, capsys):
     words = itertools.takewhile(lambda arg: not arg.startswith("-"), argv)
     usage = f"usage: frobseries {' '.join(words)} [-h]"
     assert captured.err.startswith(usage), captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        ([], "frobseries"),
+        (["bogus"], "frobseries"),
+        (["verify"], "frobseries verify"),
+        (["verify", "bogus"], "frobseries verify"),
+        (["verify", "main", "main"], "frobseries verify main"),
+        (["expand", "--", "--family"], "frobseries expand"),
+    ],
+)
+def test_usage_error_is_reported_under_the_parser_it_reached(argv, usage, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: {usage} [-h]"), captured.err
+
+
+COMMAND_WORDS = {
+    (), ("expand",), ("verify",), ("oracle",), ("residues",),
+    ("verify", "main"), ("verify", "cphi-even"), ("verify", "p-squared"),
+    ("verify", "gs-lift"),
+}
+
+
+def test_each_parser_is_recorded_under_the_words_that_reach_it():
+    parsers = cli._parsers()
+    assert set(parsers) == COMMAND_WORDS
+    assert parsers[()] is cli.build_parser()
+    for words, parser in parsers.items():
+        assert parser.prog == " ".join(["frobseries", *words])
+
+
+@pytest.mark.parametrize(
+    "words", sorted(COMMAND_WORDS), ids=lambda words: " ".join(words) or "top"
+)
+def test_help_at_each_level_prints_that_level_usage(words, capsys):
+    code, out = run([*words, "-h"], capsys)
+    assert code == 0
+    assert out.startswith(" ".join(["usage: frobseries", *words, "[-h]"])), out
+
+
+def _documented_argv():
+    """argv of each frobseries call in README's CLI block and in CI."""
+    readme = (ROOT / "README.md").read_text().splitlines()
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    lines = [line for line in readme if line.startswith("frobseries ")]
+    lines += [
+        line for line in workflow.replace("\\\n", " ").splitlines()
+        if "frobseries " in line
+    ]
+    # the call ends at a comment, a pipe, a redirect or a closing $( )
+    return [
+        re.split(r"[#|>)]", line.split("frobseries ", 1)[1])[0].split()
+        for line in lines
+    ]
+
+
+def _benchmark_argv(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    workloads = importlib.import_module("perfbench.workloads")
+    return [
+        workloads.full_argv(template, 2, "out.json")
+        for name in workloads.WORKLOADS
+        for variant in range(workloads.VARIANTS)
+        for template in workloads.templates(workloads.rungs(name, variant))
+    ]
+
+
+def test_main_parses_once_into_the_namespace_of_the_whole_tree(monkeypatch):
+    # main parses with the parser its command words name, once; the
+    # namespace equals the one the top-level parser gives for the argv
+    documented, benchmark = _documented_argv(), _benchmark_argv(monkeypatch)
+    # 8 README calls and 3 CI calls; 4 variants of 3 rungs of 1, 3 and 3 calls
+    assert len(documented) == 11 and len(benchmark) == 4 * 3 * (1 + 3 + 3)
+    parse_args = argparse.ArgumentParser.parse_args
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    for argv in documented + benchmark:
+        parsed, parses = [], []
+
+        def counted(parser, *args, **kwargs):
+            parses.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        def stop(parser, *args, **kwargs):
+            # record the namespace, then exit before the command runs
+            parsed.append(parse_args(parser, *args, **kwargs))
+            raise SystemExit(0)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+            patch.setattr(argparse.ArgumentParser, "parse_args", stop)
+            assert cli.main(argv) == 0, argv
+        words = itertools.takewhile(lambda arg: not arg.startswith("-"), argv)
+        assert parses == [" ".join(["frobseries", *words])], argv
+        tree = cli.build_parser().parse_args(argv)
+        assert vars(parsed[0]) == vars(tree), argv
+        assert tree.func is {"expand": cli.cmd_expand, "verify": cli.cmd_verify,
+                             "oracle": cli.cmd_oracle,
+                             "residues": cli.cmd_residues}[tree.command]
 
 
 SUITE_FLAGS = {

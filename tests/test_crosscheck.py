@@ -10,7 +10,8 @@ import crosscheck
 from frobseries.frobenius import phi_parity_series
 from frobseries.series import MOD2, make_series
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 @pytest.mark.parametrize("row", crosscheck.ROWS, ids=lambda row: row.name)
@@ -93,3 +94,39 @@ def test_bench_mode_writes_each_row_at_each_n(monkeypatch, tmp_path, capsys):
         ]
         assert len(pair["seconds"]) == len(pair["peak_rss_mb"]) == 2
     assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+def test_bench_against_a_checkout_puts_both_trees_side_by_side(
+    monkeypatch, tmp_path, capsys
+):
+    # against this same checkout: each n holds this tree's best run and the
+    # checkout's, in that order, and the A/A repeat stays this tree's alone
+    row = next(row for row in crosscheck.ROWS if row.name == "parity-route")
+    monkeypatch.setattr(crosscheck, "ROWS", (row._replace(ci_n=row.tier1_n),))
+    path = tmp_path / "BENCH.json"
+    argv = ["--bench", str(path), "--against", str(ROOT), "parity-route"]
+    assert crosscheck.main(argv) == 0
+    record = json.loads(path.read_text())
+    assert set(record) == {
+        "git_sha", "against_git_sha", "python", "nproc", "repeats", "rows",
+        "aa_repeat",
+    }
+    assert record["against_git_sha"] == record["git_sha"]
+    bench = record["rows"]["parity-route"]
+    assert set(bench) == {"runs", "growth_exp"}
+    assert bench["growth_exp"] == [None, None]
+    for runs in (bench["runs"], record["aa_repeat"]["runs"]):
+        assert [run["n"] for run in runs] == [row.tier1_n] * 3
+        for run in runs:
+            assert set(run) == {"n", "seconds", "peak_rss_mb"}
+            assert len(run["seconds"]) == len(run["peak_rss_mb"]) == 2
+    for both, pair in zip(bench["runs"], record["aa_repeat"]["runs"]):
+        assert pair["seconds"][0] == both["seconds"][0]
+    assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+def test_against_without_bench_exits_before_any_row_runs(capsys):
+    assert crosscheck.main(["--against", str(ROOT), "parity-route"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--against needs --bench" in captured.err

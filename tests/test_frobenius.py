@@ -396,6 +396,23 @@ def test_theta_constant_row_matches_all_row_reference():
             assert theta_constant_series(EXACT, n, k).coeffs == want, (k, n)
 
 
+def test_theta_constant_row_mirror_against_the_colored_product():
+    # the base rows c < -floor(t/2) of theta^t are their mirrors -c-t; the
+    # row against cg_product's z^0 row times E(q)^k, built from every z row
+    # with no mirror, reduced into rings of every layout (bytes, packed
+    # slots mod m, B-bit slots over Z), at both parities of t
+    for n in (0, 1, 2, 5, 30):
+        euler = pentagonal_series(EXACT, n)
+        for k in range(1, 14):
+            exact = cg_product(k, n).constant_term()
+            for _ in range(k):
+                exact = mul(exact, euler)
+            assert theta_constant_series(EXACT, n, k) == exact, (k, n)
+            for m in (2, 3, 4, 25, 128, 257, 1000):
+                got = theta_constant_series(CoefficientRing(m), n, k)
+                assert got == reduce_mod(exact, m), (k, n, m)
+
+
 def test_theta_constant_row_lattice_identities():
     # [z^0] theta^k sums q^{|m|^2/2} over m in Z^k with sum 0; m -> -m
     # pairs all but m = 0, so the row is 1 mod 2, and theta^k =
@@ -506,11 +523,15 @@ def test_odd_p_theta_row_reduces_mid_sum(monkeypatch):
         for m in (*SMALL_PRIMES[1:], 4, 9, 25, 128):
             want[k, m] = reduce_mod(exact, m)
             assert cphi_series(k, n, CoefficientRing(m)) == want[k, m]
-    # with no mid-sum reduction, step t reduces each of its t + 1 base rows
-    # once, and the last step's one row is reduced by the final unpack; the
-    # row of theta^1 is 1, with no step and no unpack
+    # with no mid-sum reduction, step t reduces each base row it builds
+    # once, t // 2 + 1 of its t (the others are mirrors), and the last
+    # step's one row is reduced by the final unpack; the row of theta^1 is
+    # 1, with no step and no unpack
     base_rows = row_reductions()
-    assert base_rows == {(k, m): (k > 1) + sum(range(2, k)) for k, m in want}
+    assert base_rows == {
+        (k, m): (k > 1) + sum(t // 2 + 1 for t in range(2, k)) for k, m in want
+    }
+    assert base_rows[9, 3] == 24
     monkeypatch.setattr(frobseries.series, "_SLOT_MAX", 40)
     for (k, m), series in want.items():
         frobseries.frobenius._route_slot[0] = None
