@@ -12,25 +12,19 @@ runs the named rows at their CI n, in the order given.  It prints
 process's peak RSS, and exits 1 if any case is False.  An unknown name
 exits 2 before any row runs.  pytest does not collect this module.
 
-    python tests/crosscheck.py --bench BENCH_<pr>.json NAME [NAME ...]
+    python tests/crosscheck.py --bench BENCH_<pr>.json [--against DIR] NAME [NAME ...]
 
 runs each named row at three n, its tier-1 n, the geometric mean of the
-two and its CI n, each BENCH_REPEATS times in a fresh process
-(``--at n NAME``), and writes the best seconds and the peak RSS of each
-run, with the least-squares growth exponent of seconds in n per row,
-the git sha, the Python version and the usable core count, to the file.
-Then it runs the first named row again in the same way, an A/A control
-of identical code, and writes the two best-of-BENCH_REPEATS results
-side by side per n under ``aa_repeat``: their spread is what a
-difference between two trees must exceed.
-
-    python tests/crosscheck.py --bench FILE --against DIR NAME [NAME ...]
-
-compares this tree with the checkout at DIR: the rows of this file run
-on DIR's ``src/`` as well, each fresh run of this tree followed by one
-of DIR's, and each row's ``runs`` hold, per n, the best seconds and the
-peak RSS of both, this tree first, as its ``growth_exp`` holds both
-slopes.  The file also names DIR's git sha.
+two and its CI n, on a list of sides: this tree's ``src/``, the ``src/``
+of the checkout at DIR if given, and this tree's ``src/`` again, an A/A
+control of identical code for every row.  Each of BENCH_REPEATS repeats
+makes one fresh run of each side in turn (``--at n NAME``, which runs
+one row at n and prints a JSON result line last).  Per row and n the
+file holds one best-of-BENCH_REPEATS seconds and peak RSS per side, and
+per row one least-squares growth exponent of seconds in n per side; it
+names each side's git sha under ``sides``, with the Python version and
+the usable core count.  The spread between the first and the last side
+is what a difference between two trees must exceed.
 """
 
 import argparse
@@ -231,6 +225,24 @@ def cphi_mod_m(n):
             yield f"k={k} N={n} Z/{m} cphi == exact mod {m}", same
 
 
+def phi_cphi_mod_p(n):
+    """Route: cphi_series over Z/p for k + 1 = p^v.
+
+    Reference: phi_k by the double sum over Z/p, and by the parity route
+    over Z/2.  phi_k = cphi_k mod p follows from the definitions alone:
+    (1 - X^(p^v)) / (1 - X) = (1 - X)^(p^v - 1) mod p on each factor of
+    phi_k's product, then z -> -z gives cphi_k's.  The cphi side uses no
+    theorem of Andrews'.
+    """
+    for k, p in ((2, 3), (4, 5), (6, 7), (10, 11), (12, 13), (8, 3), (24, 5)):
+        ring = CoefficientRing(p)
+        same = cphi_series(k, n, ring) == phi_series_double_sum(k, n, ring)
+        yield f"k={k} N={n} Z/{p} cphi == double sum", same
+    for k in (3, 7, 15):
+        same = cphi_series(k, n, MOD2) == phi_parity_series(k, n)
+        yield f"k={k} N={n} Z/2 cphi == parity route", same
+
+
 ROWS = (
     # verify main's n <= 769230 reaches pn + r = 10^7 at p = 13
     Row("main-theorem", main_theorem, 769230, 2000),
@@ -241,6 +253,7 @@ ROWS = (
     Row("parity-route", parity_route, 10**5, 2000),
     Row("cphi-k-over-p", cphi_k_over_p, 10**4, 300),
     Row("cphi-mod-m", cphi_mod_m, 3000, 300),
+    Row("phi-cphi-mod-p", phi_cphi_mod_p, 10**5, 2000),
 )
 
 
@@ -299,9 +312,12 @@ def _run_fresh(name, n, src):
         [sys.executable, __file__, "--at", str(n), name],
         env=env, capture_output=True, text=True,
     )
-    if proc.returncode not in (0, 1):
+    # exit 1 is a False case, or a crash, which prints no result line:
+    # no case line or row total starts with "{"
+    last = proc.stdout.splitlines()[-1:]
+    if proc.returncode not in (0, 1) or not last or not last[0].startswith("{"):
         raise RuntimeError(f"{name} at n={n} exited {proc.returncode}:\n{proc.stderr}")
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(last[0])
     if result.pop("src") != os.path.realpath(src):
         raise RuntimeError(f"{name} at n={n} imported the package from elsewhere")
     return result
@@ -320,83 +336,60 @@ def _best_runs(row, sources):
     """The row at its three n, best of BENCH_REPEATS fresh runs per n and
     source, one run of each source in turn.
 
-    Returns whether every case of every run held, and per source, per n
-    the dict {"n", "seconds", "peak_rss_mb"} of the fastest run.
+    Returns whether every case of every run held, and per n the dict
+    {"n", "seconds", "peak_rss_mb"} of the fastest runs, one per source.
     """
-    ok, sides = True, [[] for _ in sources]
+    ok, runs = True, []
     for n in (row.tier1_n, round(math.sqrt(row.tier1_n * row.ci_n)), row.ci_n):
         results = [[] for _ in sources]
         for _ in range(BENCH_REPEATS):
             for src, found in zip(sources, results):
                 found.append(_run_fresh(row.name, n, src))
-        for found, runs in zip(results, sides):
-            ok = ok and all(result.pop("ok") for result in found)
-            best = min(found, key=lambda result: result["seconds"])
-            runs.append({"n": n, **best})
+        ok = ok and all(result["ok"] for found in results for result in found)
+        best = [min(found, key=lambda result: result["seconds"]) for found in results]
+        seconds = [result["seconds"] for result in best]
+        rss = [result["peak_rss_mb"] for result in best]
+        runs.append({"n": n, "seconds": seconds, "peak_rss_mb": rss})
         print(
             f"{row.name} n={n}: "
-            + " vs ".join(f"{runs[-1]['seconds']:.3f} s" for runs in sides)
+            + " vs ".join(f"{s:.3f} s" for s in seconds)
             + ", peak RSS "
-            + " vs ".join(f"{runs[-1]['peak_rss_mb']:.1f} MB" for runs in sides),
+            + " vs ".join(f"{mb:.1f} MB" for mb in rss),
             flush=True,
         )
-    return ok, sides
-
-
-def _side_by_side(sides):
-    """Per n, the runs of each side as {"n", "seconds", "peak_rss_mb"}
-    with one value per side."""
-    return [
-        {
-            "n": runs[0]["n"],
-            "seconds": [run["seconds"] for run in runs],
-            "peak_rss_mb": [run["peak_rss_mb"] for run in runs],
-        }
-        for runs in zip(*sides)
-    ]
+    return ok, runs
 
 
 def bench(rows, path, against=None):
-    """Time each row at three n in fresh processes, on this tree and, if
-    against names a checkout, on its src/ too; then the first row again on
-    this tree as an A/A control, and write the record to path.
+    """Time each row at three n in fresh processes on each side: this
+    tree's src/, the src/ of the checkout against names, if any, and this
+    tree's src/ again, the A/A control; write the record to path.
 
     Returns whether every case of every run held.
     """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sides = [(root, SRC), (root, SRC)]
+    if against is not None:
+        sides.insert(1, (against, os.path.join(against, "src")))
     record = {
-        "git_sha": _git_sha(root),
+        "sides": [_git_sha(checkout) for checkout, _ in sides],
         "python": sys.version.split()[0],
         "nproc": len(os.sched_getaffinity(0)),
         "repeats": BENCH_REPEATS,
         "rows": {},
     }
-    sources = [SRC]
-    if against is not None:
-        record["against_git_sha"] = _git_sha(against)
-        sources.append(os.path.join(against, "src"))
-    ok, here = True, {}
+    ok = True
     for row in rows:
-        held, sides = _best_runs(row, sources)
+        held, runs = _best_runs(row, [src for _, src in sides])
         ok = ok and held
-        here[row.name] = sides[0]
         slopes = [
-            growth_exponent([r["n"] for r in runs], [r["seconds"] for r in runs])
-            for runs in sides
+            growth_exponent([run["n"] for run in runs], seconds)
+            for seconds in zip(*(run["seconds"] for run in runs))
         ]
-        record["rows"][row.name] = (
-            {"runs": sides[0], "growth_exp": slopes[0]}
-            if against is None
-            else {"runs": _side_by_side(sides), "growth_exp": slopes}
-        )
-    held, (repeat,) = _best_runs(rows[0], [SRC])
-    record["aa_repeat"] = {
-        "row": rows[0].name,
-        "runs": _side_by_side([here[rows[0].name], repeat]),
-    }
+        record["rows"][row.name] = {"runs": runs, "growth_exp": slopes}
     with open(path, "w") as out:
         out.write(json.dumps(record, indent=2) + "\n")
-    return ok and held
+    return ok
 
 
 def main(argv):
@@ -408,25 +401,26 @@ def main(argv):
     args = parser.parse_args(argv)
     names = args.names
     rows = {row.name: row for row in ROWS}
+    errors = []
     unknown = [name for name in names if name not in rows]
     if unknown:
-        print(f"unknown rows: {' '.join(unknown)}", file=sys.stderr)
-    lone_against = args.against is not None and not args.bench
-    if lone_against:
-        print("--against needs --bench", file=sys.stderr)
-    if not names or unknown or lone_against:
+        errors.append(f"unknown rows: {' '.join(unknown)}")
+    if args.against is not None and not args.bench:
+        errors.append("--against needs --bench")
+    if args.at is not None and (args.bench or len(names) != 1):
+        errors.append("--at takes one row and nothing else")
+    if not names or errors:
         usage = (
-            "usage: python tests/crosscheck.py [--bench FILE [--against DIR]] "
+            "usage: python tests/crosscheck.py [--bench FILE [--against DIR] | --at N] "
             "NAME [NAME ...]"
         )
-        print(f"{usage}\nrows: {' '.join(rows)}", file=sys.stderr)
+        print(*errors, usage, f"rows: {' '.join(rows)}", sep="\n", file=sys.stderr)
         return 2
     if args.bench:
         held = bench([rows[name] for name in names], args.bench, args.against)
         return 0 if held else 1
     if args.at is not None:
-        (name,) = names
-        held, seconds = run(rows[name], args.at)
+        held, seconds = run(rows[names[0]], args.at)
         src = os.path.realpath(SRC)
         print(json.dumps(
             {"ok": held, "seconds": seconds, "peak_rss_mb": peak_rss_mb(), "src": src}

@@ -1,6 +1,7 @@
 """Every cross-check row at its tier-1 n, and the runner that CI calls."""
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -65,68 +66,57 @@ def test_an_unknown_name_exits_before_any_row_runs(capsys):
     assert crosscheck.main([]) == 2
 
 
-def test_bench_mode_writes_each_row_at_each_n(monkeypatch, tmp_path, capsys):
-    # every n at the tier-1 n, so the three n are one and the slope is
-    # undefined; only the keys are checked, never the times.  The first
-    # row runs twice, and the A/A repeat puts the two results side by side
+@pytest.mark.parametrize(
+    "against", [None, ROOT], ids=["alone", "against-this-checkout"]
+)
+def test_bench_mode_writes_each_row_at_each_n(against, monkeypatch, tmp_path, capsys):
+    # every n at the tier-1 n, so the three n are one and each slope is
+    # undefined; only the keys are checked, never the times.  The sides are
+    # this tree, the checkout named by --against, and this tree again
     row = next(row for row in crosscheck.ROWS if row.name == "parity-route")
     monkeypatch.setattr(crosscheck, "ROWS", (row._replace(ci_n=row.tier1_n),))
     path = tmp_path / "BENCH.json"
-    assert crosscheck.main(["--bench", str(path), "parity-route"]) == 0
+    flags = [] if against is None else ["--against", str(against)]
+    assert crosscheck.main(["--bench", str(path), *flags, "parity-route"]) == 0
     record = json.loads(path.read_text())
-    assert set(record) == {
-        "git_sha", "python", "nproc", "repeats", "rows", "aa_repeat"
-    }
+    assert set(record) == {"sides", "python", "nproc", "repeats", "rows"}
+    sides = 2 + len(flags) // 2
+    assert record["sides"] == [crosscheck._git_sha(ROOT)] * sides
     assert record["repeats"] == crosscheck.BENCH_REPEATS
     assert list(record["rows"]) == ["parity-route"]
     bench = record["rows"]["parity-route"]
     assert set(bench) == {"runs", "growth_exp"}
+    assert bench["growth_exp"] == [None] * sides
     assert [run["n"] for run in bench["runs"]] == [row.tier1_n] * 3
-    assert all(set(run) == {"n", "seconds", "peak_rss_mb"} for run in bench["runs"])
-    assert bench["growth_exp"] is None
-    repeat = record["aa_repeat"]
-    assert set(repeat) == {"row", "runs"} and repeat["row"] == "parity-route"
-    assert [run["n"] for run in repeat["runs"]] == [row.tier1_n] * 3
-    for first, pair in zip(bench["runs"], repeat["runs"]):
-        assert set(pair) == {"n", "seconds", "peak_rss_mb"}
-        assert [pair[key][0] for key in ("seconds", "peak_rss_mb")] == [
-            first["seconds"], first["peak_rss_mb"]
-        ]
-        assert len(pair["seconds"]) == len(pair["peak_rss_mb"]) == 2
-    assert len(capsys.readouterr().out.splitlines()) == 6
+    for run in bench["runs"]:
+        assert set(run) == {"n", "seconds", "peak_rss_mb"}
+        assert len(run["seconds"]) == len(run["peak_rss_mb"]) == sides
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
-def test_bench_against_a_checkout_puts_both_trees_side_by_side(
-    monkeypatch, tmp_path, capsys
-):
-    # against this same checkout: each n holds this tree's best run and the
-    # checkout's, in that order, and the A/A repeat stays this tree's alone
-    row = next(row for row in crosscheck.ROWS if row.name == "parity-route")
-    monkeypatch.setattr(crosscheck, "ROWS", (row._replace(ci_n=row.tier1_n),))
-    path = tmp_path / "BENCH.json"
-    argv = ["--bench", str(path), "--against", str(ROOT), "parity-route"]
-    assert crosscheck.main(argv) == 0
-    record = json.loads(path.read_text())
-    assert set(record) == {
-        "git_sha", "against_git_sha", "python", "nproc", "repeats", "rows",
-        "aa_repeat",
-    }
-    assert record["against_git_sha"] == record["git_sha"]
-    bench = record["rows"]["parity-route"]
-    assert set(bench) == {"runs", "growth_exp"}
-    assert bench["growth_exp"] == [None, None]
-    for runs in (bench["runs"], record["aa_repeat"]["runs"]):
-        assert [run["n"] for run in runs] == [row.tier1_n] * 3
-        for run in runs:
-            assert set(run) == {"n", "seconds", "peak_rss_mb"}
-            assert len(run["seconds"]) == len(run["peak_rss_mb"]) == 2
-    for both, pair in zip(bench["runs"], record["aa_repeat"]["runs"]):
-        assert pair["seconds"][0] == both["seconds"][0]
-    assert len(capsys.readouterr().out.splitlines()) == 6
+def test_a_crashed_child_is_reported_as_a_crash():
+    # the row raises at n = -5 and exits 1, as a False case does, but
+    # prints no result line
+    crash = r"(?s)parity-route at n=-5 exited 1:\n.*ValueError: truncation"
+    with pytest.raises(RuntimeError, match=crash):
+        crosscheck._run_fresh("parity-route", -5, crosscheck.SRC)
 
 
-def test_against_without_bench_exits_before_any_row_runs(capsys):
-    assert crosscheck.main(["--against", str(ROOT), "parity-route"]) == 2
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--against", str(ROOT), "parity-route"], "--against needs --bench"),
+        (["--at", "300", "parity-route", "cphi-mod-m"], "--at takes one row"),
+        (
+            ["--bench", os.devnull, "--at", "300", "parity-route"],
+            "--at takes one row",
+        ),
+    ],
+    ids=["against-without-bench", "at-two-rows", "at-with-bench"],
+)
+def test_against_without_bench_exits_before_any_row_runs(argv, error, capsys):
+    assert crosscheck.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--against needs --bench" in captured.err
+    assert error in captured.err
+    assert "usage: " in captured.err
